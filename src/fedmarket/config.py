@@ -114,8 +114,8 @@ class ScenarioConfig:
             raise ConfigError("federation sizes must be positive")
         if not self.targets or any(t <= 0 for t in self.targets):
             raise ConfigError("targets must be positive")
-        if any(d <= 0 for d in self.delta_thresholds):
-            raise ConfigError("free-rider thresholds must be positive")
+        if not self.delta_thresholds or any(d <= 0 for d in self.delta_thresholds):
+            raise ConfigError("free-rider thresholds must be a non-empty list of positive values")
         if self.tolerance_window < 1 or self.warmup_years < 0:
             raise ConfigError("tolerance window and warmup years must be sane")
         if self.freerider_years < 1 or self.freerider_rounds_per_year < 1:
@@ -128,6 +128,8 @@ class ScenarioConfig:
             raise ConfigError("timing target fraction must lie in (0, 1)")
         if self.shapley_samples < 1:
             raise ConfigError("need at least one permutation sample")
+        if self.timing_repeats < 1:
+            raise ConfigError("timing experiment needs at least one repeat")
 
     def collection_policy(self, kind: PolicyKind) -> CollectionPolicy:
         return CollectionPolicy(

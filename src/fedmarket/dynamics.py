@@ -22,9 +22,9 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, FedMarketError
 from .market import Federation, Provider
-from .privacy import AggregationMode, AlphabetSpec, keep_probability, validate_epsilon
+from .privacy import AggregationMode, AlphabetSpec, Measure, validate_epsilon
 from .valuation import ExponentialValuation
 
 
@@ -154,34 +154,6 @@ def next_round_epsilon(prev_eps: float, n_p: float, eps_threshold: float) -> flo
     return min(n_p * prev_eps, eps_threshold)
 
 
-class _Accumulator:
-    """Running federation aggregate over report batches, mode-aware."""
-
-    def __init__(self, mode: AggregationMode, spec: AlphabetSpec) -> None:
-        self.mode = mode
-        self.spec = spec
-        self._total = 0.0
-        self._mass = 0.0
-
-    def add(self, d: int, eps: float) -> None:
-        if d <= 0:
-            return
-        if self.mode is AggregationMode.ADDITIVE_INFORMATION:
-            self._total += d * eps
-        elif self.mode is AggregationMode.EXAMPLE_CONTRIBUTION:
-            self._total += d * keep_probability(eps, self.spec.k)
-        else:
-            self._total += d
-            self._mass += d / (self.spec.k - 1 + math.exp(eps))
-
-    def value(self) -> float:
-        if self.mode is AggregationMode.KRR_COMPOSITION:
-            if self._total <= 0:
-                return 0.0
-            return math.log(self._total / self._mass + 1 - self.spec.k)
-        return self._total
-
-
 def run_collection_year(
     federation: Federation,
     target: float,
@@ -214,11 +186,12 @@ def run_collection_year(
     eps_sum = {p.id: 0.0 for p in members}
     prev_eps: dict[str, float | None] = {p.id: None for p in members}
 
-    acc = _Accumulator(mode, spec)
+    measure = Measure(mode, spec.k)
+    add, level = measure.add, measure.level
+    totals = [0.0] * measure.width
     reports: list[RoundReport] = []
     cumulative: list[float] = []
     rounds_used = 0
-    achieved = acc.value()
 
     for t in range(1, max_rounds + 1):
         u_part = rng.random(n)
@@ -250,15 +223,19 @@ def run_collection_year(
             reported[pid] += d_t
             eps_sum[pid] += eps_t
             prev_eps[pid] = eps_t
-            acc.add(d_t, eps_t)
-            cumulative.append(acc.value())
+            add(totals, d_t, eps_t)
+            cumulative.append(level(totals))
 
-        achieved = acc.value()
-        if achieved >= target:
+        if cumulative and cumulative[-1] >= target:
             break
 
-    for provider in members:  # data conservation per provider-year
-        assert reported[provider.id] + remaining[provider.id] == provider.d_p
+    for provider in members:
+        if reported[provider.id] + remaining[provider.id] != provider.d_p:
+            raise FedMarketError(
+                f"data conservation violated for provider {provider.id} in year {year}"
+            )
+
+    achieved = cumulative[-1] if cumulative else 0.0
 
     per_provider = {
         p.id: ProviderYear(p.id, reported[p.id], eps_sum[p.id]) for p in members

@@ -175,7 +175,7 @@ def experiment_rounds(config: ScenarioConfig, out_dir: str | Path) -> list[dict]
                         spec=spec,
                     )
                     measured = ledgers[-1]
-                    payout = settle(deal, federation, measured.achieved, config.aggregation)
+                    payout = settle(deal, federation, measured.achieved)
                     rows.append(
                         {
                             "n": n,
@@ -398,7 +398,7 @@ def simulate(config: ScenarioConfig, out_dir: str | Path) -> dict:
         spec=spec,
     )
     measured = ledgers[-1]
-    payout = settle(deal, federation, measured.achieved, config.aggregation)
+    payout = settle(deal, federation, measured.achieved)
 
     by_provider: dict[str, list[ReportBatch]] = {p.id: [] for p in federation.members}
     for report in measured.reports:

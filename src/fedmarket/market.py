@@ -173,18 +173,11 @@ def seal_deal(bids: Sequence[Bid], offer: ConsumerOffer, w_star: float) -> Seale
     return deal
 
 
-def settle(
-    deal: SealedDeal,
-    federation: Federation,
-    achieved_eps: float,
-    mode: AggregationMode | None = None,
-) -> float:
+def settle(deal: SealedDeal, federation: Federation, achieved_eps: float) -> float:
     """Payout for a federation: full price if the promise is met, else zero.
 
     The promise is inclusive (achieving exactly the promised epsilon pays)
-    and there is no partial compensation. ``mode`` records which
-    information measure ``achieved_eps`` was computed under; it does not
-    change the comparison.
+    and there is no partial compensation.
     """
     term = deal.terms.get(federation.id)
     if term is None:

@@ -116,46 +116,103 @@ def information_limit(d: int, eps: float) -> float:
     return float(d) * float(eps)
 
 
-def combined_epsilon(batches: Sequence[ReportBatch], spec: AlphabetSpec) -> float:
-    """Privacy parameter of the kRR mechanism jointly followed by pooled reports.
+class Measure:
+    """One information measure: per-batch statistics, their level, one win test.
 
-    Computes ln( sum(d_i) / sum(d_i / (k - 1 + e^{eps_i})) + 1 - k ). The
-    result lies between the smallest and largest batch epsilon. Batches
-    with d = 0 are ignored; at least one batch must carry data.
+    A set of batches is summarised by adding up per-batch statistic
+    vectors: ``(d * eps,)`` for ``ADDITIVE_INFORMATION``,
+    ``(d * e^eps / (k - 1 + e^eps),)`` for ``EXAMPLE_CONTRIBUTION`` and
+    ``(d, d / (k - 1 + e^eps))`` for ``KRR_COMPOSITION``. The level and the
+    winning predicate read only that sum, so pooled reports, collection
+    years and threshold-game coalitions all share this arithmetic; callers
+    differ only in the order in which they add the statistics.
     """
-    k = spec.k
-    total = 0
-    weighted = 0.0
-    for batch in batches:
-        if batch.d == 0:
-            continue
-        total += batch.d
-        weighted += batch.d / (k - 1 + math.exp(batch.epsilon))
-    if total == 0:
-        raise DomainError("combined epsilon is undefined when no batch carries data")
-    return math.log(total / weighted + 1 - k)
+
+    __slots__ = ("k", "width", "add")
+
+    def __init__(self, mode: AggregationMode, k: int) -> None:
+        self.k = k
+        # ``add(totals, d, eps)`` adds one batch's statistics into ``totals``
+        # in place. It is chosen once here because it runs once per report.
+        if mode is AggregationMode.ADDITIVE_INFORMATION:
+            self.width = 1
+
+            def add(totals: list[float], d: int, eps: float) -> None:
+                totals[0] += d * eps
+
+        elif mode is AggregationMode.EXAMPLE_CONTRIBUTION:
+            self.width = 1
+
+            def add(totals: list[float], d: int, eps: float) -> None:
+                totals[0] += d * keep_probability(eps, k)
+
+        elif mode is AggregationMode.KRR_COMPOSITION:
+            self.width = 2
+
+            def add(totals: list[float], d: int, eps: float) -> None:
+                totals[0] += d
+                totals[1] += d / (k - 1 + math.exp(eps))
+
+        else:
+            raise DomainError(f"unknown aggregation mode {mode!r}")
+        self.add = add
+
+    def stats(self, d: int, eps: float) -> list[float]:
+        """Statistics of one batch."""
+        totals = [0.0] * self.width
+        self.add(totals, d, eps)
+        return totals
+
+    def level(self, totals: Sequence[float]) -> float:
+        """Information level of summed statistics.
+
+        The identity for the additive measures; for kRR the pooled privacy
+        parameter ln(D / H + 1 - k), which needs at least one data point.
+        """
+        if self.width == 1:
+            return float(totals[0])
+        count, mass = totals
+        if count <= 0:
+            raise DomainError("combined epsilon is undefined when no batch carries data")
+        return math.log(count / mass + 1 - self.k)
+
+    def wins(self, totals, target: float):
+        """Whether summed statistics reach ``target``.
+
+        ``totals[j]`` is the j-th summed statistic: a scalar, or an array
+        with one entry per coalition, which gives an array of flags.
+
+        For kRR, ln(D / H + 1 - k) >= target is rewritten as D >= theta * H
+        with theta = e^target + k - 1: no transcendental per coalition, and
+        one pure IEEE compare that every evaluator shares. An empty
+        coalition (D = 0) loses.
+        """
+        if self.width == 1:
+            return totals[0] >= target
+        count, mass = totals
+        theta = math.exp(target) + (self.k - 1)
+        with np.errstate(invalid="ignore"):
+            return (count > 0) & (count >= theta * mass)
 
 
-def example_contribution(batches: Iterable[ReportBatch], spec: AlphabetSpec) -> float:
-    """Sum of d * e^eps / (k - 1 + e^eps) over batches (retention mass)."""
-    return sum(batch.d * keep_probability(batch.epsilon, spec.k) for batch in batches if batch.d > 0)
-
-
-def additive_information(batches: Iterable[ReportBatch]) -> float:
-    """Sum of d * eps over batches."""
-    return sum(information_limit(batch.d, batch.epsilon) for batch in batches if batch.d > 0)
-
-
-def aggregate(batches: Sequence[ReportBatch], mode: AggregationMode, spec: AlphabetSpec) -> float:
+def aggregate(batches: Iterable[ReportBatch], mode: AggregationMode, spec: AlphabetSpec) -> float:
     """Collapse report batches into one information number under ``mode``.
 
-    The additive measures return 0.0 for an empty batch list; the kRR
-    composition needs at least one batch with data.
+    Batches with d = 0 are ignored. The additive measures return 0.0 for
+    no data; the kRR composition needs at least one batch with data.
     """
-    if mode is AggregationMode.KRR_COMPOSITION:
-        return combined_epsilon(batches, spec)
-    if mode is AggregationMode.ADDITIVE_INFORMATION:
-        return additive_information(batches)
-    if mode is AggregationMode.EXAMPLE_CONTRIBUTION:
-        return example_contribution(batches, spec)
-    raise DomainError(f"unknown aggregation mode {mode!r}")
+    measure = Measure(mode, spec.k)
+    totals = [0.0] * measure.width
+    for batch in batches:  # left to right, like a collection year
+        if batch.d > 0:
+            measure.add(totals, batch.d, batch.epsilon)
+    return measure.level(totals)
+
+
+def combined_epsilon(batches: Iterable[ReportBatch], spec: AlphabetSpec) -> float:
+    """Privacy parameter of the kRR mechanism jointly followed by pooled reports.
+
+    ln( sum(d_i) / sum(d_i / (k - 1 + e^{eps_i})) + 1 - k ), which lies
+    between the smallest and largest batch epsilon.
+    """
+    return aggregate(batches, AggregationMode.KRR_COMPOSITION, spec)

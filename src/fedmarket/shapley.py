@@ -6,16 +6,20 @@ evaluators are provided:
 
 * ``shapley_exact`` enumerates every coalition (guarded at n <= 30),
 * ``shapley_pruned`` tallies only threshold-crossing coalitions and must
-  reproduce the exact shares bit for bit,
+  reproduce the exact shares bit for bit. Pruning needs a monotone
+  measure (the additive ones), where losing coalitions are downward
+  closed; kRR composition is not monotone, so a kRR game is tallied
+  over the full enumeration instead,
 * ``shapley_sampled`` is the permutation-sampling estimator for
   federations too large to enumerate.
 
 Bit-for-bit agreement between the first two is engineered, not hoped
-for: every coalition's aggregate is computed by folding player statistics
-in ascending player order (the exact evaluator's doubling scheme and the
+for: every player's statistics come from ``privacy.Measure``, every
+coalition's aggregate is computed by folding player statistics in
+ascending player order (the exact evaluator's doubling scheme and the
 pruned evaluator's colex frontier extension produce the identical float),
-winning flags are decided once per coalition by one shared predicate, and
-the factorial weights are accumulated in exact integer arithmetic with a
+winning flags are decided by the measure's one predicate, and the
+factorial weights are accumulated in exact integer arithmetic with a
 single late division.
 """
 
@@ -28,18 +32,12 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import CapacityError, DomainError
-from .privacy import (
-    AggregationMode,
-    AlphabetSpec,
-    ReportBatch,
-    keep_probability,
-)
+from .privacy import AggregationMode, AlphabetSpec, Measure, ReportBatch
 
 MAX_ENUMERATION_PLAYERS = 30
-# Cumulative frontier cap for the pruned evaluator. Games whose losing
-# family grows past this have no boundary structure worth pruning (and
-# the composition measure keeps whole layers alive); sampling is the
-# right tool there.
+# Cumulative frontier cap for the pruned evaluator on the monotone
+# measures. Games whose losing family grows past this have no boundary
+# structure worth pruning; sampling is the right tool there.
 MAX_FRONTIER = 1 << 24
 
 _LOW_BITS = 20  # chunk granularity for the exact enumeration
@@ -73,6 +71,10 @@ class ThresholdGame:
     def player_ids(self) -> list[str]:
         return [pid for pid, _ in self.players]
 
+    @property
+    def measure(self) -> Measure:
+        return Measure(self.mode, self.spec.k)
+
 
 @dataclass(frozen=True)
 class ShapleyResult:
@@ -84,43 +86,15 @@ class ShapleyResult:
         return math.fsum(self.shares.values())
 
 
-def _additive_scalars(game: ThresholdGame) -> np.ndarray:
-    """Per-player scalar contribution for the additive measures."""
-    out = np.empty(game.n)
+def _player_stats(game: ThresholdGame) -> np.ndarray:
+    """Per-player statistics, shape (width, n): ``math.fsum`` over each player's batches."""
+    measure = game.measure
+    out = np.empty((measure.width, game.n))
     for i, (_, batches) in enumerate(game.players):
-        if game.mode is AggregationMode.ADDITIVE_INFORMATION:
-            out[i] = math.fsum(b.d * b.epsilon for b in batches if b.d > 0)
-        else:
-            out[i] = math.fsum(
-                b.d * keep_probability(b.epsilon, game.spec.k) for b in batches if b.d > 0
-            )
+        rows = [measure.stats(b.d, b.epsilon) for b in batches if b.d > 0]
+        for j in range(measure.width):
+            out[j, i] = math.fsum(row[j] for row in rows)
     return out
-
-
-def _krr_stats(game: ThresholdGame) -> tuple[np.ndarray, np.ndarray]:
-    """Per-player (point count, retention denominator mass) for composition."""
-    k = game.spec.k
-    counts = np.empty(game.n)
-    masses = np.empty(game.n)
-    for i, (_, batches) in enumerate(game.players):
-        counts[i] = float(sum(b.d for b in batches))
-        masses[i] = math.fsum(b.d / (k - 1 + math.exp(b.epsilon)) for b in batches if b.d > 0)
-    return counts, masses
-
-
-def _krr_threshold_factor(target: float, k: int) -> float:
-    """Reduce ln(D/H + 1 - k) >= target to D >= theta * H with theta fixed.
-
-    Avoids a transcendental per coalition and keeps the winning predicate
-    a pure IEEE compare, identical across evaluators.
-    """
-    return math.exp(target) + (k - 1)
-
-
-def _krr_wins(counts, masses, theta):
-    """Winning predicate for the composition measure; empty coalitions lose."""
-    with np.errstate(invalid="ignore"):
-        return (counts > 0) & (counts >= theta * masses)
 
 
 def characteristic(subset: Iterable[str], game: ThresholdGame) -> float:
@@ -130,22 +104,11 @@ def characteristic(subset: Iterable[str], game: ThresholdGame) -> float:
     unknown = ids - set(order)
     if unknown:
         raise DomainError(f"unknown players in subset: {sorted(unknown)}")
-    idxs = sorted(order[pid] for pid in ids)
-    if game.mode is AggregationMode.KRR_COMPOSITION:
-        counts, masses = _krr_stats(game)
-        d = h = 0.0
-        for i in idxs:  # ascending fold, matching the enumeration order
-            d = d + counts[i]
-            h = h + masses[i]
-        theta = _krr_threshold_factor(game.target, game.spec.k)
-        win = bool(_krr_wins(np.float64(d), np.float64(h), theta))
-    else:
-        scalars = _additive_scalars(game)
-        total = 0.0
-        for i in idxs:
-            total = total + scalars[i]
-        win = total >= game.target
-    return game.prize if win else 0.0
+    stats = _player_stats(game)
+    totals = np.zeros(stats.shape[0])
+    for i in sorted(order[pid] for pid in ids):  # ascending fold, matching the enumeration order
+        totals = totals + stats[:, i]
+    return game.prize if game.measure.wins(totals, game.target) else 0.0
 
 
 def _shares_from_numerators(game: ThresholdGame, numerators: list[int]) -> dict[str, float]:
@@ -175,23 +138,13 @@ def _exact_counts(game: ThresholdGame) -> tuple[np.ndarray, np.ndarray]:
     n = game.n
     low = min(n, _LOW_BITS)
     low_size = 1 << low
-    krr = game.mode is AggregationMode.KRR_COMPOSITION
+    measure = game.measure
+    stats = _player_stats(game)
 
-    if krr:
-        counts, masses = _krr_stats(game)
-        low_d = np.zeros(low_size)
-        low_h = np.zeros(low_size)
-        for i in range(low):
-            step = 1 << i
-            low_d[step : 2 * step] = low_d[:step] + counts[i]
-            low_h[step : 2 * step] = low_h[:step] + masses[i]
-        theta = _krr_threshold_factor(game.target, game.spec.k)
-    else:
-        scalars = _additive_scalars(game)
-        low_sum = np.zeros(low_size)
-        for i in range(low):
-            step = 1 << i
-            low_sum[step : 2 * step] = low_sum[:step] + scalars[i]
+    low_totals = np.zeros((measure.width, low_size))
+    for i in range(low):
+        step = 1 << i
+        low_totals[:, step : 2 * step] = low_totals[:, :step] + stats[:, i : i + 1]
 
     low_pop = np.zeros(low_size, dtype=np.uint8)
     for i in range(low):
@@ -204,19 +157,11 @@ def _exact_counts(game: ThresholdGame) -> tuple[np.ndarray, np.ndarray]:
 
     for high_mask in range(1 << (n - low)):
         high_players = [low + j for j in range(n - low) if high_mask >> j & 1]
-        if krr:
-            d_arr, h_arr = low_d, low_h
-            for p in high_players:  # ascending, keeps the fold canonical
-                d_arr = d_arr + counts[p]
-                h_arr = h_arr + masses[p]
-            win = _krr_wins(d_arr, h_arr, theta)
-        else:
-            arr = low_sum
-            for p in high_players:
-                arr = arr + scalars[p]
-            win = arr >= game.target
+        totals = low_totals
+        for p in high_players:  # ascending, keeps the fold canonical
+            totals = totals + stats[:, p : p + 1]
 
-        widx = np.flatnonzero(win)
+        widx = np.flatnonzero(measure.wins(totals, game.target))
         if widx.size == 0:
             continue
         sizes_w = (low_pop[widx] + len(high_players)).astype(np.int64)
@@ -232,15 +177,13 @@ def _exact_counts(game: ThresholdGame) -> tuple[np.ndarray, np.ndarray]:
     return wins_by_size, wins_with_player
 
 
-def shapley_exact(game: ThresholdGame) -> ShapleyResult:
-    """Shapley shares by full enumeration of all 2^n coalitions.
+def _enumerated_numerators(game: ThresholdGame) -> list[int]:
+    """Shapley numerators (shares times n! / prize) from the full enumeration.
 
     The per-player sum of weighted marginal contributions is regrouped as
     a sum over winning coalitions: a winning R adds weight (|R|-1)!(n-|R|)!
     for each member and subtracts |R|!(n-1-|R|)! for each non-member.
-    Weights are exact integers; the single division happens at the end.
     """
-    _guard_enumeration(game.n, "shapley_exact")
     n = game.n
     wins_by_size, wins_with_player = _exact_counts(game)
     fact = [math.factorial(r) for r in range(n + 1)]
@@ -257,6 +200,16 @@ def shapley_exact(game: ThresholdGame) -> ShapleyResult:
             if r <= n - 1:
                 num -= fact[r] * fact[n - 1 - r] * (total - with_i)
         numerators.append(num)
+    return numerators
+
+
+def shapley_exact(game: ThresholdGame) -> ShapleyResult:
+    """Shapley shares by full enumeration of all 2^n coalitions.
+
+    Weights are exact integers; the single division happens at the end.
+    """
+    _guard_enumeration(game.n, "shapley_exact")
+    numerators = _enumerated_numerators(game)
     return ShapleyResult(shares=_shares_from_numerators(game, numerators), method="exact")
 
 
@@ -274,20 +227,22 @@ def _lookup(sorted_masks: np.ndarray, queries: np.ndarray) -> np.ndarray:
     return sorted_masks[pos_clipped] == queries
 
 
-def _pruned_counts_additive(game: ThresholdGame) -> np.ndarray:
-    """Net pivot counts P[i, s] for the monotone (additive) measures.
+def _pruned_numerators(game: ThresholdGame) -> list[int]:
+    """Shapley numerators from pivot counts, for a monotone measure.
 
     Losing coalitions form a downward-closed family, so they are grown
     layer by layer (colex extension: only players above the current top
     join, reproducing the canonical fold). A pair (S, i) is pivotal when
     S is losing and S + {i} is winning, i.e. absent from the next losing
-    layer. Coalitions at or above the target are never expanded; that is
-    the entire pruning.
+    layer; it carries weight |S|! (n - 1 - |S|)!. Winning coalitions are
+    never expanded; that is the entire pruning.
     """
     n = game.n
-    scalars = _additive_scalars(game)
+    measure = game.measure
+    values = _player_stats(game)[0]  # a monotone measure carries one statistic
     target = game.target
-    pivots = np.zeros((n, n + 1), dtype=np.int64)
+    weight = [math.factorial(s) * math.factorial(n - 1 - s) for s in range(n)]
+    numerators = [0] * n
 
     masks = np.zeros(1, dtype=np.int64)
     sums = np.zeros(1)
@@ -305,8 +260,8 @@ def _pruned_counts_additive(game: ThresholdGame) -> np.ndarray:
             sel = tops < j
             if not sel.any():
                 continue
-            grown = sums[sel] + scalars[j]
-            keep = grown < target
+            grown = sums[sel] + values[j]
+            keep = ~measure.wins((grown,), target)
             if keep.any():
                 child_masks.append(masks[sel][keep] | (np.int64(1) << np.int64(j)))
                 child_sums.append(grown[keep])
@@ -333,83 +288,11 @@ def _pruned_counts_additive(game: ThresholdGame) -> np.ndarray:
                 continue
             grown_masks = masks[outside] | bit
             still_losing = _lookup(next_masks, grown_masks)
-            pivots[i, s] += int((~still_losing).sum())
+            numerators[i] += weight[s] * int((~still_losing).sum())
 
         masks, sums, tops = next_masks, next_sums, next_tops
 
-    return pivots
-
-
-def _pruned_counts_krr(game: ThresholdGame) -> np.ndarray:
-    """Net pivot counts for the composition measure.
-
-    Composition is not monotone under adding a player (a low-epsilon
-    batch can dilute the pooled parameter below the target), so losing
-    coalitions are not downward closed and no layer can be dropped. The
-    evaluator still accumulates only threshold crossings, in both
-    directions, reading each coalition's winning flag from the layered
-    enumeration so the arithmetic path matches the exact evaluator.
-    """
-    n = game.n
-    counts, masses = _krr_stats(game)
-    theta = _krr_threshold_factor(game.target, game.spec.k)
-    pivots = np.zeros((n, n + 1), dtype=np.int64)
-
-    masks = np.zeros(1, dtype=np.int64)
-    d_vals = np.zeros(1)
-    h_vals = np.zeros(1)
-    tops = np.full(1, -1, dtype=np.int64)
-    wins = _krr_wins(d_vals, h_vals, theta)
-    total_frontier = 1
-
-    for s in range(n):
-        child_masks = []
-        child_d = []
-        child_h = []
-        child_tops = []
-        for j in range(n):
-            sel = tops < j
-            if not sel.any():
-                continue
-            child_masks.append(masks[sel] | (np.int64(1) << np.int64(j)))
-            child_d.append(d_vals[sel] + counts[j])
-            child_h.append(h_vals[sel] + masses[j])
-            child_tops.append(np.full(int(sel.sum()), j, dtype=np.int64))
-        if child_masks:
-            next_masks = np.concatenate(child_masks)
-            next_d = np.concatenate(child_d)
-            next_h = np.concatenate(child_h)
-            next_tops = np.concatenate(child_tops)
-            next_masks, next_d, next_h, next_tops = _sorted_layer(
-                next_masks, next_d, next_h, next_tops
-            )
-            next_wins = _krr_wins(next_d, next_h, theta)
-        else:
-            next_masks = np.zeros(0, dtype=np.int64)
-            next_d = next_h = np.zeros(0)
-            next_tops = np.zeros(0, dtype=np.int64)
-            next_wins = np.zeros(0, dtype=bool)
-        total_frontier += next_masks.size
-        if total_frontier > MAX_FRONTIER:
-            raise CapacityError(
-                "pruned enumeration frontier exceeded capacity; use shapley_sampled"
-            )
-
-        for i in range(n):
-            bit = np.int64(1) << np.int64(i)
-            outside = (masks & bit) == 0
-            if not outside.any():
-                continue
-            grown_masks = masks[outside] | bit
-            pos = np.searchsorted(next_masks, grown_masks)
-            grown_wins = next_wins[pos]
-            base_wins = wins[outside]
-            pivots[i, s] += int((~base_wins & grown_wins).sum())
-            pivots[i, s] -= int((base_wins & ~grown_wins).sum())
-
-        masks, d_vals, h_vals, tops, wins = next_masks, next_d, next_h, next_tops, next_wins
-
-    return pivots
+    return numerators
 
 
 def shapley_pruned(game: ThresholdGame) -> ShapleyResult:
@@ -419,23 +302,16 @@ def shapley_pruned(game: ThresholdGame) -> ShapleyResult:
     zero unless adding i crosses the target, so tallying crossing pairs
     with their factorial weights reproduces the exact shares. Under the
     additive measures entire branches above the target are skipped, which
-    is where the speedup over full enumeration comes from.
+    is where the speedup over full enumeration comes from. kRR composition
+    is not monotone (a low-epsilon batch can dilute the pooled parameter
+    below the target), so its losing coalitions are not downward closed,
+    nothing can be pruned, and the full enumeration's tally is returned.
     """
     _guard_enumeration(game.n, "shapley_pruned")
-    n = game.n
     if game.mode is AggregationMode.KRR_COMPOSITION:
-        pivots = _pruned_counts_krr(game)
+        numerators = _enumerated_numerators(game)
     else:
-        pivots = _pruned_counts_additive(game)
-    fact = [math.factorial(r) for r in range(n + 1)]
-    numerators = []
-    for i in range(n):
-        num = 0
-        for s in range(n):
-            count = int(pivots[i, s])
-            if count:
-                num += fact[s] * fact[n - 1 - s] * count
-        numerators.append(num)
+        numerators = _pruned_numerators(game)
     return ShapleyResult(shares=_shares_from_numerators(game, numerators), method="pruned")
 
 
@@ -454,12 +330,8 @@ def shapley_sampled(
     if samples < 1:
         raise DomainError(f"sample count must be at least 1, got {samples}")
     n = game.n
-    krr = game.mode is AggregationMode.KRR_COMPOSITION
-    if krr:
-        counts, masses = _krr_stats(game)
-        theta = _krr_threshold_factor(game.target, game.spec.k)
-    else:
-        scalars = _additive_scalars(game)
+    measure = game.measure
+    stats = _player_stats(game)
 
     acc = np.zeros(n)
     remaining = samples
@@ -467,12 +339,7 @@ def shapley_sampled(
         m = min(remaining, batch_size)
         remaining -= m
         perms = np.argsort(rng.random((m, n)), axis=1)
-        if krr:
-            d_cum = np.cumsum(counts[perms], axis=1)
-            h_cum = np.cumsum(masses[perms], axis=1)
-            win = _krr_wins(d_cum, h_cum, theta)
-        else:
-            win = np.cumsum(scalars[perms], axis=1) >= game.target
+        win = measure.wins([np.cumsum(row[perms], axis=1) for row in stats], game.target)
         flags = win.astype(np.int8)
         marg = flags.copy()
         marg[:, 1:] -= flags[:, :-1]  # empty prefix always loses (target > 0)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fedmarket.cli import main
 from fedmarket.config import (
     ScenarioConfig,
     ThresholdDist,
@@ -89,6 +90,18 @@ class TestConfigLoading:
     def test_missing_file(self):
         with pytest.raises(ConfigError):
             load_config("does/not/exist.yaml")
+
+    @pytest.mark.parametrize(
+        "command, text",
+        [("exp-timing", "timing_repeats: 0\n"), ("simulate", "delta_thresholds: []\n")],
+        ids=["zero-timing-repeats", "empty-delta-thresholds"],
+    )
+    def test_cli_rejects_with_one_line(self, command, text, tmp_path, capsys):
+        path = tmp_path / "scenario.yaml"
+        path.write_text(text)
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestSeeding:

@@ -25,7 +25,7 @@ from fedmarket.dynamics import (
 )
 from fedmarket.errors import DomainError
 from fedmarket.market import Federation, Provider
-from fedmarket.privacy import AggregationMode, AlphabetSpec
+from fedmarket.privacy import AggregationMode, AlphabetSpec, ReportBatch, aggregate
 from fedmarket.valuation import ExponentialValuation
 
 
@@ -207,6 +207,34 @@ class TestRunCollectionYear:
             running += report.d_t * report.eps_t
             assert recorded == pytest.approx(running, rel=1e-12)
         assert ledger.achieved == pytest.approx(running, rel=1e-12)
+
+    @pytest.mark.parametrize("mode", list(AggregationMode), ids=lambda m: m.value)
+    def test_achieved_is_aggregate_of_reports_bit_for_bit(self, mode):
+        rng = np.random.default_rng(2718)
+        for _ in range(60):
+            members = [
+                Provider(f"p{i}", int(rng.integers(1, 12)), float(rng.uniform(0.5, 9.0)))
+                for i in range(int(rng.integers(1, 9)))
+            ]
+            spec = AlphabetSpec(int(rng.integers(2, 17)))
+            limit = aggregate([ReportBatch(p.d_p, p.eps_threshold) for p in members], mode, spec)
+            policy = CollectionPolicy(
+                PolicyKind.CATALYZING if rng.random() < 0.5 else PolicyKind.NON_CATALYZING,
+                participation_prob=float(rng.uniform(0.3, 1.0)),
+                points_per_round=int(rng.integers(1, 4)),
+            )
+            ledger = run_collection_year(
+                _federation(members),
+                limit * float(rng.uniform(0.2, 1.2)),
+                policy,
+                int(rng.integers(1, 8)),
+                mode,
+                np.random.default_rng(int(rng.integers(2**32))),
+                savings={p.id: float(rng.uniform(0.0, 50.0)) for p in members},
+                spec=spec,
+            )
+            batches = [ReportBatch(r.d_t, r.eps_t) for r in ledger.reports]
+            assert ledger.achieved == ledger.cumulative[-1] == aggregate(batches, mode, spec)
 
     def test_krr_mode_achieved_is_composition(self):
         fed = _federation(self._members(n=3), window=2)

@@ -167,6 +167,17 @@ class TestPruned:
             pruned = shapley_pruned(game)
             assert pruned.shares == exact.shares  # bit-for-bit
 
+    def test_identical_to_exact_on_larger_krr_games(self):
+        rng = np.random.default_rng(1316)
+        for n in range(13, 17):
+            for _ in range(3):
+                game = random_threshold_game(
+                    rng, AggregationMode.KRR_COMPOSITION, max_players=n, min_players=n
+                )
+                pruned = shapley_pruned(game)
+                assert pruned.method == "pruned"
+                assert pruned.shares == shapley_exact(game).shares  # bit-for-bit
+
     def test_capacity_guard(self):
         game = _additive_game(tuple([1.0] * 31), 5.0, 10.0)
         with pytest.raises(CapacityError):
