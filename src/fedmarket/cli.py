@@ -9,8 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ScenarioConfig, load_config, override
-from .dynamics import PolicyKind
+from .config import MODE_NAMES, POLICY_NAMES, ScenarioConfig, load_config, override
 from .errors import ConfigError, FedMarketError
 from .experiments import (
     audit_outputs,
@@ -20,19 +19,16 @@ from .experiments import (
     shares_digest,
     simulate,
 )
-from .privacy import AggregationMode, AlphabetSpec, ReportBatch
+from .privacy import AlphabetSpec, ReportBatch
 from .shapley import ThresholdGame, shapley_exact, shapley_pruned, shapley_sampled
-
-_MODES = {m.value: m for m in AggregationMode}
-_POLICIES = {p.value: p for p in PolicyKind}
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", type=Path, help="scenario config file (YAML)")
     parser.add_argument("--seed", type=int, help="override the master seed")
     parser.add_argument("--out", type=Path, default=Path("out"), help="output directory")
-    parser.add_argument("--mode", choices=sorted(_MODES), help="override the aggregation mode")
-    parser.add_argument("--policy", choices=sorted(_POLICIES), help="override the collection policy")
+    parser.add_argument("--mode", choices=sorted(MODE_NAMES), help="override the aggregation mode")
+    parser.add_argument("--policy", choices=sorted(POLICY_NAMES), help="override the collection policy")
     parser.add_argument("--replications", type=int, help="override the replication count")
 
 
@@ -41,8 +37,8 @@ def _resolve_config(args: argparse.Namespace) -> ScenarioConfig:
     return override(
         config,
         master_seed=args.seed,
-        aggregation=_MODES[args.mode] if args.mode else None,
-        policy=_POLICIES[args.policy] if args.policy else None,
+        aggregation=MODE_NAMES[args.mode] if args.mode else None,
+        policy=POLICY_NAMES[args.policy] if args.policy else None,
         replications=args.replications,
     )
 
@@ -61,10 +57,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_shapley(args: argparse.Namespace) -> int:
-    with open(args.game) as handle:
-        raw = json.load(handle)
     try:
-        mode = _MODES[raw.get("mode", "additive")]
+        with open(args.game) as handle:
+            raw = json.load(handle)
+        if not isinstance(raw, dict):
+            raise TypeError(f"the game must be a JSON object, got {type(raw).__name__}")
+        mode = MODE_NAMES[raw.get("mode", "additive")]
         game = ThresholdGame(
             players=tuple(
                 (

@@ -13,8 +13,8 @@ from .dynamics import CollectionPolicy, PolicyKind
 from .errors import ConfigError
 from .privacy import AggregationMode
 
-_MODE_NAMES = {m.value: m for m in AggregationMode}
-_POLICY_NAMES = {p.value: p for p in PolicyKind}
+MODE_NAMES = {m.value: m for m in AggregationMode}
+POLICY_NAMES = {p.value: p for p in PolicyKind}
 
 
 @dataclass(frozen=True)
@@ -171,14 +171,14 @@ def config_from_dict(data: dict) -> ScenarioConfig:
         raise ConfigError(f"unknown configuration keys: {sorted(unknown)}")
     if "aggregation" in data:
         name = str(data["aggregation"])
-        if name not in _MODE_NAMES:
-            raise ConfigError(f"unknown aggregation mode {name!r}; expected one of {sorted(_MODE_NAMES)}")
-        data["aggregation"] = _MODE_NAMES[name]
+        if name not in MODE_NAMES:
+            raise ConfigError(f"unknown aggregation mode {name!r}; expected one of {sorted(MODE_NAMES)}")
+        data["aggregation"] = MODE_NAMES[name]
     if "policy" in data:
         name = str(data["policy"])
-        if name not in _POLICY_NAMES:
-            raise ConfigError(f"unknown policy {name!r}; expected one of {sorted(_POLICY_NAMES)}")
-        data["policy"] = _POLICY_NAMES[name]
+        if name not in POLICY_NAMES:
+            raise ConfigError(f"unknown policy {name!r}; expected one of {sorted(POLICY_NAMES)}")
+        data["policy"] = POLICY_NAMES[name]
     if "thresholds" in data and not isinstance(data["thresholds"], ThresholdDist):
         try:
             data["thresholds"] = ThresholdDist(**data["thresholds"])
@@ -186,6 +186,8 @@ def config_from_dict(data: dict) -> ScenarioConfig:
             raise ConfigError(f"bad threshold distribution spec: {exc}") from exc
     for key in ("federation_sizes", "targets", "delta_thresholds", "freerider_sizes", "timing_sizes"):
         if key in data:
+            if not isinstance(data[key], (list, tuple)):
+                raise ConfigError(f"{key} must be a list, got {data[key]!r}")
             data[key] = tuple(data[key])
     try:
         return ScenarioConfig(**data)
@@ -198,7 +200,11 @@ def load_config(path: str | Path) -> ScenarioConfig:
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     with open(path) as handle:
-        data = yaml.safe_load(handle)
+        try:
+            data = yaml.safe_load(handle)
+        except (yaml.YAMLError, UnicodeDecodeError) as exc:
+            detail = " ".join(str(exc).split())  # YAML messages span several lines
+            raise ConfigError(f"cannot parse config file {path}: {detail}") from exc
     if data is None:
         data = {}
     if not isinstance(data, dict):
@@ -214,10 +220,6 @@ def derive_seed(master_seed: int, *parts) -> int:
         digest.update(b"|")
         digest.update(str(part).encode())
     return int.from_bytes(digest.digest()[:8], "big")
-
-
-def rng_for(master_seed: int, *parts) -> np.random.Generator:
-    return np.random.default_rng(derive_seed(master_seed, *parts))
 
 
 def override(config: ScenarioConfig, **changes) -> ScenarioConfig:

@@ -58,12 +58,6 @@ class Federation:
             if self.representative not in {p.id for p in self.members}:
                 raise DomainError(f"representative {self.representative} not in federation {self.id}")
 
-    def member(self, provider_id: str) -> Provider:
-        for p in self.members:
-            if p.id == provider_id:
-                return p
-        raise KeyError(provider_id)
-
 
 @dataclass(frozen=True)
 class ConsumerOffer:

@@ -5,11 +5,14 @@ information reaches the promised level, and nothing otherwise. Three
 evaluators are provided:
 
 * ``shapley_exact`` enumerates every coalition (guarded at n <= 30),
-* ``shapley_pruned`` tallies only threshold-crossing coalitions and must
+* ``shapley_pruned`` enumerates only losing coalitions and must
   reproduce the exact shares bit for bit. Pruning needs a monotone
-  measure (the additive ones), where losing coalitions are downward
-  closed; kRR composition is not monotone, so a kRR game is tallied
-  over the full enumeration instead,
+  measure (the additive ones): their statistics are non-negative and
+  IEEE addition is monotone, so losing coalitions are downward closed
+  even in floating point, and player i's pivot count at size s is
+  L_s - c_s(i) - c_{s+1}(i), where L_s losing coalitions have size s and
+  c_s(i) of them contain i. kRR composition is not monotone, so a kRR
+  game is tallied over the full enumeration instead,
 * ``shapley_sampled`` is the permutation-sampling estimator for
   federations too large to enumerate.
 
@@ -213,84 +216,60 @@ def shapley_exact(game: ThresholdGame) -> ShapleyResult:
     return ShapleyResult(shares=_shares_from_numerators(game, numerators), method="exact")
 
 
-def _sorted_layer(masks: np.ndarray, *payloads: np.ndarray):
-    order = np.argsort(masks, kind="stable")
-    return (masks[order], *(p[order] for p in payloads))
-
-
-def _lookup(sorted_masks: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """Membership of each query mask in a sorted mask array."""
-    pos = np.searchsorted(sorted_masks, queries)
-    pos_clipped = np.minimum(pos, sorted_masks.size - 1) if sorted_masks.size else pos
-    if sorted_masks.size == 0:
-        return np.zeros(queries.shape, dtype=bool)
-    return sorted_masks[pos_clipped] == queries
-
-
 def _pruned_numerators(game: ThresholdGame) -> list[int]:
     """Shapley numerators from pivot counts, for a monotone measure.
 
-    Losing coalitions form a downward-closed family, so they are grown
-    layer by layer (colex extension: only players above the current top
-    join, reproducing the canonical fold). A pair (S, i) is pivotal when
-    S is losing and S + {i} is winning, i.e. absent from the next losing
-    layer; it carries weight |S|! (n - 1 - |S|)!. Winning coalitions are
-    never expanded; that is the entire pruning.
+    Losing coalitions are grown layer by layer by colex extension: a
+    coalition is extended only by players above its top, in ascending
+    order, which reproduces the canonical fold and leaves each layer's
+    tops ascending. Winning coalitions are never extended; that is the
+    entire pruning.
+
+    The statistics are non-negative and IEEE addition is monotone, so
+    dropping terms from an ascending fold never raises it: the losing
+    coalitions are downward closed, and every losing S + {i} is a member
+    of the next layer. With L_s losing coalitions of size s, c_s(i) of
+    them containing i, player i is pivotal (S loses, S + {i} wins) for
+    L_s - c_s(i) - c_{s+1}(i) coalitions S of size s: the losing ones
+    without i, less those whose S + {i} still loses. Each pivot carries
+    weight s! (n - 1 - s)!.
     """
     n = game.n
     measure = game.measure
     values = _player_stats(game)[0]  # a monotone measure carries one statistic
     target = game.target
     weight = [math.factorial(s) * math.factorial(n - 1 - s) for s in range(n)]
+    players = np.arange(n, dtype=np.int64)
+    bits = np.int64(1) << players
     numerators = [0] * n
 
     masks = np.zeros(1, dtype=np.int64)
     sums = np.zeros(1)
     tops = np.full(1, -1, dtype=np.int64)
+    inside = [0] * n  # c_s(i) of the current layer
     total_frontier = 1
 
     for s in range(n):
-        if masks.size == 0:
-            break
-        # grow the losing layer of size s + 1 first; pivot tests need it
-        child_masks = []
-        child_sums = []
-        child_tops = []
-        for j in range(n):
-            sel = tops < j
-            if not sel.any():
-                continue
-            grown = sums[sel] + values[j]
-            keep = ~measure.wins((grown,), target)
-            if keep.any():
-                child_masks.append(masks[sel][keep] | (np.int64(1) << np.int64(j)))
-                child_sums.append(grown[keep])
-                child_tops.append(np.full(int(keep.sum()), j, dtype=np.int64))
-        if child_masks:
-            next_masks = np.concatenate(child_masks)
-            next_sums = np.concatenate(child_sums)
-            next_tops = np.concatenate(child_tops)
-            next_masks, next_sums, next_tops = _sorted_layer(next_masks, next_sums, next_tops)
-        else:
-            next_masks = np.zeros(0, dtype=np.int64)
-            next_sums = np.zeros(0)
-            next_tops = np.zeros(0, dtype=np.int64)
-        total_frontier += next_masks.size
+        losing = masks.size  # L_s
+        # the parents of child j are the prefix of the layer with tops below j
+        ends = np.searchsorted(tops, players)
+        child_tops = np.repeat(players, ends)
+        parents = np.arange(child_tops.size) - np.repeat(np.cumsum(ends) - ends, ends)
+        grown = sums[parents] + values[child_tops]
+        keep = ~measure.wins((grown,), target)
+        masks = masks[parents[keep]] | bits[child_tops[keep]]
+        sums = grown[keep]
+        tops = child_tops[keep]
+        total_frontier += masks.size
         if total_frontier > MAX_FRONTIER:
             raise CapacityError(
                 "pruned enumeration frontier exceeded capacity; use shapley_sampled"
             )
 
+        inside_next = [int(np.count_nonzero(masks & bit)) for bit in bits]
         for i in range(n):
-            bit = np.int64(1) << np.int64(i)
-            outside = (masks & bit) == 0
-            if not outside.any():
-                continue
-            grown_masks = masks[outside] | bit
-            still_losing = _lookup(next_masks, grown_masks)
-            numerators[i] += weight[s] * int((~still_losing).sum())
-
-        masks, sums, tops = next_masks, next_sums, next_tops
+            numerators[i] += weight[s] * (losing - inside[i] - inside_next[i])
+        inside = inside_next
 
     return numerators
 

@@ -137,6 +137,17 @@ def test_shapley_subcommand(tmp_path, capsys):
     assert payload["shares"] == {"p1": 30.0, "p2": 30.0, "p3": 0.0}
 
 
+@pytest.mark.parametrize(
+    "text", ['{"players": [', "[1, 2]"], ids=["malformed-json", "json-list"]
+)
+def test_shapley_rejects_bad_game_with_one_line(text, tmp_path, capsys):
+    path = tmp_path / "game.json"
+    path.write_text(text)
+    assert main(["shapley", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_config_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.yaml"
     bad.write_text("aggregation: bogus\n")

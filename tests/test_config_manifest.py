@@ -93,8 +93,13 @@ class TestConfigLoading:
 
     @pytest.mark.parametrize(
         "command, text",
-        [("exp-timing", "timing_repeats: 0\n"), ("simulate", "delta_thresholds: []\n")],
-        ids=["zero-timing-repeats", "empty-delta-thresholds"],
+        [
+            ("exp-timing", "timing_repeats: 0\n"),
+            ("simulate", "delta_thresholds: []\n"),
+            ("simulate", "federation_sizes: 5\n"),
+            ("exp-rounds", "targets: [125.0\n"),
+        ],
+        ids=["zero-timing-repeats", "empty-delta-thresholds", "scalar-sizes", "unparsable-yaml"],
     )
     def test_cli_rejects_with_one_line(self, command, text, tmp_path, capsys):
         path = tmp_path / "scenario.yaml"

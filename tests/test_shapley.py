@@ -11,6 +11,7 @@ from conftest import (
     oracle_shapley_subsets,
     random_threshold_game,
 )
+from fedmarket import shapley
 from fedmarket.errors import CapacityError, DomainError
 from fedmarket.privacy import AggregationMode, AlphabetSpec, ReportBatch
 from fedmarket.shapley import (
@@ -167,19 +168,26 @@ class TestPruned:
             pruned = shapley_pruned(game)
             assert pruned.shares == exact.shares  # bit-for-bit
 
-    def test_identical_to_exact_on_larger_krr_games(self):
+    @pytest.mark.parametrize("mode", ALL_MODES, ids=lambda m: m.value)
+    def test_identical_to_exact_on_larger_games(self, mode):
+        # past 12 players the losing frontier of the monotone measures spans many layers
         rng = np.random.default_rng(1316)
-        for n in range(13, 17):
+        for n in range(13, 19):
             for _ in range(3):
-                game = random_threshold_game(
-                    rng, AggregationMode.KRR_COMPOSITION, max_players=n, min_players=n
-                )
+                game = random_threshold_game(rng, mode, max_players=n, min_players=n)
                 pruned = shapley_pruned(game)
                 assert pruned.method == "pruned"
                 assert pruned.shares == shapley_exact(game).shares  # bit-for-bit
 
     def test_capacity_guard(self):
         game = _additive_game(tuple([1.0] * 31), 5.0, 10.0)
+        with pytest.raises(CapacityError):
+            shapley_pruned(game)
+
+    def test_frontier_cap(self, monkeypatch):
+        # 16 equal players, target 8: 26333 losing coalitions in eight layers
+        game = _additive_game(tuple([1.0] * 16), 8.0, 10.0)
+        monkeypatch.setattr(shapley, "MAX_FRONTIER", 1000)
         with pytest.raises(CapacityError):
             shapley_pruned(game)
 
