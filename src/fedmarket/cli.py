@@ -67,14 +67,14 @@ def _cmd_shapley(args: argparse.Namespace) -> int:
             players=tuple(
                 (
                     str(player["id"]),
-                    tuple(ReportBatch(int(b["d"]), float(b["eps"])) for b in player["batches"]),
+                    tuple(ReportBatch(b["d"], float(b["eps"])) for b in player["batches"]),
                 )
                 for player in raw["players"]
             ),
             mode=mode,
             target=float(raw["target"]),
             prize=float(raw["prize"]),
-            spec=AlphabetSpec(int(raw.get("k", 2))),
+            spec=AlphabetSpec(raw.get("k", 2)),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad game file {args.game}: {exc}") from exc

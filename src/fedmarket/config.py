@@ -17,6 +17,37 @@ MODE_NAMES = {m.value: m for m in AggregationMode}
 POLICY_NAMES = {p.value: p for p in PolicyKind}
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)  # bool is an int subclass
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# declared field type (a string: annotations are postponed) -> (what the
+# error message asks for, value check)
+_TYPE_CHECKS = {
+    "int": ("an integer", _is_int),
+    "float": ("a number", _is_number),
+    "tuple[int, ...]": ("a list of integers", lambda v: isinstance(v, tuple) and all(map(_is_int, v))),
+    "tuple[float, ...]": ("a list of numbers", lambda v: isinstance(v, tuple) and all(map(_is_number, v))),
+}
+
+
+def _check_types(spec, prefix: str = "") -> None:
+    """Reject values that do not match their field's declared int/float type.
+
+    Values are checked, never converted, so every valid config keeps its digest.
+    """
+    for f in fields(spec):
+        if f.type in _TYPE_CHECKS:
+            noun, check = _TYPE_CHECKS[f.type]
+            value = getattr(spec, f.name)
+            if not check(value):
+                raise ConfigError(f"{prefix}{f.name} must be {noun}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ThresholdDist:
     """Truncated-normal sampling spec for provider privacy thresholds."""
@@ -27,6 +58,7 @@ class ThresholdDist:
     high: float = 10.0
 
     def __post_init__(self) -> None:
+        _check_types(self, "thresholds.")
         if not self.low < self.high:
             raise ConfigError(f"degenerate threshold interval [{self.low}, {self.high}]")
         if self.stddev <= 0:
@@ -96,6 +128,7 @@ class ScenarioConfig:
     timing_repeats: int = 3
 
     def __post_init__(self) -> None:
+        _check_types(self)
         if self.master_seed < 0:
             raise ConfigError("master seed must be non-negative")
         if self.k < 2:

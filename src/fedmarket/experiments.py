@@ -23,9 +23,10 @@ import numpy as np
 from .config import ScenarioConfig, derive_seed, sample_thresholds
 from .dynamics import (
     PolicyKind,
+    YearLedger,
     apply_penalty,
     detect_free_riders,
-    privacy_saving,
+    privacy_saving,  # noqa: F401  (unused here; the benchmark tracer wraps this binding)
     run_collection_year,
     run_collection_years,
     savings_snapshot,
@@ -94,17 +95,10 @@ def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Mapping]) -> Pa
         with open(path, "w", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(header)
-            for row in rows:
-                writer.writerow([_render(row[name]) for name in header])
+            writer.writerows([row[name] for name in header] for row in rows)
     except OSError as exc:
         raise OutputError(f"cannot write {path}: {exc}") from exc
     return path
-
-
-def _render(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 def _write_json(path: Path, payload) -> Path:
@@ -131,6 +125,27 @@ DEAL_HEADER = (
     "achieved_eps",
     "payout",
 )
+
+
+def _collect_and_settle(
+    config: ScenarioConfig,
+    federation: Federation,
+    deal: SealedDeal,
+    kind: PolicyKind,
+    seed: int,
+) -> tuple[list[YearLedger], float]:
+    """Run the warmup years plus one measured year and settle on the last."""
+    ledgers = run_collection_years(
+        federation,
+        deal.terms[federation.id].promised_eps,
+        config.collection_policy(kind),
+        years=config.warmup_years + 1,
+        max_rounds=config.max_rounds,
+        mode=config.aggregation,
+        rng=np.random.default_rng(seed),
+        spec=AlphabetSpec(config.k),
+    )
+    return ledgers, settle(deal, federation, ledgers[-1].achieved)
 
 
 def experiment_rounds(config: ScenarioConfig, out_dir: str | Path) -> list[dict]:
@@ -162,20 +177,10 @@ def experiment_rounds(config: ScenarioConfig, out_dir: str | Path) -> list[dict]
                 )
                 term = deal.terms[federation.id]
                 for policy_kind in _POLICIES:
-                    policy = config.collection_policy(policy_kind)
-                    rng = np.random.default_rng(run_seed)
-                    ledgers = run_collection_years(
-                        federation,
-                        term.promised_eps,
-                        policy,
-                        years=config.warmup_years + 1,
-                        max_rounds=config.max_rounds,
-                        mode=config.aggregation,
-                        rng=rng,
-                        spec=spec,
+                    ledgers, payout = _collect_and_settle(
+                        config, federation, deal, policy_kind, run_seed
                     )
                     measured = ledgers[-1]
-                    payout = settle(deal, federation, measured.achieved)
                     rows.append(
                         {
                             "n": n,
@@ -222,10 +227,11 @@ def experiment_free_riders(config: ScenarioConfig, out_dir: str | Path) -> list[
     Years here have a fixed number of rounds (an open-ended collection
     target), so both policies face identical participation draws and
     differ only through the epsilon escalation; what is measured is the
-    savings bookkeeping, not deal success. Each year past the tolerance
-    window the federation snapshots savings, flags free riders, and
-    excludes them; the reported count is the cumulative number of
-    excluded providers at the end of the run.
+    savings bookkeeping, not deal success. Each year ends with one
+    savings snapshot over the tolerance window. It drives the next
+    year's catalyzing, and from the end of the first full window on it
+    flags free riders, who are excluded; the reported count is the
+    number of excluded providers at the end of the run.
     """
     out_dir = Path(out_dir)
     spec = AlphabetSpec(config.k)
@@ -248,14 +254,10 @@ def experiment_free_riders(config: ScenarioConfig, out_dir: str | Path) -> list[
                     federation = base
                     registry: dict = {}
                     ledgers = []
-                    excluded_total = 0
+                    savings: dict[str, float] = {}
                     for year in range(1, config.freerider_years + 1):
                         if not federation.active:
                             break
-                        window = ledgers[-config.tolerance_window :]
-                        savings = {
-                            p.id: privacy_saving(window, p) for p in federation.members
-                        }
                         ledgers.append(
                             run_collection_year(
                                 federation,
@@ -269,20 +271,20 @@ def experiment_free_riders(config: ScenarioConfig, out_dir: str | Path) -> list[
                                 spec=spec,
                             )
                         )
+                        accounts = savings_snapshot(
+                            ledgers[-config.tolerance_window :], federation.members
+                        )
                         if year >= config.tolerance_window:
-                            accounts = savings_snapshot(
-                                ledgers[-config.tolerance_window :], federation.members
-                            )
                             flagged = detect_free_riders(accounts, delta)
                             federation, registry = apply_penalty(federation, flagged, registry)
-                            excluded_total += len(flagged)
+                        savings = {a.provider_id: a.delta for a in accounts}
                     rows.append(
                         {
                             "n": n,
                             "delta_f": float(delta),
                             "policy": policy_kind.value,
                             "replication": rep,
-                            "free_rider_count": excluded_total,
+                            "free_rider_count": len(registry),  # one entry per exclusion
                         }
                     )
 
@@ -385,20 +387,10 @@ def simulate(config: ScenarioConfig, out_dir: str | Path) -> dict:
     )
     term = deal.terms[federation.id]
 
-    policy = config.collection_policy(config.policy)
-    rng = np.random.default_rng(seeds["simulate/run"])
-    ledgers = run_collection_years(
-        federation,
-        term.promised_eps,
-        policy,
-        years=config.warmup_years + 1,
-        max_rounds=config.max_rounds,
-        mode=config.aggregation,
-        rng=rng,
-        spec=spec,
+    ledgers, payout = _collect_and_settle(
+        config, federation, deal, config.policy, seeds["simulate/run"]
     )
     measured = ledgers[-1]
-    payout = settle(deal, federation, measured.achieved)
 
     by_provider: dict[str, list[ReportBatch]] = {p.id: [] for p in federation.members}
     for report in measured.reports:
@@ -507,13 +499,26 @@ def simulate(config: ScenarioConfig, out_dir: str | Path) -> dict:
     }
 
 
-def audit_outputs(out_dir: str | Path) -> list[str]:
-    """Re-verify settlement invariants over everything a run emitted.
+def _settlement_problems(where: str, record: Mapping) -> list[str]:
+    """The settlement rule: payout within budget, the price if the promise
+    was met and zero otherwise."""
+    budget, price, promised, achieved, payout = (
+        float(record[key]) for key in ("budget", "price", "promised_eps", "achieved_eps", "payout")
+    )
+    problems = []
+    if payout > budget + 1e-9:
+        problems.append(f"{where}: payout {payout} exceeds budget {budget}")
+    expected = price if achieved >= promised else 0.0
+    if payout != expected:
+        problems.append(
+            f"{where}: payout {payout} != expected {expected} "
+            f"(achieved {achieved}, promised {promised})"
+        )
+    return problems
 
-    Checks every deal record: payouts never exceed the budget, meeting
-    the promise pays exactly the sealed price, and missing it pays
-    exactly zero.
-    """
+
+def audit_outputs(out_dir: str | Path) -> list[str]:
+    """Re-verify the settlement rule on every deal record a run emitted."""
     out_dir = Path(out_dir)
     problems: list[str] = []
     audited = 0
@@ -523,30 +528,13 @@ def audit_outputs(out_dir: str | Path) -> list[str]:
             for row in csv.DictReader(handle):
                 audited += 1
                 where = f"{path.name}:{row['cell']}/{row['policy']}/rep={row['replication']}"
-                budget = float(row["budget"])
-                price = float(row["price"])
-                promised = float(row["promised_eps"])
-                achieved = float(row["achieved_eps"])
-                payout = float(row["payout"])
-                if payout > budget + 1e-9:
-                    problems.append(f"{where}: payout {payout} exceeds budget {budget}")
-                expected = price if achieved >= promised else 0.0
-                if payout != expected:
-                    problems.append(
-                        f"{where}: payout {payout} != expected {expected} "
-                        f"(achieved {achieved}, promised {promised})"
-                    )
+                problems += _settlement_problems(where, row)
 
     deal_json = out_dir / "deal.json"
     if deal_json.exists():
         with open(deal_json) as handle:
-            deal = json.load(handle)
+            problems += _settlement_problems("deal.json", json.load(handle))
         audited += 1
-        if deal["payout"] > deal["budget"] + 1e-9:
-            problems.append("deal.json: payout exceeds budget")
-        expected = deal["price"] if deal["achieved_eps"] >= deal["promised_eps"] else 0.0
-        if deal["payout"] != expected:
-            problems.append(f"deal.json: payout {deal['payout']} != expected {expected}")
 
     if audited == 0:
         problems.append(f"no deal records found under {out_dir}")

@@ -44,6 +44,7 @@ MAX_ENUMERATION_PLAYERS = 30
 MAX_FRONTIER = 1 << 24
 
 _LOW_BITS = 20  # chunk granularity for the exact enumeration
+_SAMPLE_BATCH = 8192  # permutations drawn per step of the sampler
 
 
 @dataclass(frozen=True)
@@ -298,7 +299,6 @@ def shapley_sampled(
     game: ThresholdGame,
     samples: int,
     rng: np.random.Generator,
-    batch_size: int = 8192,
 ) -> ShapleyResult:
     """Unbiased permutation-sampling estimate of the Shapley shares.
 
@@ -315,7 +315,7 @@ def shapley_sampled(
     acc = np.zeros(n)
     remaining = samples
     while remaining > 0:
-        m = min(remaining, batch_size)
+        m = min(remaining, _SAMPLE_BATCH)
         remaining -= m
         perms = np.argsort(rng.random((m, n)), axis=1)
         win = measure.wins([np.cumsum(row[perms], axis=1) for row in stats], game.target)

@@ -96,6 +96,18 @@ def test_audit_flags_tampered_payout(config_path, tmp_path, capsys):
     assert "AUDIT FAIL" in capsys.readouterr().err
 
 
+def test_audit_flags_tampered_deal_json(config_path, tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", str(config_path), "--out", str(out)]) == 0
+    assert main(["audit", "--out", str(out)]) == 0
+    deal = json.loads((out / "deal.json").read_text())
+    deal["payout"] += 1.0  # neither the price nor zero
+    (out / "deal.json").write_text(json.dumps(deal))
+    capsys.readouterr()
+    assert main(["audit", "--out", str(out)]) == 1
+    assert "AUDIT FAIL: deal.json" in capsys.readouterr().err
+
+
 def test_exp_freeriders_smoke(config_path, tmp_path):
     out = tmp_path / "fr"
     assert main(["exp-freeriders", "--config", str(config_path), "--out", str(out)]) == 0
@@ -137,8 +149,22 @@ def test_shapley_subcommand(tmp_path, capsys):
     assert payload["shares"] == {"p1": 30.0, "p2": 30.0, "p3": 0.0}
 
 
+def _game_text(d=1, k=2):
+    return json.dumps(
+        {
+            "mode": "additive",
+            "target": 1.0,
+            "prize": 10.0,
+            "k": k,
+            "players": [{"id": "p1", "batches": [{"d": d, "eps": 1.0}]}],
+        }
+    )
+
+
 @pytest.mark.parametrize(
-    "text", ['{"players": [', "[1, 2]"], ids=["malformed-json", "json-list"]
+    "text",
+    ['{"players": [', "[1, 2]", _game_text(d=1.7), _game_text(k=2.9)],
+    ids=["malformed-json", "json-list", "fractional-d", "fractional-k"],
 )
 def test_shapley_rejects_bad_game_with_one_line(text, tmp_path, capsys):
     path = tmp_path / "game.json"

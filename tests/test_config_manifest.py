@@ -1,5 +1,9 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedmarket.cli import main
 from fedmarket.config import (
@@ -98,8 +102,23 @@ class TestConfigLoading:
             ("simulate", "delta_thresholds: []\n"),
             ("simulate", "federation_sizes: 5\n"),
             ("exp-rounds", "targets: [125.0\n"),
+            ("simulate", "thresholds: {mean: x}\n"),
+            ("simulate", "max_rounds: 3.0\n"),
+            ("simulate", "federation_sizes: [2.5]\n"),
+            ("simulate", "replications: 2.5\n"),
+            ("simulate", "master_seed: 1.5\n"),
         ],
-        ids=["zero-timing-repeats", "empty-delta-thresholds", "scalar-sizes", "unparsable-yaml"],
+        ids=[
+            "zero-timing-repeats",
+            "empty-delta-thresholds",
+            "scalar-sizes",
+            "unparsable-yaml",
+            "string-threshold-mean",
+            "float-max-rounds",
+            "fractional-size",
+            "fractional-replications",
+            "fractional-seed",
+        ],
     )
     def test_cli_rejects_with_one_line(self, command, text, tmp_path, capsys):
         path = tmp_path / "scenario.yaml"
@@ -107,6 +126,50 @@ class TestConfigLoading:
         assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(-5, 10**6)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text(max_size=8)
+    | st.sampled_from(["additive", "krr", "example", "catalyzing", "non-catalyzing"])
+)
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["mean", "stddev", "low", "high", "x"]), inner, max_size=4),
+    max_leaves=8,
+)
+
+
+def _is_real(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+class TestConfigFuzz:
+    """Random mappings over the known keys load cleanly or raise ConfigError."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        st.dictionaries(
+            st.sampled_from([f.name for f in fields(ScenarioConfig)]), _VALUES, max_size=6
+        )
+    )
+    def test_loads_typed_config_or_raises_config_error(self, data):
+        try:
+            config = config_from_dict(data)
+        except ConfigError:
+            return
+        for spec in (config, config.thresholds):
+            for f in fields(spec):
+                value = getattr(spec, f.name)
+                items = value if f.type.startswith("tuple[") else (value,)
+                if "int" in f.type:
+                    assert all(_is_real(v) and isinstance(v, int) for v in items), f.name
+                elif "float" in f.type:
+                    assert all(_is_real(v) for v in items), f.name
 
 
 class TestSeeding:

@@ -30,11 +30,20 @@ federation_sizes: [10]
 budget: 500.0
 """
 
+# At delta = 0.01 the penalty empties all but one federation, which
+# exercises the inactive-federation break; at delta = 50 nobody is flagged.
+FREERIDER_EDGES = """
+freerider_sizes: [6]
+delta_thresholds: [0.01, 50.0]
+replications: 3
+"""
+
 # case -> (subcommand, config text or None for the defaults, extra CLI flags)
 CASES = {
     "simulate-default": ("simulate", None, []),
     "exp-rounds-one-cell": ("exp-rounds", ONE_CELL, []),
     "exp-freeriders-one-cell": ("exp-freeriders", ONE_CELL, []),
+    "exp-freeriders-edges": ("exp-freeriders", FREERIDER_EDGES, []),
     "exp-rounds-one-cell-krr": ("exp-rounds", ONE_CELL, ["--mode", "krr"]),
     "exp-rounds-one-cell-example": ("exp-rounds", ONE_CELL, ["--mode", "example"]),
     "simulate-small-additive": ("simulate", SMALL_PAYING, []),
@@ -42,7 +51,9 @@ CASES = {
     "simulate-small-example": ("simulate", SMALL_PAYING, ["--mode", "example"]),
 }
 
-GOLDEN = {'exp-freeriders-one-cell': {'freeriders.csv': '270d3a2a11404c62354e0c8ddebf187e1052339c7e67f93c1dfba0d418177738',
+GOLDEN = {'exp-freeriders-edges': {'freeriders.csv': 'b69a883d60a1f58c9cb0a64d912004d8fb6f0981765436805edb3ee83ae7a830',
+                          'freeriders_manifest.json': '65108933d030a3a90a563e716cf5a5a8cfe86138a544ec42e4d7d22369dbcdaa'},
+ 'exp-freeriders-one-cell': {'freeriders.csv': '270d3a2a11404c62354e0c8ddebf187e1052339c7e67f93c1dfba0d418177738',
                              'freeriders_manifest.json': '83aefc43d0e44cdb6577798636ea8cca7a3325b4184b52f06749f7e038e44345'},
  'exp-rounds-one-cell': {'rounds.csv': '6097ed9a2a0af155250d01bfb4d5b68c386c4b94a02cb086c532a3029c181a65',
                          'rounds_deals.csv': 'db073e1d62e965a3509ffeb14041d0582348b18f92751028ec04cef75fc4f9e3',
