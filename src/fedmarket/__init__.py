@@ -37,7 +37,6 @@ from .dynamics import (
     PenaltyState,
     PolicyKind,
     RoundReport,
-    SavingsAccount,
     YearLedger,
     apply_penalty,
     catalyzing_parameter,

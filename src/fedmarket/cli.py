@@ -5,11 +5,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
-from .config import MODE_NAMES, POLICY_NAMES, ScenarioConfig, load_config, override
+from .config import ScenarioConfig, config_from_dict, load_config
+from .dynamics import PolicyKind
 from .errors import ConfigError, FedMarketError
 from .experiments import (
     audit_outputs,
@@ -19,28 +21,27 @@ from .experiments import (
     shares_digest,
     simulate,
 )
-from .privacy import AlphabetSpec, ReportBatch
+from .privacy import AggregationMode, AlphabetSpec, ReportBatch
 from .shapley import ThresholdGame, shapley_exact, shapley_pruned, shapley_sampled
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", type=Path, help="scenario config file (YAML)")
-    parser.add_argument("--seed", type=int, help="override the master seed")
     parser.add_argument("--out", type=Path, default=Path("out"), help="output directory")
-    parser.add_argument("--mode", choices=sorted(MODE_NAMES), help="override the aggregation mode")
-    parser.add_argument("--policy", choices=sorted(POLICY_NAMES), help="override the collection policy")
+    # the remaining flags store under their config key and override the file
+    parser.add_argument("--seed", dest="master_seed", type=int, help="override the master seed")
+    modes = sorted(m.value for m in AggregationMode)
+    parser.add_argument("--mode", dest="aggregation", choices=modes, help="override the aggregation mode")
+    policies = sorted(p.value for p in PolicyKind)
+    parser.add_argument("--policy", choices=policies, help="override the collection policy")
     parser.add_argument("--replications", type=int, help="override the replication count")
 
 
 def _resolve_config(args: argparse.Namespace) -> ScenarioConfig:
     config = load_config(args.config) if args.config else ScenarioConfig()
-    return override(
-        config,
-        master_seed=args.seed,
-        aggregation=MODE_NAMES[args.mode] if args.mode else None,
-        policy=POLICY_NAMES[args.policy] if args.policy else None,
-        replications=args.replications,
-    )
+    keys = {f.name for f in fields(ScenarioConfig)}
+    flags = {key: value for key, value in vars(args).items() if key in keys and value is not None}
+    return config_from_dict({**config.to_dict(), **flags})
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -62,7 +63,6 @@ def _cmd_shapley(args: argparse.Namespace) -> int:
             raw = json.load(handle)
         if not isinstance(raw, dict):
             raise TypeError(f"the game must be a JSON object, got {type(raw).__name__}")
-        mode = MODE_NAMES[raw.get("mode", "additive")]
         game = ThresholdGame(
             players=tuple(
                 (
@@ -71,7 +71,7 @@ def _cmd_shapley(args: argparse.Namespace) -> int:
                 )
                 for player in raw["players"]
             ),
-            mode=mode,
+            mode=AggregationMode(raw.get("mode", "additive")),
             target=float(raw["target"]),
             prize=float(raw["prize"]),
             spec=AlphabetSpec(raw.get("k", 2)),

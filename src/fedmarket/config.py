@@ -3,18 +3,20 @@
 from __future__ import annotations
 
 import hashlib
-from dataclasses import asdict, dataclass, field, fields, replace
+import sys
+from dataclasses import asdict, dataclass, field, fields
+from enum import Enum, EnumMeta
 from pathlib import Path
+from typing import get_origin, get_type_hints
 
 import numpy as np
 import yaml
 
 from .dynamics import CollectionPolicy, PolicyKind
-from .errors import ConfigError
-from .privacy import AggregationMode
-
-MODE_NAMES = {m.value: m for m in AggregationMode}
-POLICY_NAMES = {p.value: p for p in PolicyKind}
+from .errors import ConfigError, DomainError
+from .market import ConsumerOffer
+from .privacy import AggregationMode, AlphabetSpec
+from .valuation import ExponentialValuation
 
 
 def _is_int(value) -> bool:
@@ -22,16 +24,17 @@ def _is_int(value) -> bool:
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    # finite: rejects nan and inf, and ints too large to become a float
+    return (_is_int(value) or isinstance(value, float)) and abs(value) <= sys.float_info.max
 
 
 # declared field type (a string: annotations are postponed) -> (what the
 # error message asks for, value check)
 _TYPE_CHECKS = {
     "int": ("an integer", _is_int),
-    "float": ("a number", _is_number),
+    "float": ("a finite number", _is_number),
     "tuple[int, ...]": ("a list of integers", lambda v: isinstance(v, tuple) and all(map(_is_int, v))),
-    "tuple[float, ...]": ("a list of numbers", lambda v: isinstance(v, tuple) and all(map(_is_number, v))),
+    "tuple[float, ...]": ("a list of finite numbers", lambda v: isinstance(v, tuple) and all(map(_is_number, v))),
 }
 
 
@@ -129,14 +132,15 @@ class ScenarioConfig:
 
     def __post_init__(self) -> None:
         _check_types(self)
+        try:  # the objects this config feeds check their own ranges
+            ConsumerOffer(self.budget, ExponentialValuation(self.k1, self.k2))
+            AlphabetSpec(self.k)
+            self.collection_policy(self.policy)
+            self.freerider_policy(self.policy)
+        except DomainError as exc:
+            raise ConfigError(str(exc)) from exc
         if self.master_seed < 0:
             raise ConfigError("master seed must be non-negative")
-        if self.k < 2:
-            raise ConfigError("alphabet size must be at least 2")
-        if self.k1 <= 0 or self.k2 <= 0:
-            raise ConfigError("valuation parameters must be positive")
-        if self.budget <= 0:
-            raise ConfigError("budget must be positive")
         if self.replications < 1:
             raise ConfigError("need at least one replication")
         if self.max_rounds < 1:
@@ -153,10 +157,6 @@ class ScenarioConfig:
             raise ConfigError("tolerance window and warmup years must be sane")
         if self.freerider_years < 1 or self.freerider_rounds_per_year < 1:
             raise ConfigError("free-rider experiment needs at least one year and round")
-        if self.freerider_points_per_round < 1:
-            raise ConfigError("free-rider providers must report at least one point per round")
-        if not 0.0 < self.freerider_initial_eps_high <= 1.0:
-            raise ConfigError("free-rider initial epsilon fraction must lie in (0, 1]")
         if not 0.0 < self.timing_target_fraction < 1.0:
             raise ConfigError("timing target fraction must lie in (0, 1)")
         if self.shapley_samples < 1:
@@ -188,44 +188,43 @@ class ScenarioConfig:
         )
 
     def to_dict(self) -> dict:
-        raw = asdict(self)
-        raw["aggregation"] = self.aggregation.value
-        raw["policy"] = self.policy.value
-        for key in ("federation_sizes", "targets", "delta_thresholds", "freerider_sizes", "timing_sizes"):
-            raw[key] = list(raw[key])
-        return raw
+        """Plain values (enums as their values) that ``config_from_dict`` reads back."""
+        return asdict(
+            self, dict_factory=lambda items: {k: v.value if isinstance(v, Enum) else v for k, v in items}
+        )
+
+
+_FIELD_TYPES = get_type_hints(ScenarioConfig)
+
+
+def _convert(key: str, kind, value):
+    """An outside value as its field's declared type: an enum member looked up
+    by its value, a tuple from a list, a ThresholdDist from a mapping."""
+    if isinstance(kind, EnumMeta):
+        try:
+            return kind(value)
+        except ValueError:
+            names = sorted(m.value for m in kind)
+            raise ConfigError(f"{key} must be one of {names}, got {value!r}") from None
+    if kind is ThresholdDist:
+        try:
+            return ThresholdDist(**value)
+        except TypeError as exc:
+            raise ConfigError(f"bad threshold distribution spec: {exc}") from exc
+    if get_origin(kind) is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{key} must be a list, got {value!r}")
+        return tuple(value)
+    return value
 
 
 def config_from_dict(data: dict) -> ScenarioConfig:
-    data = dict(data or {})
-    known = {f.name for f in fields(ScenarioConfig)}
-    unknown = set(data) - known
+    """The one way from outside values (YAML keys, CLI flags) to a checked config."""
+    data = data or {}
+    unknown = set(data) - set(_FIELD_TYPES)
     if unknown:
-        raise ConfigError(f"unknown configuration keys: {sorted(unknown)}")
-    if "aggregation" in data:
-        name = str(data["aggregation"])
-        if name not in MODE_NAMES:
-            raise ConfigError(f"unknown aggregation mode {name!r}; expected one of {sorted(MODE_NAMES)}")
-        data["aggregation"] = MODE_NAMES[name]
-    if "policy" in data:
-        name = str(data["policy"])
-        if name not in POLICY_NAMES:
-            raise ConfigError(f"unknown policy {name!r}; expected one of {sorted(POLICY_NAMES)}")
-        data["policy"] = POLICY_NAMES[name]
-    if "thresholds" in data and not isinstance(data["thresholds"], ThresholdDist):
-        try:
-            data["thresholds"] = ThresholdDist(**data["thresholds"])
-        except TypeError as exc:
-            raise ConfigError(f"bad threshold distribution spec: {exc}") from exc
-    for key in ("federation_sizes", "targets", "delta_thresholds", "freerider_sizes", "timing_sizes"):
-        if key in data:
-            if not isinstance(data[key], (list, tuple)):
-                raise ConfigError(f"{key} must be a list, got {data[key]!r}")
-            data[key] = tuple(data[key])
-    try:
-        return ScenarioConfig(**data)
-    except TypeError as exc:
-        raise ConfigError(f"bad configuration: {exc}") from exc
+        raise ConfigError(f"unknown configuration keys: {sorted(unknown, key=str)}")
+    return ScenarioConfig(**{key: _convert(key, _FIELD_TYPES[key], v) for key, v in data.items()})
 
 
 def load_config(path: str | Path) -> ScenarioConfig:
@@ -253,9 +252,3 @@ def derive_seed(master_seed: int, *parts) -> int:
         digest.update(b"|")
         digest.update(str(part).encode())
     return int.from_bytes(digest.digest()[:8], "big")
-
-
-def override(config: ScenarioConfig, **changes) -> ScenarioConfig:
-    """Apply CLI overrides; None values are ignored."""
-    actual = {k: v for k, v in changes.items() if v is not None}
-    return replace(config, **actual) if actual else config

@@ -97,13 +97,6 @@ class YearLedger:
 
 
 @dataclass(frozen=True)
-class SavingsAccount:
-    provider_id: str
-    window: tuple[int, ...]
-    delta: float
-
-
-@dataclass(frozen=True)
 class PenaltyState:
     provider_id: str
     demerits: int = 0
@@ -132,12 +125,9 @@ def privacy_saving(ledgers: Sequence[YearLedger], provider: Provider) -> float:
 
 def savings_snapshot(
     ledgers: Sequence[YearLedger], providers: Iterable[Provider]
-) -> list[SavingsAccount]:
-    window = tuple(ledger.year for ledger in ledgers)
-    return [
-        SavingsAccount(provider_id=p.id, window=window, delta=privacy_saving(ledgers, p))
-        for p in providers
-    ]
+) -> dict[str, float]:
+    """Each provider's privacy saving over the window ``ledgers``, by provider id."""
+    return {p.id: privacy_saving(ledgers, p) for p in providers}
 
 
 def catalyzing_parameter(delta: float, d_m: int, eps_threshold: float) -> float:
@@ -268,8 +258,7 @@ def run_collection_years(
         raise DomainError("need at least one collection year")
     ledgers: list[YearLedger] = []
     for m in range(1, years + 1):
-        window = ledgers[-federation.tolerance_window :]
-        savings = {p.id: privacy_saving(window, p) for p in federation.members}
+        savings = savings_snapshot(ledgers[-federation.tolerance_window :], federation.members)
         ledgers.append(
             run_collection_year(
                 federation,
@@ -286,13 +275,11 @@ def run_collection_years(
     return ledgers
 
 
-def detect_free_riders(
-    savings: Iterable[SavingsAccount], delta_threshold: float
-) -> set[str]:
+def detect_free_riders(savings: Mapping[str, float], delta_threshold: float) -> set[str]:
     """Providers whose saving reaches the federation's tolerance (inclusive)."""
     if delta_threshold <= 0:
         raise DomainError("free-rider threshold must be positive")
-    return {s.provider_id for s in savings if s.delta >= delta_threshold}
+    return {pid for pid, delta in savings.items() if delta >= delta_threshold}
 
 
 def apply_penalty(

@@ -271,13 +271,12 @@ def experiment_free_riders(config: ScenarioConfig, out_dir: str | Path) -> list[
                                 spec=spec,
                             )
                         )
-                        accounts = savings_snapshot(
+                        savings = savings_snapshot(
                             ledgers[-config.tolerance_window :], federation.members
                         )
                         if year >= config.tolerance_window:
-                            flagged = detect_free_riders(accounts, delta)
+                            flagged = detect_free_riders(savings, delta)
                             federation, registry = apply_penalty(federation, flagged, registry)
-                        savings = {a.provider_id: a.delta for a in accounts}
                     rows.append(
                         {
                             "n": n,
@@ -409,8 +408,8 @@ def simulate(config: ScenarioConfig, out_dir: str | Path) -> dict:
             game, config.shapley_samples, np.random.default_rng(seeds["simulate/shapley"])
         )
 
-    accounts = savings_snapshot(ledgers[-config.tolerance_window :], federation.members)
-    flagged = detect_free_riders(accounts, federation.delta_threshold)
+    savings = savings_snapshot(ledgers[-config.tolerance_window :], federation.members)
+    flagged = detect_free_riders(savings, federation.delta_threshold)
     reduced, registry = apply_penalty(federation, flagged, {})
 
     trace_rows = []
@@ -477,7 +476,7 @@ def simulate(config: ScenarioConfig, out_dir: str | Path) -> dict:
         _write_json(
             out_dir / "penalties.json",
             {
-                "savings": {a.provider_id: a.delta for a in accounts},
+                "savings": savings,
                 "flagged": sorted(flagged),
                 "registry": {
                     pid: {"demerits": state.demerits, "excluded": state.excluded}
@@ -501,10 +500,13 @@ def simulate(config: ScenarioConfig, out_dir: str | Path) -> dict:
 
 def _settlement_problems(where: str, record: Mapping) -> list[str]:
     """The settlement rule: payout within budget, the price if the promise
-    was met and zero otherwise."""
-    budget, price, promised, achieved, payout = (
-        float(record[key]) for key in ("budget", "price", "promised_eps", "achieved_eps", "payout")
-    )
+    was met and zero otherwise. A record without these numbers is a problem too."""
+    try:
+        budget, price, promised, achieved, payout = (
+            float(record[key]) for key in ("budget", "price", "promised_eps", "achieved_eps", "payout")
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        return [f"{where}: unreadable deal record: {exc!r}"]
     problems = []
     if payout > budget + 1e-9:
         problems.append(f"{where}: payout {payout} exceeds budget {budget}")
@@ -524,17 +526,28 @@ def audit_outputs(out_dir: str | Path) -> list[str]:
     audited = 0
 
     for path in sorted(out_dir.glob("*deals.csv")):
-        with open(path, newline="") as handle:
-            for row in csv.DictReader(handle):
-                audited += 1
-                where = f"{path.name}:{row['cell']}/{row['policy']}/rep={row['replication']}"
-                problems += _settlement_problems(where, row)
+        try:
+            with open(path, newline="") as handle:
+                rows = list(csv.DictReader(handle))
+        except (csv.Error, ValueError) as exc:  # not CSV, or not text
+            audited += 1
+            problems.append(f"{path.name}: unreadable: {exc}")
+            continue
+        for row in rows:
+            audited += 1
+            where = f"{path.name}:{row.get('cell')}/{row.get('policy')}/rep={row.get('replication')}"
+            problems += _settlement_problems(where, row)
 
     deal_json = out_dir / "deal.json"
     if deal_json.exists():
-        with open(deal_json) as handle:
-            problems += _settlement_problems("deal.json", json.load(handle))
         audited += 1
+        try:
+            with open(deal_json) as handle:
+                record = json.load(handle)
+        except ValueError as exc:  # not JSON, or not text
+            problems.append(f"deal.json: unreadable: {exc}")
+        else:
+            problems += _settlement_problems("deal.json", record)
 
     if audited == 0:
         problems.append(f"no deal records found under {out_dir}")

@@ -65,8 +65,8 @@ class ThresholdGame:
             raise DomainError("player ids must be unique")
         if not (self.target > 0 and math.isfinite(self.target)):
             raise DomainError(f"target must be positive and finite, got {self.target}")
-        if self.prize < 0:
-            raise DomainError(f"prize must be non-negative, got {self.prize}")
+        if not (self.prize >= 0 and math.isfinite(self.prize)):
+            raise DomainError(f"prize must be non-negative and finite, got {self.prize}")
 
     @property
     def n(self) -> int:

@@ -2,9 +2,11 @@ import csv
 import json
 
 import pytest
+import yaml
 
 from fedmarket.cli import main
-from fedmarket.manifest import file_digest
+from fedmarket.config import load_config
+from fedmarket.manifest import config_digest, file_digest
 
 
 SMALL_CONFIG = """
@@ -108,6 +110,57 @@ def test_audit_flags_tampered_deal_json(config_path, tmp_path, capsys):
     assert "AUDIT FAIL: deal.json" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "edit_deal",
+    [
+        lambda deal: json.dumps({**deal, "payout": "x"}),
+        lambda deal: json.dumps({k: v for k, v in deal.items() if k != "price"}),
+        lambda deal: json.dumps([deal]),
+        lambda deal: "payout: 0\n",
+    ],
+    ids=["non-numeric-payout", "missing-key", "json-list", "not-json"],
+)
+def test_audit_reports_unreadable_deal_json(edit_deal, config_path, tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", str(config_path), "--out", str(out)]) == 0
+    (out / "deal.json").write_text(edit_deal(json.loads((out / "deal.json").read_text())))
+    capsys.readouterr()
+    assert main(["audit", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("AUDIT FAIL: deal.json") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("drop_price_column", [False, True], ids=["short-row", "missing-column"])
+def test_audit_reports_deals_csv_rows_missing_a_column(drop_price_column, config_path, tmp_path, capsys):
+    out = tmp_path / "exp"
+    assert main(["exp-rounds", "--config", str(config_path), "--out", str(out)]) == 0
+    deals = out / "rounds_deals.csv"
+    with open(deals, newline="") as handle:
+        rows = list(csv.reader(handle))
+    if drop_price_column:
+        price = rows[0].index("price")
+        rows = [row[:price] + row[price + 1 :] for row in rows]
+    else:
+        rows[1] = rows[1][:-1]  # the first record lacks its payout
+    with open(deals, "w", newline="") as handle:
+        csv.writer(handle).writerows(rows)
+    capsys.readouterr()
+    assert main(["audit", "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == (len(rows) - 1 if drop_price_column else 1)
+    assert all(line.startswith("AUDIT FAIL: rounds_deals.csv") for line in err)
+
+
+def test_audit_reports_undecodable_deals_csv(config_path, tmp_path, capsys):
+    out = tmp_path / "exp"
+    assert main(["exp-rounds", "--config", str(config_path), "--out", str(out)]) == 0
+    (out / "rounds_deals.csv").write_bytes(b"experiment,cell\n\xff\xfe,1\n")
+    capsys.readouterr()
+    assert main(["audit", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("AUDIT FAIL: rounds_deals.csv: unreadable") and err.count("\n") == 1
+
+
 def test_exp_freeriders_smoke(config_path, tmp_path):
     out = tmp_path / "fr"
     assert main(["exp-freeriders", "--config", str(config_path), "--out", str(out)]) == 0
@@ -149,12 +202,12 @@ def test_shapley_subcommand(tmp_path, capsys):
     assert payload["shares"] == {"p1": 30.0, "p2": 30.0, "p3": 0.0}
 
 
-def _game_text(d=1, k=2):
+def _game_text(d=1, k=2, prize=10.0):
     return json.dumps(
         {
             "mode": "additive",
             "target": 1.0,
-            "prize": 10.0,
+            "prize": prize,
             "k": k,
             "players": [{"id": "p1", "batches": [{"d": d, "eps": 1.0}]}],
         }
@@ -163,8 +216,15 @@ def _game_text(d=1, k=2):
 
 @pytest.mark.parametrize(
     "text",
-    ['{"players": [', "[1, 2]", _game_text(d=1.7), _game_text(k=2.9)],
-    ids=["malformed-json", "json-list", "fractional-d", "fractional-k"],
+    [
+        '{"players": [',
+        "[1, 2]",
+        _game_text(d=1.7),
+        _game_text(k=2.9),
+        _game_text(prize=float("nan")),
+        _game_text(prize=float("inf")),
+    ],
+    ids=["malformed-json", "json-list", "fractional-d", "fractional-k", "nan-prize", "infinite-prize"],
 )
 def test_shapley_rejects_bad_game_with_one_line(text, tmp_path, capsys):
     path = tmp_path / "game.json"
@@ -202,3 +262,19 @@ def test_cli_overrides_change_outputs(config_path, tmp_path):
     main(["simulate", "--config", str(config_path), "--out", str(out_a), "--seed", "1"])
     main(["simulate", "--config", str(config_path), "--out", str(out_b), "--seed", "2"])
     assert file_digest(out_a / "trace.csv") != file_digest(out_b / "trace.csv")
+
+
+def test_cli_flags_are_config_keys(config_path, tmp_path):
+    flags = ["--seed", "5", "--mode", "krr", "--policy", "non-catalyzing", "--replications", "2"]
+    keys = {"master_seed": 5, "aggregation": "krr", "policy": "non-catalyzing", "replications": 2}
+    keyed = tmp_path / "keyed.yaml"
+    keyed.write_text(yaml.safe_dump({**yaml.safe_load(SMALL_CONFIG), **keys}))
+    out_flags, out_keys = tmp_path / "flags", tmp_path / "keys"
+    assert main(["simulate", "--config", str(config_path), "--out", str(out_flags), *flags]) == 0
+    assert main(["simulate", "--config", str(keyed), "--out", str(out_keys)]) == 0
+    digests_flags = {p.name: file_digest(p) for p in sorted(out_flags.iterdir())}
+    digests_keys = {p.name: file_digest(p) for p in sorted(out_keys.iterdir())}
+    assert digests_flags == digests_keys
+    manifest = json.loads((out_flags / "manifest.json").read_text())
+    assert manifest["config_digest"] == config_digest(load_config(keyed))
+    assert manifest["master_seed"] == 5

@@ -1,3 +1,4 @@
+import math
 from dataclasses import fields
 
 import numpy as np
@@ -107,6 +108,11 @@ class TestConfigLoading:
             ("simulate", "federation_sizes: [2.5]\n"),
             ("simulate", "replications: 2.5\n"),
             ("simulate", "master_seed: 1.5\n"),
+            ("exp-timing", "participation_prob: 1.5\ntiming_sizes: [5]\n"),
+            ("exp-timing", "initial_eps_low: 0.7\ntiming_sizes: [5]\n"),
+            ("exp-timing", "budget: .nan\ntiming_sizes: [5]\n"),
+            ("simulate", "targets: [.inf]\n"),
+            ("simulate", "k1: 1" + "0" * 400 + "\n"),
         ],
         ids=[
             "zero-timing-repeats",
@@ -118,6 +124,11 @@ class TestConfigLoading:
             "fractional-size",
             "fractional-replications",
             "fractional-seed",
+            "participation-above-one",
+            "initial-eps-low-above-high",
+            "nan-budget",
+            "infinite-target",
+            "int-beyond-float-range",
         ],
     )
     def test_cli_rejects_with_one_line(self, command, text, tmp_path, capsys):
@@ -169,7 +180,7 @@ class TestConfigFuzz:
                 if "int" in f.type:
                     assert all(_is_real(v) and isinstance(v, int) for v in items), f.name
                 elif "float" in f.type:
-                    assert all(_is_real(v) for v in items), f.name
+                    assert all(_is_real(v) and math.isfinite(v) for v in items), f.name
 
 
 class TestSeeding:

@@ -19,7 +19,6 @@ from fedmarket.dynamics import (
     run_collection_year,
     run_collection_years,
     savings_snapshot,
-    SavingsAccount,
     YearLedger,
     ProviderYear,
 )
@@ -285,27 +284,24 @@ class TestRunCollectionYear:
 
 class TestDetectFreeRiders:
     def test_above_threshold_flagged(self):
-        accounts = [SavingsAccount("a", (1,), 3.0)]
-        assert detect_free_riders(accounts, 2.0) == {"a"}
+        assert detect_free_riders({"a": 3.0}, 2.0) == {"a"}
 
     def test_boundary_inclusive(self):
-        accounts = [SavingsAccount("a", (1,), 2.0)]
-        assert detect_free_riders(accounts, 2.0) == {"a"}
+        assert detect_free_riders({"a": 2.0}, 2.0) == {"a"}
 
     def test_zero_savings_never_flagged(self):
-        accounts = [SavingsAccount("a", (1,), 0.0)]
-        assert detect_free_riders(accounts, 1e-9) == set()
+        assert detect_free_riders({"a": 0.0}, 1e-9) == set()
 
     def test_antitone_in_threshold(self):
         rng = np.random.default_rng(13)
-        accounts = [SavingsAccount(f"p{i}", (1, 2), float(rng.normal(2, 3))) for i in range(50)]
-        flagged = [detect_free_riders(accounts, d) for d in (0.5, 1.0, 2.0, 4.0)]
+        savings = {f"p{i}": float(rng.normal(2, 3)) for i in range(50)}
+        flagged = [detect_free_riders(savings, d) for d in (0.5, 1.0, 2.0, 4.0)]
         for tighter, looser in zip(flagged, flagged[1:]):
             assert looser <= tighter
 
     def test_positive_threshold_required(self):
         with pytest.raises(DomainError):
-            detect_free_riders([], 0.0)
+            detect_free_riders({}, 0.0)
 
 
 class TestApplyPenalty:
@@ -359,10 +355,9 @@ class TestSavingsSnapshot:
     def test_snapshot_window_and_values(self):
         providers = [Provider("a", 10, 5.0), Provider("b", 10, 5.0)]
         ledgers = [_ledger(3, {"a": (10, 4.0), "b": (10, 5.0)}), _ledger(4, {"a": (10, 4.5)})]
-        accounts = {s.provider_id: s for s in savings_snapshot(ledgers, providers)}
-        assert accounts["a"].window == (3, 4)
-        assert accounts["a"].delta == pytest.approx(15.0)
-        assert accounts["b"].delta == pytest.approx(0.0)
+        savings = savings_snapshot(ledgers, providers)
+        assert savings["a"] == pytest.approx(15.0)
+        assert savings["b"] == pytest.approx(0.0)
 
 
 class TestPenaltyCondition:
