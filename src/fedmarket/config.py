@@ -51,6 +51,14 @@ def _check_types(spec, prefix: str = "") -> None:
                 raise ConfigError(f"{prefix}{f.name} must be {noun}, got {value!r}")
 
 
+def _fed(keys: str, build):
+    """``build()``, with a range error turned into a ConfigError naming ``keys``."""
+    try:
+        return build()
+    except DomainError as exc:
+        raise ConfigError(f"{keys}: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class ThresholdDist:
     """Truncated-normal sampling spec for provider privacy thresholds."""
@@ -132,13 +140,19 @@ class ScenarioConfig:
 
     def __post_init__(self) -> None:
         _check_types(self)
-        try:  # the objects this config feeds check their own ranges
-            ConsumerOffer(self.budget, ExponentialValuation(self.k1, self.k2))
-            AlphabetSpec(self.k)
-            self.collection_policy(self.policy)
-            self.freerider_policy(self.policy)
-        except DomainError as exc:
-            raise ConfigError(str(exc)) from exc
+        # The objects this config feeds check their own ranges. An error names
+        # the keys that fed the object and were not checked before it.
+        valuation = _fed("k1, k2", lambda: ExponentialValuation(self.k1, self.k2))
+        _fed("budget", lambda: ConsumerOffer(self.budget, valuation))
+        _fed("k", lambda: AlphabetSpec(self.k))
+        _fed(
+            "initial_eps_low, initial_eps_high, participation_prob, points_per_round",
+            lambda: self.collection_policy(self.policy),
+        )
+        _fed(
+            "initial_eps_low, freerider_initial_eps_high, freerider_points_per_round",
+            lambda: self.freerider_policy(self.policy),
+        )
         if self.master_seed < 0:
             raise ConfigError("master seed must be non-negative")
         if self.replications < 1:

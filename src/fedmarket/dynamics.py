@@ -16,16 +16,20 @@ and the free-rider detection of the penalty scheme.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable, Iterable, Mapping, Sequence
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DomainError, FedMarketError
 from .market import Federation, Provider
-from .privacy import AggregationMode, AlphabetSpec, Measure, validate_epsilon
+from .privacy import MAX_EPSILON, AggregationMode, AlphabetSpec, Measure, validate_epsilon
 from .valuation import ExponentialValuation
+
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 class PolicyKind(Enum):
@@ -83,7 +87,16 @@ class ProviderYear:
 
 @dataclass(frozen=True)
 class YearLedger:
-    """Everything one federation did in one collection year."""
+    """Everything one federation did in one collection year, as columns.
+
+    Per member, in federation order: ``provider_ids``, the points reported
+    (``d_total``) and the epsilons spent (``eps_level``). Per report, in
+    report order (round by round, members in federation order within a
+    round): ``provider`` indexes ``provider_ids``; ``round``, ``d_t`` and
+    ``eps_t`` describe the report and ``cumulative`` is the aggregate
+    after it. All entries are plain ints and floats. ``reports`` and
+    ``per_provider`` read the columns as objects, built only when read.
+    """
 
     year: int
     target: float
@@ -91,9 +104,50 @@ class YearLedger:
     rounds_used: int
     achieved: float
     reached: bool
-    reports: tuple[RoundReport, ...]
-    cumulative: tuple[float, ...]  # aggregate after each report
-    per_provider: Mapping[str, ProviderYear]
+    provider_ids: tuple[str, ...]
+    d_total: tuple[int, ...]
+    eps_level: tuple[float, ...]
+    provider: tuple[int, ...]
+    round: tuple[int, ...]
+    d_t: tuple[int, ...]
+    eps_t: tuple[float, ...]
+    cumulative: tuple[float, ...]
+
+    @property
+    def reports(self) -> Sequence[RoundReport]:
+        return _Reports(self)
+
+    @property
+    def per_provider(self) -> dict[str, ProviderYear]:
+        return {
+            pid: ProviderYear(pid, d, eps)
+            for pid, d, eps in zip(self.provider_ids, self.d_total, self.eps_level)
+        }
+
+    @cached_property
+    def member_index(self) -> dict[str, int]:
+        """Position of each member's id in ``provider_ids``."""
+        return {pid: i for i, pid in enumerate(self.provider_ids)}
+
+
+class _Reports(Sequence):
+    """A ledger's report columns as ``RoundReport`` objects; ``len`` builds none."""
+
+    __slots__ = ("_ledger",)
+
+    def __init__(self, ledger: YearLedger) -> None:
+        self._ledger = ledger
+
+    def __len__(self) -> int:
+        return len(self._ledger.d_t)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self.__getitem__, range(len(self))[i]))
+        led = self._ledger
+        return RoundReport(
+            led.provider_ids[led.provider[i]], led.year, led.round[i], led.d_t[i], led.eps_t[i]
+        )
 
 
 @dataclass(frozen=True)
@@ -116,10 +170,10 @@ def privacy_saving(ledgers: Sequence[YearLedger], provider: Provider) -> float:
     """Capacity left unused over a window: sum of d(m) * (eps_T - eps(m))."""
     total = 0.0
     for ledger in ledgers:
-        year = ledger.per_provider.get(provider.id)
-        if year is None or year.d_total == 0:
+        i = ledger.member_index.get(provider.id)
+        if i is None or ledger.d_total[i] == 0:
             continue
-        total += year.d_total * (provider.eps_threshold - year.eps_level)
+        total += ledger.d_total[i] * (provider.eps_threshold - ledger.eps_level[i])
     return total
 
 
@@ -130,18 +184,28 @@ def savings_snapshot(
     return {p.id: privacy_saving(ledgers, p) for p in providers}
 
 
-def catalyzing_parameter(delta: float, d_m: int, eps_threshold: float) -> float:
-    """Escalation factor: savings relative to current-year capacity, floored at 1."""
-    if d_m < 1:
+def catalyzing_parameter(
+    delta: float | np.ndarray, d_m: int | np.ndarray, eps_threshold: float | np.ndarray
+) -> float | np.ndarray:
+    """Escalation factor: savings relative to current-year capacity, floored at 1.
+
+    Elementwise over numpy arrays as well as scalars.
+    """
+    if np.minimum.reduce(d_m, axis=None) < 1:
         raise DomainError("catalyzing parameter needs at least one reported point")
-    return max(1.0, delta / (d_m * eps_threshold))
+    return np.fmax(1.0, delta / (d_m * eps_threshold))  # fmax: a NaN ratio gives 1, like max()
 
 
-def next_round_epsilon(prev_eps: float, n_p: float, eps_threshold: float) -> float:
-    """Escalated privacy parameter for the next round, capped at the threshold."""
-    if prev_eps <= 0:
+def next_round_epsilon(
+    prev_eps: float | np.ndarray, n_p: float | np.ndarray, eps_threshold: float | np.ndarray
+) -> float | np.ndarray:
+    """Escalated privacy parameter for the next round, capped at the threshold.
+
+    Elementwise over numpy arrays as well as scalars.
+    """
+    if np.minimum.reduce(prev_eps, axis=None) <= 0:
         raise DomainError("previous round epsilon must be positive")
-    return min(n_p * prev_eps, eps_threshold)
+    return np.minimum(n_p * prev_eps, eps_threshold)
 
 
 def run_collection_year(
@@ -160,7 +224,23 @@ def run_collection_year(
     ``savings`` carries each provider's privacy saving over the tolerance
     window of previous years and only matters under the catalyzing
     policy, where it drives the escalation factor. Deterministic given
-    the generator state.
+    the generator state: every round draws ``n`` participation and then
+    ``n`` epsilon uniforms, whether or not anyone reports.
+
+    Each round is one elementwise step over all members: a row of d_t
+    (0 for a member who does not report) and a row of epsilons. Every
+    member holds data, so all report in round 1 and each has a previous
+    epsilon from round 2 on. The report columns are the rows' d_t > 0
+    entries in row-major (round, member) order.
+
+    Every float equals the one a per-report loop computes. The fresh
+    draw, the catalyzing factor and the capped escalation are elementwise
+    IEEE ``*``, ``-``, ``/``, ``fmax`` (Python's ``max(1.0, x)``) and
+    ``minimum``. The statistics come from ``Measure.columns`` (e^eps and
+    the kRR logarithm by ``math``). The round's aggregate, the cumulative
+    column and each member's epsilon sum are sequential folds in report
+    order, never pairwise sums; a non-reporting member adds +0.0, which
+    changes no fold.
     """
     if target <= 0:
         raise DomainError("collection target must be positive")
@@ -170,66 +250,73 @@ def run_collection_year(
     savings = savings or {}
     members = federation.members
     n = len(members)
+    ids = tuple(p.id for p in members)
 
-    remaining = {p.id: p.d_p for p in members}
-    reported = {p.id: 0 for p in members}
-    eps_sum = {p.id: 0.0 for p in members}
-    prev_eps: dict[str, float | None] = {p.id: None for p in members}
+    try:
+        d_p = np.array([p.d_p for p in members], dtype=np.int64)
+    except OverflowError:
+        raise DomainError("yearly point budgets must fit in a 64-bit integer") from None
+    chunk = min(policy.points_per_round, _INT64_MAX)  # no budget is larger
+    threshold = np.array([p.eps_threshold for p in members], dtype=float)
+    hi = policy.initial_eps_high * threshold
+    width = hi - policy.initial_eps_low * threshold
+    catalyzing = policy.kind is PolicyKind.CATALYZING
+    if catalyzing:
+        delta = np.array([savings.get(pid, 0.0) for pid in ids], dtype=float)
 
     measure = Measure(mode, spec.k)
-    add, level = measure.add, measure.level
+    remaining = d_p.copy()
     totals = [0.0] * measure.width
-    reports: list[RoundReport] = []
-    cumulative: list[float] = []
+    d_rows: list[np.ndarray] = []
+    eps_rows: list[np.ndarray] = []
     rounds_used = 0
 
     for t in range(1, max_rounds + 1):
-        u_part = rng.random(n)
-        u_eps = rng.random(n)
+        u = rng.random(2 * n)  # the round's n participation, then n epsilon uniforms
         rounds_used = t
-        for i, provider in enumerate(members):
-            pid = provider.id
-            if remaining[pid] == 0:
-                continue
-            if t > 1 and u_part[i] >= policy.participation_prob:
-                continue
-            d_t = min(policy.points_per_round, remaining[pid])
-
-            lo = policy.initial_eps_low * provider.eps_threshold
-            hi = policy.initial_eps_high * provider.eps_threshold
-            fresh = float(hi - u_eps[i] * (hi - lo))  # in (lo, hi]
-            if prev_eps[pid] is None:
-                eps_t = fresh
-            elif policy.kind is PolicyKind.CATALYZING:
-                n_p = catalyzing_parameter(
-                    savings.get(pid, 0.0), reported[pid], provider.eps_threshold
-                )
-                eps_t = next_round_epsilon(prev_eps[pid], n_p, provider.eps_threshold)
-            else:
-                eps_t = fresh
-
-            reports.append(RoundReport(pid, year, t, d_t, eps_t))
-            remaining[pid] -= d_t
-            reported[pid] += d_t
-            eps_sum[pid] += eps_t
-            prev_eps[pid] = eps_t
-            add(totals, d_t, eps_t)
-            cumulative.append(level(totals))
-
-        if cumulative and cumulative[-1] >= target:
+        d = np.minimum(remaining, chunk)
+        if t > 1:
+            joins = u[:n] < policy.participation_prob
+            d *= joins
+        if t > 1 and catalyzing:
+            n_p = catalyzing_parameter(delta, d_p - remaining, threshold)
+            # a member who joins with no data left escalates unseen: it never reports again
+            eps = np.where(joins, next_round_epsilon(prev_eps, n_p, threshold), prev_eps)
+        else:
+            eps = hi - u[n:] * width  # in (low, high] * threshold
+        prev_eps = eps
+        remaining -= d
+        for j, column in enumerate(measure.columns(d, eps)):
+            total = totals[j]
+            for x in column.tolist():
+                total += x
+            totals[j] = total
+        d_rows.append(d)
+        eps_rows.append(eps)
+        if n and measure.level(totals) >= target:  # n > 0: everyone reported in round 1
             break
 
-    for provider in members:
-        if reported[provider.id] + remaining[provider.id] != provider.d_p:
-            raise FedMarketError(
-                f"data conservation violated for provider {provider.id} in year {year}"
-            )
-
+    d_grid = np.array(d_rows)
+    if d_grid.min(initial=0) < 0:
+        raise DomainError("round report cannot carry a negative point count")
+    reported = d_grid.sum(axis=0)
+    lost = reported + remaining != d_p
+    if lost.any():
+        raise FedMarketError(
+            f"data conservation violated for provider {ids[lost.argmax()]} in year {year}"
+        )
+    mask = d_grid > 0
+    round_idx, provider_idx = mask.nonzero()
+    d_t = d_grid[mask]
+    eps_grid = np.array(eps_rows)
+    eps_t = eps_grid[mask]
+    if not (eps_t.min(initial=math.inf) > 0.0 and eps_t.max(initial=0.0) <= MAX_EPSILON):
+        for eps in eps_t.tolist():  # a NaN makes min and max NaN, which fails too
+            validate_epsilon(eps)
+    # running sums down the rounds add each member's epsilons in report order
+    eps_level = np.add.accumulate(np.where(mask, eps_grid, 0.0), axis=0)[-1]
+    cumulative = measure.levels([np.add.accumulate(c) for c in measure.columns(d_t, eps_t)])
     achieved = cumulative[-1] if cumulative else 0.0
-
-    per_provider = {
-        p.id: ProviderYear(p.id, reported[p.id], eps_sum[p.id]) for p in members
-    }
     return YearLedger(
         year=year,
         target=target,
@@ -237,9 +324,14 @@ def run_collection_year(
         rounds_used=rounds_used,
         achieved=achieved,
         reached=achieved >= target,
-        reports=tuple(reports),
+        provider_ids=ids,
+        d_total=tuple(reported.tolist()),
+        eps_level=tuple(eps_level.tolist()),
+        provider=tuple(provider_idx.tolist()),
+        round=tuple((round_idx + 1).tolist()),
+        d_t=tuple(d_t.tolist()),
+        eps_t=tuple(eps_t.tolist()),
         cumulative=tuple(cumulative),
-        per_provider=per_provider,
     )
 
 

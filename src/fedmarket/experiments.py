@@ -391,11 +391,11 @@ def simulate(config: ScenarioConfig, out_dir: str | Path) -> dict:
     )
     measured = ledgers[-1]
 
-    by_provider: dict[str, list[ReportBatch]] = {p.id: [] for p in federation.members}
-    for report in measured.reports:
-        by_provider[report.provider_id].append(ReportBatch(report.d_t, report.eps_t))
+    batches: list[list[ReportBatch]] = [[] for _ in measured.provider_ids]
+    for i, d_t, eps_t in zip(measured.provider, measured.d_t, measured.eps_t):
+        batches[i].append(ReportBatch(d_t, eps_t))
     game = ThresholdGame(
-        players=tuple((pid, tuple(batches)) for pid, batches in by_provider.items()),
+        players=tuple(zip(measured.provider_ids, map(tuple, batches))),
         mode=config.aggregation,
         target=term.promised_eps,
         prize=payout,
@@ -412,19 +412,20 @@ def simulate(config: ScenarioConfig, out_dir: str | Path) -> dict:
     flagged = detect_free_riders(savings, federation.delta_threshold)
     reduced, registry = apply_penalty(federation, flagged, {})
 
-    trace_rows = []
-    for ledger in ledgers:
-        for report, running in zip(ledger.reports, ledger.cumulative):
-            trace_rows.append(
-                {
-                    "year": report.year,
-                    "round": report.round,
-                    "provider": report.provider_id,
-                    "d_t": report.d_t,
-                    "eps_t": report.eps_t,
-                    "cumulative": running,
-                }
-            )
+    trace_rows = [
+        {
+            "year": ledger.year,
+            "round": t,
+            "provider": ledger.provider_ids[i],
+            "d_t": d_t,
+            "eps_t": eps_t,
+            "cumulative": running,
+        }
+        for ledger in ledgers
+        for t, i, d_t, eps_t, running in zip(
+            ledger.round, ledger.provider, ledger.d_t, ledger.eps_t, ledger.cumulative
+        )
+    ]
     paths = [
         _write_csv(
             out_dir / "trace.csv",
@@ -441,8 +442,10 @@ def simulate(config: ScenarioConfig, out_dir: str | Path) -> dict:
                     "achieved": ledger.achieved,
                     "reached": ledger.reached,
                     "providers": {
-                        pid: {"d_total": py.d_total, "eps_level": py.eps_level}
-                        for pid, py in sorted(ledger.per_provider.items())
+                        pid: {"d_total": d_total, "eps_level": eps_level}
+                        for pid, d_total, eps_level in sorted(
+                            zip(ledger.provider_ids, ledger.d_total, ledger.eps_level)
+                        )
                     },
                 }
                 for ledger in ledgers

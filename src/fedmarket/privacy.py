@@ -70,6 +70,11 @@ class AggregationMode(Enum):
     EXAMPLE_CONTRIBUTION = "example"
 
 
+def _exp(eps: np.ndarray) -> np.ndarray:
+    """e^eps elementwise, by ``math.exp``, so it equals the scalar code's float."""
+    return np.array(list(map(math.exp, eps.tolist())))
+
+
 def keep_probability(eps: float, k: int) -> float:
     """Probability that kRR reports the true symbol: e^eps / (k - 1 + e^eps)."""
     e = math.exp(eps)
@@ -128,23 +133,34 @@ class Measure:
     differ only in the order in which they add the statistics.
     """
 
-    __slots__ = ("k", "width", "add")
+    __slots__ = ("k", "width", "add", "columns")
 
     def __init__(self, mode: AggregationMode, k: int) -> None:
         self.k = k
         # ``add(totals, d, eps)`` adds one batch's statistics into ``totals``
-        # in place. It is chosen once here because it runs once per report.
+        # in place. ``columns(d, eps)`` gives the statistics of many batches
+        # at once, one array per statistic, from equal-length arrays of batch
+        # sizes and epsilons. Each entry is the same IEEE expression as
+        # ``add``'s, evaluated elementwise; e^eps comes from ``math.exp``
+        # over a list because ``np.exp`` may differ from it by one ulp.
         if mode is AggregationMode.ADDITIVE_INFORMATION:
             self.width = 1
 
             def add(totals: list[float], d: int, eps: float) -> None:
                 totals[0] += d * eps
 
+            def columns(d: np.ndarray, eps: np.ndarray) -> tuple[np.ndarray, ...]:
+                return (d * eps,)
+
         elif mode is AggregationMode.EXAMPLE_CONTRIBUTION:
             self.width = 1
 
             def add(totals: list[float], d: int, eps: float) -> None:
                 totals[0] += d * keep_probability(eps, k)
+
+            def columns(d: np.ndarray, eps: np.ndarray) -> tuple[np.ndarray, ...]:
+                e = _exp(eps)
+                return (d * (e / (k - 1 + e)),)
 
         elif mode is AggregationMode.KRR_COMPOSITION:
             self.width = 2
@@ -153,9 +169,13 @@ class Measure:
                 totals[0] += d
                 totals[1] += d / (k - 1 + math.exp(eps))
 
+            def columns(d: np.ndarray, eps: np.ndarray) -> tuple[np.ndarray, ...]:
+                return (d, d / (k - 1 + _exp(eps)))
+
         else:
             raise DomainError(f"unknown aggregation mode {mode!r}")
         self.add = add
+        self.columns = columns
 
     def stats(self, d: int, eps: float) -> list[float]:
         """Statistics of one batch."""
@@ -175,6 +195,17 @@ class Measure:
         if count <= 0:
             raise DomainError("combined epsilon is undefined when no batch carries data")
         return math.log(count / mass + 1 - self.k)
+
+    def levels(self, running: Sequence[np.ndarray]) -> list[float]:
+        """``level`` of each entry of running totals, one array per statistic.
+
+        Bit-identical to ``level`` entry by entry; the kRR logarithm is
+        ``math.log`` over a list. Every kRR entry needs a data point.
+        """
+        if self.width == 1:
+            return running[0].tolist()
+        count, mass = running
+        return list(map(math.log, (count / mass + 1 - self.k).tolist()))
 
     def wins(self, totals, target: float):
         """Whether summed statistics reach ``target``.

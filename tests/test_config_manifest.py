@@ -97,22 +97,25 @@ class TestConfigLoading:
             load_config("does/not/exist.yaml")
 
     @pytest.mark.parametrize(
-        "command, text",
+        "command, text, key",
         [
-            ("exp-timing", "timing_repeats: 0\n"),
-            ("simulate", "delta_thresholds: []\n"),
-            ("simulate", "federation_sizes: 5\n"),
-            ("exp-rounds", "targets: [125.0\n"),
-            ("simulate", "thresholds: {mean: x}\n"),
-            ("simulate", "max_rounds: 3.0\n"),
-            ("simulate", "federation_sizes: [2.5]\n"),
-            ("simulate", "replications: 2.5\n"),
-            ("simulate", "master_seed: 1.5\n"),
-            ("exp-timing", "participation_prob: 1.5\ntiming_sizes: [5]\n"),
-            ("exp-timing", "initial_eps_low: 0.7\ntiming_sizes: [5]\n"),
-            ("exp-timing", "budget: .nan\ntiming_sizes: [5]\n"),
-            ("simulate", "targets: [.inf]\n"),
-            ("simulate", "k1: 1" + "0" * 400 + "\n"),
+            ("exp-timing", "timing_repeats: 0\n", None),
+            ("simulate", "delta_thresholds: []\n", None),
+            ("simulate", "federation_sizes: 5\n", None),
+            ("exp-rounds", "targets: [125.0\n", None),
+            ("simulate", "thresholds: {mean: x}\n", None),
+            ("simulate", "max_rounds: 3.0\n", None),
+            ("simulate", "federation_sizes: [2.5]\n", None),
+            ("simulate", "replications: 2.5\n", None),
+            ("simulate", "master_seed: 1.5\n", None),
+            ("exp-timing", "participation_prob: 1.5\ntiming_sizes: [5]\n", None),
+            ("exp-timing", "initial_eps_low: 0.7\ntiming_sizes: [5]\n", None),
+            ("exp-timing", "budget: .nan\ntiming_sizes: [5]\n", None),
+            ("simulate", "targets: [.inf]\n", None),
+            ("simulate", "k1: 1" + "0" * 400 + "\n", None),
+            ("simulate", "points_per_round: 0\n", "points_per_round"),
+            ("simulate", "freerider_points_per_round: 0\n", "freerider_points_per_round"),
+            ("simulate", "k1: -1\n", "k1"),
         ],
         ids=[
             "zero-timing-repeats",
@@ -129,14 +132,19 @@ class TestConfigLoading:
             "nan-budget",
             "infinite-target",
             "int-beyond-float-range",
+            "zero-points-per-round",
+            "zero-freerider-points-per-round",
+            "negative-k1",
         ],
     )
-    def test_cli_rejects_with_one_line(self, command, text, tmp_path, capsys):
+    def test_cli_rejects_with_one_line(self, command, text, key, tmp_path, capsys):
         path = tmp_path / "scenario.yaml"
         path.write_text(text)
         assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        if key is not None:  # a range error names the config keys it came from
+            assert key in [name.strip() for name in err.split(":")[1].split(",")]
 
 
 _SCALARS = (

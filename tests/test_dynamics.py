@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fedmarket.dynamics import (
     CollectionPolicy,
@@ -24,7 +26,7 @@ from fedmarket.dynamics import (
 )
 from fedmarket.errors import DomainError
 from fedmarket.market import Federation, Provider
-from fedmarket.privacy import AggregationMode, AlphabetSpec, ReportBatch, aggregate
+from fedmarket.privacy import AggregationMode, AlphabetSpec, Measure, ReportBatch, aggregate
 from fedmarket.valuation import ExponentialValuation
 
 
@@ -47,9 +49,14 @@ def _ledger(year, entries, target=100.0):
         rounds_used=1,
         achieved=0.0,
         reached=False,
-        reports=(),
+        provider_ids=tuple(entries),
+        d_total=tuple(d for d, _ in entries.values()),
+        eps_level=tuple(eps for _, eps in entries.values()),
+        provider=(),
+        round=(),
+        d_t=(),
+        eps_t=(),
         cumulative=(),
-        per_provider={pid: ProviderYear(pid, d, eps) for pid, (d, eps) in entries.items()},
     )
 
 
@@ -235,6 +242,13 @@ class TestRunCollectionYear:
             batches = [ReportBatch(r.d_t, r.eps_t) for r in ledger.reports]
             assert ledger.achieved == ledger.cumulative[-1] == aggregate(batches, mode, spec)
 
+    def test_point_budget_beyond_int64_rejected(self):
+        fed = _federation([Provider("p", 2**70, 5.0)])
+        with pytest.raises(DomainError):
+            run_collection_year(
+                fed, 1.0, NONCAT, 2, AggregationMode.ADDITIVE_INFORMATION, np.random.default_rng(0)
+            )
+
     def test_krr_mode_achieved_is_composition(self):
         fed = _federation(self._members(n=3), window=2)
         ledger = run_collection_year(
@@ -280,6 +294,173 @@ class TestRunCollectionYear:
                 rounds.append(ledgers[-1].rounds_used)
             mean_rounds[kind] = float(np.mean(rounds))
         assert mean_rounds[PolicyKind.CATALYZING] <= mean_rounds[PolicyKind.NON_CATALYZING]
+
+
+def _scalar_year(federation, target, policy, max_rounds, mode, rng, savings, year, spec):
+    """Reference year: one provider and one report at a time, in scalar floats.
+
+    Returns (reports, cumulative, per_provider, rounds_used, achieved).
+    """
+    members = federation.members
+    remaining = {p.id: p.d_p for p in members}
+    reported = {p.id: 0 for p in members}
+    eps_sum = {p.id: 0.0 for p in members}
+    prev_eps = {p.id: None for p in members}
+    measure = Measure(mode, spec.k)
+    totals = [0.0] * measure.width
+    reports, cumulative = [], []
+    rounds_used = 0
+    for t in range(1, max_rounds + 1):
+        u_part = rng.random(len(members))
+        u_eps = rng.random(len(members))
+        rounds_used = t
+        for i, provider in enumerate(members):
+            pid = provider.id
+            if remaining[pid] == 0:
+                continue
+            if t > 1 and u_part[i] >= policy.participation_prob:
+                continue
+            d_t = min(policy.points_per_round, remaining[pid])
+            lo = policy.initial_eps_low * provider.eps_threshold
+            hi = policy.initial_eps_high * provider.eps_threshold
+            fresh = float(hi - u_eps[i] * (hi - lo))
+            if prev_eps[pid] is None or policy.kind is PolicyKind.NON_CATALYZING:
+                eps_t = fresh
+            else:
+                if reported[pid] < 1 or prev_eps[pid] <= 0:
+                    raise DomainError("catalyzing needs a reported point and a positive epsilon")
+                n_p = max(1.0, savings.get(pid, 0.0) / (reported[pid] * provider.eps_threshold))
+                eps_t = min(n_p * prev_eps[pid], provider.eps_threshold)
+            reports.append(RoundReport(pid, year, t, d_t, eps_t))
+            remaining[pid] -= d_t
+            reported[pid] += d_t
+            eps_sum[pid] += eps_t
+            prev_eps[pid] = eps_t
+            measure.add(totals, d_t, eps_t)
+            cumulative.append(measure.level(totals))
+        if cumulative and cumulative[-1] >= target:
+            break
+    per_provider = {p.id: ProviderYear(p.id, reported[p.id], eps_sum[p.id]) for p in members}
+    achieved = cumulative[-1] if cumulative else 0.0
+    return tuple(reports), tuple(cumulative), per_provider, rounds_used, achieved
+
+
+@st.composite
+def _year_cases(draw):
+    n = draw(st.integers(1, 9))
+    low = draw(st.floats(0.0, 0.9))
+    return {
+        "members": [
+            (draw(st.integers(1, 12)), draw(st.floats(0.05, 9.0))) for _ in range(n)
+        ],
+        "k": draw(st.integers(2, 16)),
+        "low": low,
+        "high": draw(st.floats(low, 1.0, exclude_min=True)),
+        "participation": draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)),
+        "points_per_round": draw(st.integers(1, 15)),
+        "max_rounds": draw(st.integers(1, 8)),
+        # a fraction of the federation's full capacity, or never reached
+        "target": draw(st.floats(1e-6, 1.3) | st.just(math.inf)),
+        "savings": [draw(st.sampled_from([0.0, 1e6]) | st.floats(-20.0, 80.0)) for _ in range(n)],
+        "seed": draw(st.integers(0, 2**32 - 1)),
+    }
+
+
+def _edge(**overrides):
+    case = {
+        "members": [(10, 5.0), (3, 1.5), (7, 8.0)],
+        "k": 4,
+        "low": 0.0,
+        "high": 0.6,
+        "participation": 0.8,
+        "points_per_round": 2,
+        "max_rounds": 6,
+        "target": 0.7,
+        "savings": [40.0, 0.0, 5.0],
+        "seed": 11,
+    }
+    return {**case, **overrides}
+
+
+class TestColumnarYearMatchesScalarLoop:
+    """``run_collection_year`` against the per-report reference loop, bit for bit."""
+
+    @pytest.mark.parametrize("kind", list(PolicyKind), ids=lambda k: k.value)
+    @pytest.mark.parametrize("mode", list(AggregationMode), ids=lambda m: m.value)
+    # 6 x (24 generated + 9 explicit) = 198 examples in all
+    @settings(max_examples=24, deadline=None, derandomize=True)
+    @given(case=_year_cases())
+    @example(case=_edge(participation=0.0))
+    @example(case=_edge(participation=1.0))
+    @example(case=_edge(points_per_round=20))
+    @example(case=_edge(points_per_round=10**30))
+    @example(case=_edge(max_rounds=1))
+    @example(case=_edge(target=1e-6))  # reached in round 1
+    @example(case=_edge(target=math.inf))
+    @example(case=_edge(savings=[0.0, 0.0, 0.0], target=math.inf))
+    @example(case=_edge(savings=[1e6, 1e6, 1e6], target=math.inf))
+    def test_identical_ledger_and_generator_state(self, mode, kind, case):
+        spec = AlphabetSpec(case["k"])
+        members = [Provider(f"p{i}", d, eps) for i, (d, eps) in enumerate(case["members"])]
+        federation = _federation(members)
+        capacity = aggregate([ReportBatch(p.d_p, p.eps_threshold) for p in members], mode, spec)
+        target = case["target"] * capacity
+        policy = CollectionPolicy(
+            kind,
+            initial_eps_low=case["low"],
+            initial_eps_high=case["high"],
+            participation_prob=case["participation"],
+            points_per_round=case["points_per_round"],
+        )
+        savings = {p.id: s for p, s in zip(members, case["savings"])}
+        ref_rng = np.random.default_rng(case["seed"])
+        rng = np.random.default_rng(case["seed"])
+
+        def year():
+            return run_collection_year(
+                federation, target, policy, case["max_rounds"], mode, rng,
+                savings=savings, year=3, spec=spec,
+            )
+
+        try:
+            reports, cumulative, per_provider, rounds_used, achieved = _scalar_year(
+                federation, target, policy, case["max_rounds"], mode, ref_rng, savings, 3, spec
+            )
+        except DomainError:  # e.g. a fresh epsilon that underflows to 0
+            with pytest.raises(DomainError):
+                year()
+            return
+        ledger = year()
+        assert len(ledger.reports) == len(reports)
+        assert tuple(ledger.reports) == reports
+        assert [x.hex() for x in ledger.cumulative] == [x.hex() for x in cumulative]
+        assert ledger.per_provider == per_provider
+        assert ledger.rounds_used == rounds_used
+        assert ledger.achieved.hex() == achieved.hex()
+        assert ledger.reached == (achieved >= target)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+    @pytest.mark.parametrize("mode", list(AggregationMode), ids=lambda m: m.value)
+    def test_stops_in_the_round_whose_aggregate_equals_the_target(self, mode):
+        # 40 members: wide enough that a pairwise (numpy) sum would round differently
+        rng = np.random.default_rng(77)
+        members = [Provider(f"p{i}", 12, float(rng.uniform(0.5, 6.0))) for i in range(40)]
+        federation, spec = _federation(members), AlphabetSpec(5)
+        savings = {p.id: float(rng.uniform(0.0, 40.0)) for p in members}
+        runs = []
+        for target in (math.inf, None):
+            if target is None:  # exactly the aggregate after round 3
+                last = max(i for i, t in enumerate(runs[0][0]) if t.round == 3)
+                target = runs[0][1][last]
+            rng_ref = np.random.default_rng(5)
+            runs.append(_scalar_year(federation, target, CAT, 6, mode, rng_ref, savings, 1, spec))
+            ledger = run_collection_year(
+                federation, target, CAT, 6, mode, np.random.default_rng(5), savings=savings, spec=spec
+            )
+            assert tuple(ledger.reports) == runs[-1][0]
+            assert ledger.rounds_used == runs[-1][3]
+        assert ledger.rounds_used == 3 and ledger.reached
 
 
 class TestDetectFreeRiders:

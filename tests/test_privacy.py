@@ -9,6 +9,7 @@ from fedmarket.errors import DomainError
 from fedmarket.privacy import (
     AggregationMode,
     AlphabetSpec,
+    Measure,
     ReportBatch,
     aggregate,
     combined_epsilon,
@@ -211,6 +212,26 @@ class TestAggregate:
         assert aggregate(diluted, AggregationMode.KRR_COMPOSITION, spec) < aggregate(
             strong, AggregationMode.KRR_COMPOSITION, spec
         )
+
+
+class TestMeasureColumns:
+    @pytest.mark.parametrize("mode", list(AggregationMode), ids=lambda m: m.value)
+    def test_columns_and_levels_match_the_scalar_fold_bit_for_bit(self, mode):
+        rng = np.random.default_rng(4242)
+        for _ in range(50):
+            measure = Measure(mode, int(rng.integers(2, 40)))
+            d = rng.integers(1, 50, int(rng.integers(1, 30)))
+            eps = rng.uniform(1e-3, 30.0, d.size)
+            totals, levels = [0.0] * measure.width, []
+            for d_i, eps_i in zip(d.tolist(), eps.tolist()):
+                measure.add(totals, d_i, eps_i)
+                levels.append(measure.level(totals))
+            columns = measure.columns(d, eps)
+            assert [c.tolist() for c in columns] == [
+                list(s) for s in zip(*(measure.stats(*b) for b in zip(d.tolist(), eps.tolist())))
+            ]
+            running = [np.add.accumulate(c) for c in columns]
+            assert [x.hex() for x in measure.levels(running)] == [x.hex() for x in levels]
 
 
 class TestTypes:
