@@ -76,7 +76,7 @@ def _cmd_shapley(args: argparse.Namespace) -> int:
             prize=float(raw["prize"]),
             spec=AlphabetSpec(raw.get("k", 2)),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad game file {args.game}: {exc}") from exc
 
     if args.method == "exact":

@@ -30,6 +30,12 @@ from .valuation import ExponentialValuation
 
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
+# Escalation multiplies a positive epsilon by at least 1, so a zero epsilon
+# can only be a fresh draw whose upper end rounds away.
+_FRESH_UNDERFLOW = (
+    "initial_eps_high: a fresh epsilon underflowed to 0; "
+    "initial_eps_high times a provider's eps_threshold is too small"
+)
 
 
 class PolicyKind(Enum):
@@ -280,8 +286,12 @@ def run_collection_year(
             d *= joins
         if t > 1 and catalyzing:
             n_p = catalyzing_parameter(delta, d_p - remaining, threshold)
+            try:
+                escalated = next_round_epsilon(prev_eps, n_p, threshold)
+            except DomainError:  # round 1's fresh draw was 0
+                raise DomainError(_FRESH_UNDERFLOW) from None
             # a member who joins with no data left escalates unseen: it never reports again
-            eps = np.where(joins, next_round_epsilon(prev_eps, n_p, threshold), prev_eps)
+            eps = np.where(joins, escalated, prev_eps)
         else:
             eps = hi - u[n:] * width  # in (low, high] * threshold
         prev_eps = eps
@@ -311,6 +321,8 @@ def run_collection_year(
     eps_grid = np.array(eps_rows)
     eps_t = eps_grid[mask]
     if not (eps_t.min(initial=math.inf) > 0.0 and eps_t.max(initial=0.0) <= MAX_EPSILON):
+        if eps_t.min() == 0.0:
+            raise DomainError(_FRESH_UNDERFLOW)
         for eps in eps_t.tolist():  # a NaN makes min and max NaN, which fails too
             validate_epsilon(eps)
     # running sums down the rounds add each member's epsilons in report order

@@ -28,6 +28,10 @@ from .errors import DomainError
 
 # e^eps overflows float64 just above 709; 700 is treated as "no privacy".
 MAX_EPSILON = 700.0
+# kRR's level ln(D / H + 1 - k) needs the float k - 1 + e^eps to keep its
+# e^eps. Near k = 2**53 rounding swallows it and the logarithm can fail
+# (k = 2**60 did); 2**32 leaves a wide margin.
+MAX_ALPHABET = 2**32
 
 
 def validate_epsilon(eps: float) -> float:
@@ -46,8 +50,8 @@ class AlphabetSpec:
     k: int
 
     def __post_init__(self) -> None:
-        if int(self.k) != self.k or self.k < 2:
-            raise DomainError(f"alphabet size must be an integer >= 2, got {self.k}")
+        if int(self.k) != self.k or not 2 <= self.k <= MAX_ALPHABET:
+            raise DomainError(f"alphabet size must be an integer in [2, 2**32], got {self.k}")
 
 
 @dataclass(frozen=True)
@@ -58,8 +62,8 @@ class ReportBatch:
     epsilon: float
 
     def __post_init__(self) -> None:
-        if int(self.d) != self.d or self.d < 0:
-            raise DomainError(f"batch size must be a non-negative integer, got {self.d}")
+        if int(self.d) != self.d or not 0 <= self.d < 2**63:
+            raise DomainError(f"batch size must be a non-negative integer below 2**63, got {self.d}")
         if self.d > 0:
             validate_epsilon(self.epsilon)
 

@@ -14,7 +14,7 @@ evaluators are provided:
   c_s(i) of them contain i. kRR composition is not monotone, so a kRR
   game is tallied over the full enumeration instead,
 * ``shapley_sampled`` is the permutation-sampling estimator for
-  federations too large to enumerate.
+  federations too large to enumerate (Castro, Gomez & Tejada 2009).
 
 Bit-for-bit agreement between the first two is engineered, not hoped
 for: every player's statistics come from ``privacy.Measure``, every
@@ -24,6 +24,13 @@ pruned evaluator's colex frontier extension produce the identical float),
 winning flags are decided by the measure's one predicate, and the
 factorial weights are accumulated in exact integer arithmetic with a
 single late division.
+
+The sampler holds each batch of orderings position-major, folds prefix
+sums one position at a time across the batch, and counts +1 and -1
+marginals per player as exact integers (``up``, ``down``) with a single
+late division, so its shares do not depend on the batch size;
+``shapley_sampled`` says why each share is the float an ordering-major
+running sum and float accumulator give.
 """
 
 from __future__ import annotations
@@ -44,7 +51,12 @@ MAX_ENUMERATION_PLAYERS = 30
 MAX_FRONTIER = 1 << 24
 
 _LOW_BITS = 20  # chunk granularity for the exact enumeration
-_SAMPLE_BATCH = 8192  # permutations drawn per step of the sampler
+# Orderings drawn per step of the sampler. The draws come in row order,
+# so this sets speed and memory only, never the shares. Measured on the
+# split-games large games (n = 25, 50, 100) and n = 24 settle splits,
+# 2048 and 4096 tie for speed and 1024 and 8192 are up to 10% slower;
+# 2048 needs half the scratch memory of 4096.
+_SAMPLE_BATCH = 2048
 
 
 @dataclass(frozen=True)
@@ -303,8 +315,26 @@ def shapley_sampled(
     """Unbiased permutation-sampling estimate of the Shapley shares.
 
     Each sample draws a uniformly random player ordering and credits the
-    prize-weighted marginal of every prefix step; for monotone measures
-    this credits exactly the pivotal player of the ordering.
+    marginal of every prefix step: +1 to ``up`` of the player whose step
+    makes the prefix win, +1 to ``down`` of one whose step makes it lose.
+    Player i's share is prize * (up[i] - down[i]) / samples.
+
+    A batch of m orderings is one ``rng.random((m, n))`` draw ranked by
+    ``argsort`` along each row, then held position-major as ``order``,
+    shape (n, m). Each statistic's prefix sums are built in place with
+    one ``np.add`` per position across the batch: the running sum of
+    every ordering is a left fold in ordering order, so each prefix is
+    the same float that a per-ordering cumulative sum gives.
+
+    The monotone measures (one non-negative statistic) lose on the empty
+    prefix and never lose again once they win, so an ordering credits at
+    most its pivotal player, at position n minus its count of winning
+    prefixes. kRR is not monotone: every change of the win flag along an
+    ordering is credited, a rise to ``up`` and a fall to ``down``.
+
+    The counts are exact integers. Every share, including the sign of a
+    zero share, is the float a per-ordering float accumulator of the
+    same marginals gives, whatever the batch size.
     """
     if samples < 1:
         raise DomainError(f"sample count must be at least 1, got {samples}")
@@ -312,20 +342,32 @@ def shapley_sampled(
     measure = game.measure
     stats = _player_stats(game)
 
-    acc = np.zeros(n)
+    up = np.zeros(n, dtype=np.int64)  # +1 marginals per player
+    down = np.zeros(n, dtype=np.int64)  # -1 marginals per player (kRR only)
     remaining = samples
     while remaining > 0:
         m = min(remaining, _SAMPLE_BATCH)
         remaining -= m
-        perms = np.argsort(rng.random((m, n)), axis=1)
-        win = measure.wins([np.cumsum(row[perms], axis=1) for row in stats], game.target)
-        flags = win.astype(np.int8)
-        marg = flags.copy()
-        marg[:, 1:] -= flags[:, :-1]  # empty prefix always loses (target > 0)
-        rows, cols = np.nonzero(marg)
-        np.add.at(acc, perms[rows, cols], marg[rows, cols])
+        # order[j, p] is the player at position j of ordering p
+        order = np.ascontiguousarray(np.argsort(rng.random((m, n)), axis=1).T)
+        prefix = [np.take(row, order) for row in stats]
+        for c in prefix:
+            for j in range(1, n):
+                np.add(c[j - 1], c[j], out=c[j])
+        win = measure.wins(prefix, game.target)
+        if measure.width == 1:
+            crossing = n - np.count_nonzero(win, axis=0)
+            crossed = crossing < n
+            up += np.bincount(order[crossing[crossed], crossed.nonzero()[0]], minlength=n)
+        else:
+            rise = win.copy()
+            rise[1:] &= ~win[:-1]
+            fall = win[:-1] & ~win[1:]
+            up += np.bincount(order[rise], minlength=n)
+            down += np.bincount(order[1:][fall], minlength=n)
 
     shares = {
-        pid: game.prize * (float(acc[i]) / samples) for i, (pid, _) in enumerate(game.players)
+        pid: game.prize * (float(u - d) / samples)
+        for (pid, _), u, d in zip(game.players, up.tolist(), down.tolist())
     }
     return ShapleyResult(shares=shares, method="sampled", sample_count=samples)

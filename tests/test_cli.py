@@ -1,8 +1,15 @@
+import contextlib
 import csv
+import io
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fedmarket.cli import main
 from fedmarket.config import load_config
@@ -232,6 +239,72 @@ def test_shapley_rejects_bad_game_with_one_line(text, tmp_path, capsys):
     assert main(["shapley", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+_ODD = st.sampled_from([None, True, False, "", "1", "krr", [], [1], {}, {"d": 1}])
+_ODD_NUMBERS = st.sampled_from([-1, -0.5, 0, 2.5, 10**400, math.nan, math.inf, -math.inf])
+
+
+@st.composite
+def _games(draw):
+    """A valid game of up to 12 players, with up to two values replaced by odd ones:
+    bools, strings, containers, negatives, non-finite and out-of-range numbers."""
+    players = [
+        {
+            "id": draw(st.sampled_from(["a", "b", "c"])) + str(i),
+            "batches": [
+                {"d": draw(st.integers(0, 6)), "eps": draw(st.floats(0.05, 8.0))}
+                for _ in range(draw(st.integers(0, 3)))
+            ],
+        }
+        for i in range(draw(st.integers(0, 12)))
+    ]
+    game = {
+        "mode": draw(st.sampled_from(["additive", "example", "krr"])),
+        "k": draw(st.integers(2, 8)),
+        "target": draw(st.floats(0.1, 20.0)),
+        "prize": draw(st.floats(0.0, 100.0)),
+        "players": players,
+    }
+    batches = [batch for player in players for batch in player["batches"]]
+    numbers = [(game, "k"), (game, "target"), (game, "prize")]
+    numbers += [(batch, key) for batch in batches for key in batch]
+    others = [(game, "mode"), (game, "players")] + [(players, i) for i in range(len(players))]
+    others += [(player, key) for player in players for key in player]
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        container, key = draw(st.sampled_from(numbers) | st.sampled_from(others))
+        container[key] = draw(_ODD_NUMBERS | _ODD)
+    return draw(_ODD) if draw(st.integers(0, 19)) == 0 else game
+
+
+# a valid one-player game; each explicit example below, a crash the fuzz found,
+# replaces one of its values
+_FOUND = {"players": [{"id": "a", "batches": [{"d": 1, "eps": 1.0}]}], "target": 1.0, "prize": 1.0}
+
+
+class TestShapleyCliFuzz:
+    """Random game files, valid or not: a result, or one ``error:`` line and exit 2/3."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(game=_games())
+    @example(game=_FOUND | {"players": [{"id": "a", "batches": [{"d": math.inf, "eps": 1.0}]}]})
+    @example(game=_FOUND | {"players": [{"id": "a", "batches": [{"d": 10**400, "eps": 1.0}]}]})
+    @example(game=_FOUND | {"k": 10**400})
+    @example(game=_FOUND | {"target": 10**400})
+    def test_every_method_exits_cleanly(self, game):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "game.json"
+            path.write_text(json.dumps(game))
+            for method in ("exact", "pruned", "sampled"):
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main(["shapley", str(path), "--method", method, "--samples", "64"])
+                assert code in (0, 2, 3)
+                if code:
+                    lines = err.getvalue().splitlines()
+                    assert len(lines) == 1 and lines[0].startswith("error: ")
+                else:
+                    assert json.loads(out.getvalue())["method"] == method
 
 
 def test_config_error_exit_code(tmp_path, capsys):

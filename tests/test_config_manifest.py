@@ -116,6 +116,13 @@ class TestConfigLoading:
             ("simulate", "points_per_round: 0\n", "points_per_round"),
             ("simulate", "freerider_points_per_round: 0\n", "freerider_points_per_round"),
             ("simulate", "k1: -1\n", "k1"),
+            ("simulate", "initial_eps_high: 5.0e-324\n", "initial_eps_high"),
+            (
+                "simulate",
+                "initial_eps_high: 5.0e-324\npolicy: non-catalyzing\n",
+                "initial_eps_high",
+            ),
+            ("simulate", "k: 1152921504606846976\n", "k"),
         ],
         ids=[
             "zero-timing-repeats",
@@ -135,6 +142,9 @@ class TestConfigLoading:
             "zero-points-per-round",
             "zero-freerider-points-per-round",
             "negative-k1",
+            "fresh-epsilon-underflow",
+            "fresh-epsilon-underflow-non-catalyzing",
+            "alphabet-beyond-2**32",
         ],
     )
     def test_cli_rejects_with_one_line(self, command, text, key, tmp_path, capsys):

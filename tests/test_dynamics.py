@@ -249,6 +249,18 @@ class TestRunCollectionYear:
                 fed, 1.0, NONCAT, 2, AggregationMode.ADDITIVE_INFORMATION, np.random.default_rng(0)
             )
 
+    @pytest.mark.parametrize("max_rounds", (1, 3))
+    @pytest.mark.parametrize("kind", list(PolicyKind), ids=lambda k: k.value)
+    def test_fresh_epsilon_underflow_names_initial_eps_high(self, kind, max_rounds):
+        # with hi the smallest subnormal, hi - u * hi rounds to 0 for every u > 0.5
+        policy = CollectionPolicy(kind, initial_eps_high=5e-324, points_per_round=2)
+        fed = _federation([Provider(f"p{i}", 10, 1.0) for i in range(8)])
+        with pytest.raises(DomainError, match="^initial_eps_high: "):
+            run_collection_year(
+                fed, math.inf, policy, max_rounds, AggregationMode.ADDITIVE_INFORMATION,
+                np.random.default_rng(0),
+            )
+
     def test_krr_mode_achieved_is_composition(self):
         fed = _federation(self._members(n=3), window=2)
         ledger = run_collection_year(

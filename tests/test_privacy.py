@@ -238,6 +238,9 @@ class TestTypes:
     def test_alphabet_validation(self):
         with pytest.raises(DomainError):
             AlphabetSpec(1)
+        AlphabetSpec(2**32)
+        with pytest.raises(DomainError):  # well below where the kRR level loses its +e^eps
+            AlphabetSpec(2**32 + 1)
 
     def test_batch_validation(self):
         with pytest.raises(DomainError):
@@ -245,3 +248,7 @@ class TestTypes:
         with pytest.raises(DomainError):
             ReportBatch(3, 0.0)
         ReportBatch(0, 0.0)  # epsilon unconstrained when the batch is empty
+        ReportBatch(2**63 - 1, 1.0)
+        for d in (2**63, 1e300):  # sums of such batches could overflow
+            with pytest.raises(DomainError):
+                ReportBatch(d, 1.0)

@@ -229,6 +229,90 @@ class TestSampled:
             assert abs(sampled.shares[pid] - exact.shares[pid]) <= 3 * se
 
 
+def _reference_sampled(game, samples, rng):
+    """The ordering-major sampler: row-wise cumulative sums, a float accumulator.
+
+    Kept as the bit-for-bit reference for ``shapley_sampled``, with its own
+    batch size, so the comparison also shows that batching moves no share.
+    """
+    n = game.n
+    measure = game.measure
+    stats = shapley._player_stats(game)
+    acc = np.zeros(n)
+    remaining = samples
+    while remaining > 0:
+        m = min(remaining, 8192)
+        remaining -= m
+        perms = np.argsort(rng.random((m, n)), axis=1)
+        win = measure.wins([np.cumsum(row[perms], axis=1) for row in stats], game.target)
+        flags = win.astype(np.int8)
+        marg = flags.copy()
+        marg[:, 1:] -= flags[:, :-1]
+        rows, cols = np.nonzero(marg)
+        np.add.at(acc, perms[rows, cols], marg[rows, cols])
+    return {pid: game.prize * (float(acc[i]) / samples) for i, (pid, _) in enumerate(game.players)}
+
+
+def _krr_game(players, target, prize):
+    return ThresholdGame(
+        tuple((f"p{i}", (ReportBatch(d, eps),)) for i, (d, eps) in enumerate(players)),
+        AggregationMode.KRR_COMPOSITION,
+        target,
+        prize,
+        AlphabetSpec(4),
+    )
+
+
+# p0 alone wins; the low-epsilon p1 dilutes p0's pooled parameter below the
+# target, so p1's step after p0 is a -1 marginal and p1's share is negative.
+DILUTED_KRR = ((1, 6.0), (20, 0.05), (2, 3.0))
+
+
+class TestSampledMatchesReference:
+    SAMPLE_COUNTS = (
+        1,
+        shapley._SAMPLE_BATCH - 1,
+        shapley._SAMPLE_BATCH,
+        shapley._SAMPLE_BATCH + 1,
+        20_000,
+    )
+
+    def _assert_same(self, game, seed=7):
+        for samples in self.SAMPLE_COUNTS:
+            result = shapley_sampled(game, samples, np.random.default_rng(seed))
+            expected = _reference_sampled(game, samples, np.random.default_rng(seed))
+            assert result.sample_count == samples
+            assert list(result.shares) == list(expected)
+            assert [v.hex() for v in result.shares.values()] == [
+                v.hex() for v in expected.values()
+            ], samples
+        return result
+
+    @pytest.mark.parametrize("n", (1, 2, 3, 24, 25, 50, 100))
+    @pytest.mark.parametrize("mode", ALL_MODES, ids=lambda m: m.value)
+    def test_random_games(self, mode, n):
+        game = random_threshold_game(
+            np.random.default_rng(1000 + n), mode, max_players=n, min_players=n
+        )
+        self._assert_same(game)
+
+    def test_krr_game_with_negative_marginals(self):
+        game = _krr_game(DILUTED_KRR, 4.0, 30.0)
+        assert characteristic({"p0"}, game) == 30.0
+        assert characteristic({"p0", "p1"}, game) == 0.0
+        result = self._assert_same(game)
+        assert result.shares["p1"] < 0
+
+    def test_zero_prize_keeps_the_sign_of_a_zero_share(self):
+        result = self._assert_same(_krr_game(DILUTED_KRR, 4.0, 0.0))
+        assert math.copysign(1.0, result.shares["p1"]) == -1.0  # -0.0 from a -1 tally
+
+    def test_monotone_game_whose_grand_coalition_loses(self):
+        game = _additive_game((1.0, 0.5, 0.3, 2.0), 4.0, 60.0)
+        result = self._assert_same(game)
+        assert all(v.hex() == (0.0).hex() for v in result.shares.values())
+
+
 class TestPivotCountIdentity:
     """Pairs with nonzero marginal, counted two independent ways.
 
