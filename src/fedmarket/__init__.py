@@ -41,7 +41,6 @@ from .dynamics import (
     apply_penalty,
     catalyzing_parameter,
     check_penalty_condition,
-    contributed_privacy_level,
     detect_free_riders,
     next_round_epsilon,
     privacy_saving,

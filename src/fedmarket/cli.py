@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ScenarioConfig, config_from_dict, load_config
+from .config import _TYPE_CHECKS, ScenarioConfig, config_from_dict, load_config
 from .dynamics import PolicyKind
 from .errors import ConfigError, FedMarketError
 from .experiments import (
@@ -57,6 +57,15 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _game_number(mapping: dict, key: str, kind: str, default=None):
+    """``mapping[key]`` (or ``default``), checked like a config value of type ``kind``."""
+    value = mapping[key] if default is None else mapping.get(key, default)
+    noun, check = _TYPE_CHECKS[kind]
+    if not check(value):
+        raise TypeError(f"{key} must be {noun}, got {value!r}")
+    return float(value) if kind == "float" else value
+
+
 def _cmd_shapley(args: argparse.Namespace) -> int:
     try:
         with open(args.game) as handle:
@@ -67,14 +76,17 @@ def _cmd_shapley(args: argparse.Namespace) -> int:
             players=tuple(
                 (
                     str(player["id"]),
-                    tuple(ReportBatch(b["d"], float(b["eps"])) for b in player["batches"]),
+                    tuple(
+                        ReportBatch(_game_number(b, "d", "int"), _game_number(b, "eps", "float"))
+                        for b in player["batches"]
+                    ),
                 )
                 for player in raw["players"]
             ),
             mode=AggregationMode(raw.get("mode", "additive")),
-            target=float(raw["target"]),
-            prize=float(raw["prize"]),
-            spec=AlphabetSpec(raw.get("k", 2)),
+            target=_game_number(raw, "target", "float"),
+            prize=_game_number(raw, "prize", "float"),
+            spec=AlphabetSpec(_game_number(raw, "k", "int", default=2)),
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad game file {args.game}: {exc}") from exc

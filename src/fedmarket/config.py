@@ -161,8 +161,10 @@ class ScenarioConfig:
             raise ConfigError("need at least one collection round")
         if self.data_points < 1:
             raise ConfigError("providers need at least one data point")
-        if not self.federation_sizes or any(n < 1 for n in self.federation_sizes):
-            raise ConfigError("federation sizes must be positive")
+        for key in ("federation_sizes", "freerider_sizes", "timing_sizes"):
+            sizes = getattr(self, key)
+            if not sizes or min(sizes) < 1:
+                raise ConfigError(f"{key}: need a non-empty list of sizes >= 1, got {list(sizes)}")
         if not self.targets or any(t <= 0 for t in self.targets):
             raise ConfigError("targets must be positive")
         if not self.delta_thresholds or any(d <= 0 for d in self.delta_thresholds):

@@ -19,7 +19,6 @@ import math
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import cached_property
 
 import numpy as np
 
@@ -85,13 +84,6 @@ class RoundReport:
 
 
 @dataclass(frozen=True)
-class ProviderYear:
-    provider_id: str
-    d_total: int
-    eps_level: float
-
-
-@dataclass(frozen=True)
 class YearLedger:
     """Everything one federation did in one collection year, as columns.
 
@@ -100,8 +92,8 @@ class YearLedger:
     report order (round by round, members in federation order within a
     round): ``provider`` indexes ``provider_ids``; ``round``, ``d_t`` and
     ``eps_t`` describe the report and ``cumulative`` is the aggregate
-    after it. All entries are plain ints and floats. ``reports`` and
-    ``per_provider`` read the columns as objects, built only when read.
+    after it. All entries are plain ints and floats. ``reports`` reads the
+    report columns as ``RoundReport`` objects, built only when read.
     """
 
     year: int
@@ -122,18 +114,6 @@ class YearLedger:
     @property
     def reports(self) -> Sequence[RoundReport]:
         return _Reports(self)
-
-    @property
-    def per_provider(self) -> dict[str, ProviderYear]:
-        return {
-            pid: ProviderYear(pid, d, eps)
-            for pid, d, eps in zip(self.provider_ids, self.d_total, self.eps_level)
-        }
-
-    @cached_property
-    def member_index(self) -> dict[str, int]:
-        """Position of each member's id in ``provider_ids``."""
-        return {pid: i for i, pid in enumerate(self.provider_ids)}
 
 
 class _Reports(Sequence):
@@ -167,27 +147,31 @@ class PenaltyState:
             raise DomainError("an excluded provider must carry at least one demerit")
 
 
-def contributed_privacy_level(reports: Iterable[RoundReport]) -> float:
-    """Sum of the privacy parameters a provider spent across rounds."""
-    return math.fsum(r.eps_t for r in reports if r.d_t > 0)
-
-
-def privacy_saving(ledgers: Sequence[YearLedger], provider: Provider) -> float:
-    """Capacity left unused over a window: sum of d(m) * (eps_T - eps(m))."""
-    total = 0.0
-    for ledger in ledgers:
-        i = ledger.member_index.get(provider.id)
-        if i is None or ledger.d_total[i] == 0:
-            continue
-        total += ledger.d_total[i] * (provider.eps_threshold - ledger.eps_level[i])
-    return total
-
-
 def savings_snapshot(
     ledgers: Sequence[YearLedger], providers: Iterable[Provider]
 ) -> dict[str, float]:
-    """Each provider's privacy saving over the window ``ledgers``, by provider id."""
-    return {p.id: privacy_saving(ledgers, p) for p in providers}
+    """Each provider's privacy saving over the window ``ledgers``, by provider id.
+
+    A provider's saving is the capacity left unused, the sum of
+    d(m) * (eps_T - eps(m)) over the years m of the window with reports:
+    eps_T is the provider's current threshold, d(m) the points reported
+    and eps(m) the epsilons spent in year m. One pass over each ledger's
+    ``provider_ids``/``d_total``/``eps_level`` adds every provider's terms
+    in ledger order. Ledger members not among ``providers`` (excluded since)
+    are skipped; a provider absent from every ledger saves 0.0.
+    """
+    thresholds = {p.id: p.eps_threshold for p in providers}
+    savings = dict.fromkeys(thresholds, 0.0)
+    for ledger in ledgers:
+        for pid, d, eps in zip(ledger.provider_ids, ledger.d_total, ledger.eps_level):
+            if d and pid in thresholds:
+                savings[pid] += d * (thresholds[pid] - eps)
+    return savings
+
+
+def privacy_saving(ledgers: Sequence[YearLedger], provider: Provider) -> float:
+    """One provider's saving over the window ``ledgers``; see ``savings_snapshot``."""
+    return savings_snapshot(ledgers, (provider,))[provider.id]
 
 
 def catalyzing_parameter(
@@ -296,11 +280,7 @@ def run_collection_year(
             eps = hi - u[n:] * width  # in (low, high] * threshold
         prev_eps = eps
         remaining -= d
-        for j, column in enumerate(measure.columns(d, eps)):
-            total = totals[j]
-            for x in column.tolist():
-                total += x
-            totals[j] = total
+        measure.add(totals, d, eps)
         d_rows.append(d)
         eps_rows.append(eps)
         if n and measure.level(totals) >= target:  # n > 0: everyone reported in round 1

@@ -131,36 +131,30 @@ class Measure:
     A set of batches is summarised by adding up per-batch statistic
     vectors: ``(d * eps,)`` for ``ADDITIVE_INFORMATION``,
     ``(d * e^eps / (k - 1 + e^eps),)`` for ``EXAMPLE_CONTRIBUTION`` and
-    ``(d, d / (k - 1 + e^eps))`` for ``KRR_COMPOSITION``. The level and the
-    winning predicate read only that sum, so pooled reports, collection
-    years and threshold-game coalitions all share this arithmetic; callers
-    differ only in the order in which they add the statistics.
+    ``(d, d / (k - 1 + e^eps))`` for ``KRR_COMPOSITION``. ``columns`` is the
+    only place these expressions are written; pooled reports, collection
+    years and threshold-game coalitions all take their statistics from it
+    and differ only in the order in which they add them up. The level and
+    the winning predicate read only the sum.
     """
 
-    __slots__ = ("k", "width", "add", "columns")
+    __slots__ = ("k", "width", "columns")
 
     def __init__(self, mode: AggregationMode, k: int) -> None:
         self.k = k
-        # ``add(totals, d, eps)`` adds one batch's statistics into ``totals``
-        # in place. ``columns(d, eps)`` gives the statistics of many batches
-        # at once, one array per statistic, from equal-length arrays of batch
-        # sizes and epsilons. Each entry is the same IEEE expression as
-        # ``add``'s, evaluated elementwise; e^eps comes from ``math.exp``
-        # over a list because ``np.exp`` may differ from it by one ulp.
+        # ``columns(d, eps)`` gives the statistics of many batches at once,
+        # one array per statistic, from equal-length arrays of batch sizes
+        # (int64) and epsilons (float64). Each entry is one IEEE expression
+        # evaluated elementwise; e^eps comes from ``math.exp`` over a list
+        # because ``np.exp`` may differ from it by one ulp.
         if mode is AggregationMode.ADDITIVE_INFORMATION:
             self.width = 1
-
-            def add(totals: list[float], d: int, eps: float) -> None:
-                totals[0] += d * eps
 
             def columns(d: np.ndarray, eps: np.ndarray) -> tuple[np.ndarray, ...]:
                 return (d * eps,)
 
         elif mode is AggregationMode.EXAMPLE_CONTRIBUTION:
             self.width = 1
-
-            def add(totals: list[float], d: int, eps: float) -> None:
-                totals[0] += d * keep_probability(eps, k)
 
             def columns(d: np.ndarray, eps: np.ndarray) -> tuple[np.ndarray, ...]:
                 e = _exp(eps)
@@ -169,23 +163,23 @@ class Measure:
         elif mode is AggregationMode.KRR_COMPOSITION:
             self.width = 2
 
-            def add(totals: list[float], d: int, eps: float) -> None:
-                totals[0] += d
-                totals[1] += d / (k - 1 + math.exp(eps))
-
             def columns(d: np.ndarray, eps: np.ndarray) -> tuple[np.ndarray, ...]:
                 return (d, d / (k - 1 + _exp(eps)))
 
         else:
             raise DomainError(f"unknown aggregation mode {mode!r}")
-        self.add = add
         self.columns = columns
 
-    def stats(self, d: int, eps: float) -> list[float]:
-        """Statistics of one batch."""
-        totals = [0.0] * self.width
-        self.add(totals, d, eps)
-        return totals
+    def add(self, totals: list[float], d: np.ndarray, eps: np.ndarray) -> None:
+        """Add the statistics of batches ``d``, ``eps`` into ``totals`` in place.
+
+        A sequential fold, one batch after another, never a pairwise sum.
+        """
+        for j, column in enumerate(self.columns(d, eps)):
+            total = totals[j]
+            for x in column.tolist():
+                total += x
+            totals[j] = total
 
     def level(self, totals: Sequence[float]) -> float:
         """Information level of summed statistics.
@@ -237,10 +231,13 @@ def aggregate(batches: Iterable[ReportBatch], mode: AggregationMode, spec: Alpha
     no data; the kRR composition needs at least one batch with data.
     """
     measure = Measure(mode, spec.k)
+    kept = [b for b in batches if b.d > 0]
     totals = [0.0] * measure.width
-    for batch in batches:  # left to right, like a collection year
-        if batch.d > 0:
-            measure.add(totals, batch.d, batch.epsilon)
+    measure.add(  # left to right, like a collection year
+        totals,
+        np.array([b.d for b in kept], dtype=np.int64),
+        np.array([b.epsilon for b in kept], dtype=float),
+    )
     return measure.level(totals)
 
 

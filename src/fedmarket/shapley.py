@@ -35,6 +35,7 @@ running sum and float accumulator give.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
@@ -103,14 +104,18 @@ class ShapleyResult:
 
 
 def _player_stats(game: ThresholdGame) -> np.ndarray:
-    """Per-player statistics, shape (width, n): ``math.fsum`` over each player's batches."""
-    measure = game.measure
-    out = np.empty((measure.width, game.n))
-    for i, (_, batches) in enumerate(game.players):
-        rows = [measure.stats(b.d, b.epsilon) for b in batches if b.d > 0]
-        for j in range(measure.width):
-            out[j, i] = math.fsum(row[j] for row in rows)
-    return out
+    """Per-player statistics, shape (width, n): ``math.fsum`` over each player's batches.
+
+    One ``Measure.columns`` call covers every batch with data, player by player.
+    """
+    kept = [[b for b in batches if b.d > 0] for _, batches in game.players]
+    bounds = [0, *itertools.accumulate(map(len, kept))]
+    d = np.array([b.d for batches in kept for b in batches], dtype=np.int64)
+    eps = np.array([b.epsilon for batches in kept for b in batches], dtype=float)
+    columns = [column.tolist() for column in game.measure.columns(d, eps)]
+    return np.array(
+        [[math.fsum(column[lo:hi]) for lo, hi in zip(bounds, bounds[1:])] for column in columns]
+    )
 
 
 def characteristic(subset: Iterable[str], game: ThresholdGame) -> float:

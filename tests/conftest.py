@@ -21,6 +21,19 @@ ALL_MODES = (
 )
 
 
+def scalar_stats(mode, k, d, eps):
+    """One batch's statistics in scalar floats, the reference for ``Measure.columns``.
+
+    Each entry is the IEEE expression the columnar form must reproduce bit for bit.
+    """
+    if mode is AggregationMode.ADDITIVE_INFORMATION:
+        return [d * eps]
+    e = math.exp(eps)
+    if mode is AggregationMode.EXAMPLE_CONTRIBUTION:
+        return [d * (e / (k - 1 + e))]
+    return [d, d / (k - 1 + e)]
+
+
 def oracle_aggregate(batches, mode, k):
     """Independent re-implementation of the three information measures."""
     batches = [b for b in batches if b.d > 0]

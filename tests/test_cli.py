@@ -209,14 +209,14 @@ def test_shapley_subcommand(tmp_path, capsys):
     assert payload["shares"] == {"p1": 30.0, "p2": 30.0, "p3": 0.0}
 
 
-def _game_text(d=1, k=2, prize=10.0):
+def _game_text(d=1, eps=1.0, k=2, target=1.0, prize=10.0):
     return json.dumps(
         {
             "mode": "additive",
-            "target": 1.0,
+            "target": target,
             "prize": prize,
             "k": k,
-            "players": [{"id": "p1", "batches": [{"d": d, "eps": 1.0}]}],
+            "players": [{"id": "p1", "batches": [{"d": d, "eps": eps}]}],
         }
     )
 
@@ -230,8 +230,23 @@ def _game_text(d=1, k=2, prize=10.0):
         _game_text(k=2.9),
         _game_text(prize=float("nan")),
         _game_text(prize=float("inf")),
+        _game_text(eps="1.5"),
+        _game_text(target="1.0"),
+        _game_text(prize=True),
+        _game_text(d=True),
     ],
-    ids=["malformed-json", "json-list", "fractional-d", "fractional-k", "nan-prize", "infinite-prize"],
+    ids=[
+        "malformed-json",
+        "json-list",
+        "fractional-d",
+        "fractional-k",
+        "nan-prize",
+        "infinite-prize",
+        "string-eps",
+        "string-target",
+        "bool-prize",
+        "bool-d",
+    ],
 )
 def test_shapley_rejects_bad_game_with_one_line(text, tmp_path, capsys):
     path = tmp_path / "game.json"

@@ -123,6 +123,11 @@ class TestConfigLoading:
                 "initial_eps_high",
             ),
             ("simulate", "k: 1152921504606846976\n", "k"),
+            ("exp-freeriders", "freerider_sizes: [0]\n", "freerider_sizes"),
+            ("exp-timing", "timing_sizes: [-1]\n", "timing_sizes"),
+            ("exp-freeriders", "freerider_sizes: []\n", "freerider_sizes"),
+            ("exp-timing", "timing_sizes: []\n", "timing_sizes"),
+            ("exp-rounds", "federation_sizes: [0]\n", "federation_sizes"),
         ],
         ids=[
             "zero-timing-repeats",
@@ -145,6 +150,11 @@ class TestConfigLoading:
             "fresh-epsilon-underflow",
             "fresh-epsilon-underflow-non-catalyzing",
             "alphabet-beyond-2**32",
+            "zero-freerider-size",
+            "negative-timing-size",
+            "empty-freerider-sizes",
+            "empty-timing-sizes",
+            "zero-federation-size",
         ],
     )
     def test_cli_rejects_with_one_line(self, command, text, key, tmp_path, capsys):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import scalar_stats
 from fedmarket.dynamics import (
     CollectionPolicy,
     PenaltyState,
@@ -14,7 +15,6 @@ from fedmarket.dynamics import (
     apply_penalty,
     catalyzing_parameter,
     check_penalty_condition,
-    contributed_privacy_level,
     detect_free_riders,
     next_round_epsilon,
     privacy_saving,
@@ -22,7 +22,6 @@ from fedmarket.dynamics import (
     run_collection_years,
     savings_snapshot,
     YearLedger,
-    ProviderYear,
 )
 from fedmarket.errors import DomainError
 from fedmarket.market import Federation, Provider
@@ -62,22 +61,6 @@ def _ledger(year, entries, target=100.0):
 
 CAT = CollectionPolicy(PolicyKind.CATALYZING, points_per_round=2, participation_prob=0.9)
 NONCAT = CollectionPolicy(PolicyKind.NON_CATALYZING, points_per_round=2, participation_prob=0.9)
-
-
-class TestContributedPrivacyLevel:
-    def test_empty(self):
-        assert contributed_privacy_level([]) == 0.0
-
-    def test_sum_over_rounds(self):
-        reports = [RoundReport("p", 1, 1, 2, 0.5), RoundReport("p", 1, 2, 2, 0.7)]
-        assert contributed_privacy_level(reports) == pytest.approx(1.2, abs=1e-12)
-
-    def test_single_round_at_threshold(self):
-        assert contributed_privacy_level([RoundReport("p", 1, 1, 1, 4.4)]) == 4.4
-
-    def test_zero_point_rounds_ignored(self):
-        reports = [RoundReport("p", 1, 1, 0, 0.0), RoundReport("p", 1, 2, 1, 0.9)]
-        assert contributed_privacy_level(reports) == pytest.approx(0.9)
 
 
 class TestPrivacySaving:
@@ -168,14 +151,14 @@ class TestRunCollectionYear:
         ledger = run_collection_year(
             fed, 1e9, NONCAT, 12, AggregationMode.ADDITIVE_INFORMATION, np.random.default_rng(3)
         )
-        for provider in fed.members:
-            mine = [r for r in ledger.reports if r.provider_id == provider.id]
-            total = sum(r.d_t for r in mine)
-            assert total <= provider.d_p
-            assert ledger.per_provider[provider.id].d_total == total
-            assert ledger.per_provider[provider.id].eps_level == pytest.approx(
-                contributed_privacy_level(mine), rel=1e-12
-            )
+        assert ledger.provider_ids == tuple(p.id for p in fed.members)
+        for i, provider in enumerate(fed.members):
+            mine = [j for j, who in enumerate(ledger.provider) if who == i]
+            assert ledger.d_total[i] == sum(ledger.d_t[j] for j in mine) <= provider.d_p
+            eps_level = 0.0
+            for j in mine:  # in report order
+                eps_level += ledger.eps_t[j]
+            assert ledger.eps_level[i].hex() == eps_level.hex()
 
     def test_catalyzing_epsilon_non_decreasing(self):
         fed = _federation(self._members(n=6))
@@ -311,7 +294,7 @@ class TestRunCollectionYear:
 def _scalar_year(federation, target, policy, max_rounds, mode, rng, savings, year, spec):
     """Reference year: one provider and one report at a time, in scalar floats.
 
-    Returns (reports, cumulative, per_provider, rounds_used, achieved).
+    Returns (reports, cumulative, d_total, eps_level, rounds_used, achieved).
     """
     members = federation.members
     remaining = {p.id: p.d_p for p in members}
@@ -348,13 +331,15 @@ def _scalar_year(federation, target, policy, max_rounds, mode, rng, savings, yea
             reported[pid] += d_t
             eps_sum[pid] += eps_t
             prev_eps[pid] = eps_t
-            measure.add(totals, d_t, eps_t)
+            for j, x in enumerate(scalar_stats(mode, spec.k, d_t, eps_t)):
+                totals[j] += x
             cumulative.append(measure.level(totals))
         if cumulative and cumulative[-1] >= target:
             break
-    per_provider = {p.id: ProviderYear(p.id, reported[p.id], eps_sum[p.id]) for p in members}
+    d_total = tuple(reported[p.id] for p in members)
+    eps_level = tuple(eps_sum[p.id] for p in members)
     achieved = cumulative[-1] if cumulative else 0.0
-    return tuple(reports), tuple(cumulative), per_provider, rounds_used, achieved
+    return tuple(reports), tuple(cumulative), d_total, eps_level, rounds_used, achieved
 
 
 @st.composite
@@ -435,7 +420,7 @@ class TestColumnarYearMatchesScalarLoop:
             )
 
         try:
-            reports, cumulative, per_provider, rounds_used, achieved = _scalar_year(
+            reports, cumulative, d_total, eps_level, rounds_used, achieved = _scalar_year(
                 federation, target, policy, case["max_rounds"], mode, ref_rng, savings, 3, spec
             )
         except DomainError:  # e.g. a fresh epsilon that underflows to 0
@@ -446,7 +431,8 @@ class TestColumnarYearMatchesScalarLoop:
         assert len(ledger.reports) == len(reports)
         assert tuple(ledger.reports) == reports
         assert [x.hex() for x in ledger.cumulative] == [x.hex() for x in cumulative]
-        assert ledger.per_provider == per_provider
+        assert ledger.d_total == d_total
+        assert [x.hex() for x in ledger.eps_level] == [x.hex() for x in eps_level]
         assert ledger.rounds_used == rounds_used
         assert ledger.achieved.hex() == achieved.hex()
         assert ledger.reached == (achieved >= target)
@@ -471,7 +457,7 @@ class TestColumnarYearMatchesScalarLoop:
                 federation, target, CAT, 6, mode, np.random.default_rng(5), savings=savings, spec=spec
             )
             assert tuple(ledger.reports) == runs[-1][0]
-            assert ledger.rounds_used == runs[-1][3]
+            assert ledger.rounds_used == runs[-1][4]
         assert ledger.rounds_used == 3 and ledger.reached
 
 
@@ -544,6 +530,16 @@ class TestApplyPenalty:
             PenaltyState("p", demerits=0, excluded=True)
 
 
+def _saving_fold(ledgers, provider):
+    """Reference saving: one provider, one ledger at a time, in window order."""
+    total = 0.0
+    for ledger in ledgers:
+        for pid, d, eps in zip(ledger.provider_ids, ledger.d_total, ledger.eps_level):
+            if pid == provider.id and d > 0:
+                total += d * (provider.eps_threshold - eps)
+    return total
+
+
 class TestSavingsSnapshot:
     def test_snapshot_window_and_values(self):
         providers = [Provider("a", 10, 5.0), Provider("b", 10, 5.0)]
@@ -551,6 +547,27 @@ class TestSavingsSnapshot:
         savings = savings_snapshot(ledgers, providers)
         assert savings["a"] == pytest.approx(15.0)
         assert savings["b"] == pytest.approx(0.0)
+
+    def test_matches_per_provider_fold_bit_for_bit(self):
+        rng = np.random.default_rng(606)
+        for _ in range(40):
+            providers = [Provider(pid, 12, float(rng.uniform(1.0, 9.0))) for pid in "abcd"]
+
+            def entries(ids):
+                return {pid: (int(rng.integers(1, 13)), float(rng.uniform(0.1, 9.0))) for pid in ids}
+
+            # "x" was excluded after year 1; "b" is missing from year 2;
+            # "c" reported nothing in year 3; "d" never appears
+            first = entries("xabc")
+            second = entries("ac")
+            third = {**entries("cab"), "c": (0, 0.0)}
+            ledgers = [_ledger(1, first), _ledger(2, second), _ledger(3, third)]
+            savings = savings_snapshot(ledgers, providers)
+            assert list(savings) == [p.id for p in providers]
+            for p in providers:
+                assert savings[p.id].hex() == _saving_fold(ledgers, p).hex()
+                assert privacy_saving(ledgers, p).hex() == savings[p.id].hex()
+            assert savings["d"] == 0.0
 
 
 class TestPenaltyCondition:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import scalar_stats
 from fedmarket.errors import DomainError
 from fedmarket.privacy import (
     AggregationMode,
@@ -219,17 +220,21 @@ class TestMeasureColumns:
     def test_columns_and_levels_match_the_scalar_fold_bit_for_bit(self, mode):
         rng = np.random.default_rng(4242)
         for _ in range(50):
-            measure = Measure(mode, int(rng.integers(2, 40)))
+            k = int(rng.integers(2, 40))
+            measure = Measure(mode, k)
             d = rng.integers(1, 50, int(rng.integers(1, 30)))
             eps = rng.uniform(1e-3, 30.0, d.size)
+            rows = [scalar_stats(mode, k, *b) for b in zip(d.tolist(), eps.tolist())]
             totals, levels = [0.0] * measure.width, []
-            for d_i, eps_i in zip(d.tolist(), eps.tolist()):
-                measure.add(totals, d_i, eps_i)
+            for row in rows:
+                for j, x in enumerate(row):
+                    totals[j] += x
                 levels.append(measure.level(totals))
             columns = measure.columns(d, eps)
-            assert [c.tolist() for c in columns] == [
-                list(s) for s in zip(*(measure.stats(*b) for b in zip(d.tolist(), eps.tolist())))
-            ]
+            assert [c.tolist() for c in columns] == [list(s) for s in zip(*rows)]
+            added = [0.0] * measure.width
+            measure.add(added, d, eps)
+            assert [x.hex() for x in added] == [float(x).hex() for x in totals]
             running = [np.add.accumulate(c) for c in columns]
             assert [x.hex() for x in measure.levels(running)] == [x.hex() for x in levels]
 
