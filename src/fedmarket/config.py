@@ -51,6 +51,15 @@ def _check_types(spec, prefix: str = "") -> None:
                 raise ConfigError(f"{prefix}{f.name} must be {noun}, got {value!r}")
 
 
+def _check_ranges(spec, prefix: str, *checks: tuple[str, bool, str]) -> None:
+    """Raise a ConfigError, led by its key, for the first ``(key, ok, requirement)`` not ok."""
+    for key, ok, requirement in checks:
+        if not ok:
+            value = getattr(spec, key)
+            shown = list(value) if isinstance(value, tuple) else value
+            raise ConfigError(f"{prefix}{key}: {requirement}, got {shown!r}")
+
+
 def _fed(keys: str, build):
     """``build()``, with a range error turned into a ConfigError naming ``keys``."""
     try:
@@ -71,11 +80,15 @@ class ThresholdDist:
     def __post_init__(self) -> None:
         _check_types(self, "thresholds.")
         if not self.low < self.high:
-            raise ConfigError(f"degenerate threshold interval [{self.low}, {self.high}]")
-        if self.stddev <= 0:
-            raise ConfigError("threshold stddev must be positive")
-        if self.low <= 0:
-            raise ConfigError("threshold interval must be positive")
+            raise ConfigError(
+                f"thresholds.low, thresholds.high: degenerate interval [{self.low}, {self.high}]"
+            )
+        _check_ranges(
+            self,
+            "thresholds.",
+            ("stddev", self.stddev > 0, "must be positive"),
+            ("low", self.low > 0, "must be positive"),
+        )
 
 
 def sample_thresholds(
@@ -153,32 +166,29 @@ class ScenarioConfig:
             "initial_eps_low, freerider_initial_eps_high, freerider_points_per_round",
             lambda: self.freerider_policy(self.policy),
         )
-        if self.master_seed < 0:
-            raise ConfigError("master seed must be non-negative")
-        if self.replications < 1:
-            raise ConfigError("need at least one replication")
-        if self.max_rounds < 1:
-            raise ConfigError("need at least one collection round")
-        if self.data_points < 1:
-            raise ConfigError("providers need at least one data point")
-        for key in ("federation_sizes", "freerider_sizes", "timing_sizes"):
-            sizes = getattr(self, key)
-            if not sizes or min(sizes) < 1:
-                raise ConfigError(f"{key}: need a non-empty list of sizes >= 1, got {list(sizes)}")
-        if not self.targets or any(t <= 0 for t in self.targets):
-            raise ConfigError("targets must be positive")
-        if not self.delta_thresholds or any(d <= 0 for d in self.delta_thresholds):
-            raise ConfigError("free-rider thresholds must be a non-empty list of positive values")
-        if self.tolerance_window < 1 or self.warmup_years < 0:
-            raise ConfigError("tolerance window and warmup years must be sane")
-        if self.freerider_years < 1 or self.freerider_rounds_per_year < 1:
-            raise ConfigError("free-rider experiment needs at least one year and round")
-        if not 0.0 < self.timing_target_fraction < 1.0:
-            raise ConfigError("timing target fraction must lie in (0, 1)")
-        if self.shapley_samples < 1:
-            raise ConfigError("need at least one permutation sample")
-        if self.timing_repeats < 1:
-            raise ConfigError("timing experiment needs at least one repeat")
+        _check_ranges(
+            self,
+            "",
+            ("master_seed", self.master_seed >= 0, "must be non-negative"),
+            ("replications", self.replications >= 1, "must be at least 1"),
+            ("max_rounds", self.max_rounds >= 1, "must be at least 1"),
+            ("data_points", self.data_points >= 1, "must be at least 1"),
+            *(
+                (key, min(getattr(self, key), default=0) >= 1, "must be a non-empty list of sizes >= 1")
+                for key in ("federation_sizes", "freerider_sizes", "timing_sizes")
+            ),
+            *(
+                (key, min(getattr(self, key), default=0) > 0, "must be a non-empty list of positive values")
+                for key in ("targets", "delta_thresholds")
+            ),
+            ("tolerance_window", self.tolerance_window >= 1, "must be at least 1"),
+            ("warmup_years", self.warmup_years >= 0, "must be non-negative"),
+            ("freerider_years", self.freerider_years >= 1, "must be at least 1"),
+            ("freerider_rounds_per_year", self.freerider_rounds_per_year >= 1, "must be at least 1"),
+            ("timing_target_fraction", 0.0 < self.timing_target_fraction < 1.0, "must lie in (0, 1)"),
+            ("shapley_samples", self.shapley_samples >= 1, "must be at least 1"),
+            ("timing_repeats", self.timing_repeats >= 1, "must be at least 1"),
+        )
 
     def collection_policy(self, kind: PolicyKind) -> CollectionPolicy:
         return CollectionPolicy(

@@ -4,7 +4,14 @@ A threshold game pays the full prize to any coalition whose aggregated
 information reaches the promised level, and nothing otherwise. Three
 evaluators are provided:
 
-* ``shapley_exact`` enumerates every coalition (guarded at n <= 30),
+* ``shapley_exact`` enumerates every coalition (guarded at n <= 30)
+  and counts the winning ones by size and by member, as power-index
+  algorithms do (Matsui & Matsui 2000). The coalitions come in chunks
+  of up to 2^20, each a matrix of win flags whose rows and columns are
+  two halves of the low players; two histograms of a chunk (winners per
+  row and column popcount, and per row popcount and column) and small
+  cached bit tables give every player's count per size, with no pass
+  over the chunk per player,
 * ``shapley_pruned`` enumerates only losing coalitions and must
   reproduce the exact shares bit for bit. Pruning needs a monotone
   measure (the additive ones): their statistics are non-negative and
@@ -35,10 +42,11 @@ running sum and float accumulator give.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -51,7 +59,10 @@ MAX_ENUMERATION_PLAYERS = 30
 # structure worth pruning; sampling is the right tool there.
 MAX_FRONTIER = 1 << 24
 
-_LOW_BITS = 20  # chunk granularity for the exact enumeration
+# Players enumerated inside one chunk of the exact enumeration, and the
+# largest chunk tallied as a single row of masks (see ``_exact_counts``).
+_LOW_BITS = 20
+_FLAT_BITS = 10
 # Orderings drawn per step of the sampler. The draws come in row order,
 # so this sets speed and memory only, never the shares. Measured on the
 # split-games large games (n = 25, 50, 100) and n = 24 settle splits,
@@ -148,53 +159,125 @@ def _guard_enumeration(n: int, method: str) -> None:
         )
 
 
+class _Masks(NamedTuple):
+    """The masks 0 .. 2^bits - 1 in popcount order, ascending within a popcount."""
+
+    order: np.ndarray  # the masks in that order
+    starts: np.ndarray  # where popcounts 0 .. bits begin in ``order``
+    members: np.ndarray  # bool (1 + bits, 2^bits): a row of True, then bit j of each mask
+
+
+@functools.cache
+def _masks(bits: int) -> _Masks:
+    member = np.arange(1 << bits) >> np.arange(bits)[:, None] & 1
+    popcount = member.sum(axis=0)
+    order = np.argsort(popcount, kind="stable")
+    starts = np.searchsorted(popcount[order], np.arange(bits + 1))
+    members = np.vstack([np.ones(1 << bits, dtype=bool), member[:, order] == 1])
+    for table in (order, starts, members):
+        table.setflags(write=False)  # shared by every caller
+    return _Masks(order, starts, members)
+
+
+@functools.cache
+def _size_keys(row_bits: int, col_bits: int) -> np.ndarray:
+    """``bincount`` keys that send entry [i, p, q] of a tally array to [i, p + q]."""
+    bits = row_bits + col_bits
+    i, p, q = np.indices((bits + 1, row_bits + 1, col_bits + 1))
+    keys = (i * (bits + 1) + p + q).ravel()
+    keys.setflags(write=False)  # shared by every caller
+    return keys
+
+
+def _chunk_counts(win: np.ndarray) -> np.ndarray:
+    """Winning masks of one chunk by size: row 0 counts them all, row 1 + j those with bit j.
+
+    ``win`` is the chunk's 2^c x 2^a matrix of win flags, mask = col | row << a,
+    with its rows in mask order and its columns in popcount order. With
+    c = 0 one ``reduceat`` over the popcount groups counts the winners and
+    each bit's. Otherwise two histograms come from the matrix: winners per
+    (row, column popcount) and per (row popcount, column). The bit tables
+    of ``_masks`` turn the second into each column bit's tally and the first
+    into each row bit's, both by (row popcount, column popcount), and one
+    ``bincount`` adds those up by size. Every count is an exact integer; the
+    ``bincount`` weights are floats below 2^53. The kernels are numpy
+    reductions, not ``@``: a float matmul can be as fast with one BLAS
+    thread, but a multithreaded BLAS made it up to 20x slower on a busy
+    2-vCPU machine, and nothing here sets the BLAS thread count.
+    """
+    c, a = (n.bit_length() - 1 for n in win.shape)
+    cols, rows = _masks(a), _masks(c)
+    if c == 0:
+        return np.add.reduceat(cols.members & win, cols.starts, axis=1, dtype=np.int64)
+    flags = win[rows.order]
+    by_row = np.add.reduceat(flags, cols.starts, axis=1, dtype=np.int32)  # (2^c, a + 1)
+    by_col = np.empty((c + 1, 1 << a), dtype=np.int32)
+    for p, (lo, hi) in enumerate(itertools.pairwise([*rows.starts, 1 << c])):
+        flags[lo:hi].sum(axis=0, dtype=np.int32, out=by_col[p])
+    tallies = np.concatenate(  # [i, row popcount, column popcount]
+        [
+            np.add.reduceat(cols.members[:, None, :] * by_col, cols.starts, axis=2),
+            np.add.reduceat(rows.members[1:, :, None] * by_row, rows.starts, axis=1),
+        ]
+    )
+    sizes = np.bincount(_size_keys(c, a), weights=tallies.ravel(), minlength=(a + c + 1) ** 2)
+    return sizes.reshape(a + c + 1, a + c + 1).astype(np.int64)
+
+
 def _exact_counts(game: ThresholdGame) -> tuple[np.ndarray, np.ndarray]:
     """Winning-coalition counts per size, total and per player.
 
     Returns (wins_by_size)[r] and (wins_with_player)[i, r], both exact
-    integer tallies over the full 2^n enumeration. Aggregates are built
-    by adding one player at a time in ascending index order so that each
-    coalition's float value is the canonical fold.
+    integer tallies over the full 2^n enumeration.
+
+    The low players 0 .. low - 1 (low = min(n, _LOW_BITS)) span a chunk of
+    2^low coalitions, held as a 2^c x 2^a matrix: the a column bits are
+    players 0 .. a - 1, the c row bits the players above them, with c = 0
+    up to 2^_FLAT_BITS coalitions and c = low // 2 beyond. Aggregates are
+    built by doubling, adding one player at a time in ascending index order,
+    so that each coalition's float is the canonical fold; the columns are
+    put in popcount order once, before any row player is added. Each subset
+    of the high players is one chunk, whose aggregates are its parent
+    chunk's (the same subset without its top player) plus that player's
+    statistics, so the fold stays ascending. ``_chunk_counts`` turns a
+    chunk's win flags into per-size tallies of all winners and of each low
+    player, shifted by the number of high players; each high player in the
+    subset is credited the chunk's whole size histogram. Counts across
+    chunks add up in int64.
     """
     n = game.n
     low = min(n, _LOW_BITS)
-    low_size = 1 << low
+    c = 0 if low <= _FLAT_BITS else low // 2
+    a = low - c
     measure = game.measure
     stats = _player_stats(game)
 
-    low_totals = np.zeros((measure.width, low_size))
-    for i in range(low):
+    low_totals = np.zeros((measure.width, 1 << c, 1 << a))
+    cols = low_totals[:, 0]
+    for i in range(a):
         step = 1 << i
-        low_totals[:, step : 2 * step] = low_totals[:, :step] + stats[:, i : i + 1]
-
-    low_pop = np.zeros(low_size, dtype=np.uint8)
-    for i in range(low):
+        cols[:, step : 2 * step] = cols[:, :step] + stats[:, i : i + 1]
+    cols[:] = cols[:, _masks(a).order]
+    for i in range(c):
         step = 1 << i
-        low_pop[step : 2 * step] = low_pop[:step] + 1
+        low_totals[:, step : 2 * step] = low_totals[:, :step] + stats[:, a + i, None, None]
 
     wins_by_size = np.zeros(n + 1, dtype=np.int64)
     wins_with_player = np.zeros((n, n + 1), dtype=np.int64)
-    low_bits = [np.int64(1) << np.int64(i) for i in range(low)]
 
-    for high_mask in range(1 << (n - low)):
-        high_players = [low + j for j in range(n - low) if high_mask >> j & 1]
-        totals = low_totals
-        for p in high_players:  # ascending, keeps the fold canonical
-            totals = totals + stats[:, p : p + 1]
+    def visit(high: list[int], totals: np.ndarray) -> None:
+        win = measure.wins(totals, game.target)
+        if win.any():
+            counts = _chunk_counts(win)
+            sizes = slice(len(high), len(high) + low + 1)
+            wins_by_size[sizes] += counts[0]
+            wins_with_player[:low, sizes] += counts[1:]
+            for p in high:
+                wins_with_player[p, sizes] += counts[0]
+        for p in range(high[-1] + 1 if high else low, n):  # ascending, keeps the fold canonical
+            visit(high + [p], totals + stats[:, p, None, None])
 
-        widx = np.flatnonzero(measure.wins(totals, game.target))
-        if widx.size == 0:
-            continue
-        sizes_w = (low_pop[widx] + len(high_players)).astype(np.int64)
-        chunk_by_size = np.bincount(sizes_w, minlength=n + 1)
-        wins_by_size += chunk_by_size
-        for i in range(low):
-            sel = (widx & low_bits[i]) != 0
-            if sel.any():
-                wins_with_player[i] += np.bincount(sizes_w[sel], minlength=n + 1)
-        for p in high_players:
-            wins_with_player[p] += chunk_by_size
-
+    visit([], low_totals)
     return wins_by_size, wins_with_player
 
 
@@ -250,7 +333,8 @@ def _pruned_numerators(game: ThresholdGame) -> list[int]:
     them containing i, player i is pivotal (S loses, S + {i} wins) for
     L_s - c_s(i) - c_{s+1}(i) coalitions S of size s: the losing ones
     without i, less those whose S + {i} still loses. Each pivot carries
-    weight s! (n - 1 - s)!.
+    weight s! (n - 1 - s)!. Once a layer is empty, so are all larger ones,
+    and the growth stops.
     """
     n = game.n
     measure = game.measure
@@ -269,6 +353,8 @@ def _pruned_numerators(game: ThresholdGame) -> list[int]:
 
     for s in range(n):
         losing = masks.size  # L_s
+        if losing == 0:
+            break
         # the parents of child j are the prefix of the layer with tops below j
         ends = np.searchsorted(tops, players)
         child_tops = np.repeat(players, ends)

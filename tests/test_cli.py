@@ -3,6 +3,9 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -11,6 +14,7 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import fedmarket
 from fedmarket.cli import main
 from fedmarket.config import load_config
 from fedmarket.manifest import config_digest, file_digest
@@ -219,6 +223,22 @@ def _game_text(d=1, eps=1.0, k=2, target=1.0, prize=10.0):
             "players": [{"id": "p1", "batches": [{"d": d, "eps": eps}]}],
         }
     )
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    path = tmp_path / "game.json"
+    path.write_text(_game_text(target=0.5))
+    src = str(Path(fedmarket.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run(
+        [sys.executable, "-m", "fedmarket", "shapley", str(path), "--method", "exact"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["shares"] == {"p1": 10.0}
 
 
 @pytest.mark.parametrize(

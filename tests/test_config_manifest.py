@@ -99,8 +99,8 @@ class TestConfigLoading:
     @pytest.mark.parametrize(
         "command, text, key",
         [
-            ("exp-timing", "timing_repeats: 0\n", None),
-            ("simulate", "delta_thresholds: []\n", None),
+            ("exp-timing", "timing_repeats: 0\n", "timing_repeats"),
+            ("simulate", "delta_thresholds: []\n", "delta_thresholds"),
             ("simulate", "federation_sizes: 5\n", None),
             ("exp-rounds", "targets: [125.0\n", None),
             ("simulate", "thresholds: {mean: x}\n", None),
@@ -128,6 +128,22 @@ class TestConfigLoading:
             ("exp-freeriders", "freerider_sizes: []\n", "freerider_sizes"),
             ("exp-timing", "timing_sizes: []\n", "timing_sizes"),
             ("exp-rounds", "federation_sizes: [0]\n", "federation_sizes"),
+            ("exp-freeriders", "tolerance_window: 0\n", "tolerance_window"),
+            ("exp-freeriders", "warmup_years: -1\n", "warmup_years"),
+            ("exp-freeriders", "freerider_years: 0\n", "freerider_years"),
+            ("exp-freeriders", "freerider_rounds_per_year: 0\n", "freerider_rounds_per_year"),
+            ("exp-rounds", "targets: [125.0, -1.0]\n", "targets"),
+            ("exp-rounds", "targets: []\n", "targets"),
+            ("simulate", "delta_thresholds: [1.0, 0.0]\n", "delta_thresholds"),
+            ("simulate", "master_seed: -1\n", "master_seed"),
+            ("simulate", "replications: 0\n", "replications"),
+            ("simulate", "max_rounds: 0\n", "max_rounds"),
+            ("simulate", "data_points: 0\n", "data_points"),
+            ("exp-timing", "timing_target_fraction: 1.0\n", "timing_target_fraction"),
+            ("simulate", "shapley_samples: 0\n", "shapley_samples"),
+            ("simulate", "thresholds: {stddev: 0.0}\n", "thresholds.stddev"),
+            ("simulate", "thresholds: {low: -1.0}\n", "thresholds.low"),
+            ("simulate", "thresholds: {low: 9.0, high: 2.0}\n", "thresholds.high"),
         ],
         ids=[
             "zero-timing-repeats",
@@ -155,6 +171,22 @@ class TestConfigLoading:
             "empty-freerider-sizes",
             "empty-timing-sizes",
             "zero-federation-size",
+            "zero-tolerance-window",
+            "negative-warmup-years",
+            "zero-freerider-years",
+            "zero-freerider-rounds",
+            "negative-target",
+            "empty-targets",
+            "zero-delta-threshold",
+            "negative-seed",
+            "zero-replications",
+            "zero-max-rounds",
+            "zero-data-points",
+            "timing-fraction-one",
+            "zero-shapley-samples",
+            "zero-threshold-stddev",
+            "negative-threshold-low",
+            "threshold-low-above-high",
         ],
     )
     def test_cli_rejects_with_one_line(self, command, text, key, tmp_path, capsys):
@@ -163,7 +195,7 @@ class TestConfigLoading:
         assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
-        if key is not None:  # a range error names the config keys it came from
+        if key is not None:  # a range error starts with the config keys it came from
             assert key in [name.strip() for name in err.split(":")[1].split(",")]
 
 

@@ -313,6 +313,102 @@ class TestSampledMatchesReference:
         assert all(v.hex() == (0.0).hex() for v in result.shares.values())
 
 
+def _reference_exact_counts(game):
+    """The per-bit tally: one select-and-``bincount`` pass per low player per chunk.
+
+    Kept as the reference for ``shapley._exact_counts``. It recomputes each
+    chunk's aggregates from the low totals, folding in its high players in
+    ascending order, and reads the same ``_LOW_BITS``.
+    """
+    n = game.n
+    low = min(n, shapley._LOW_BITS)
+    measure = game.measure
+    stats = shapley._player_stats(game)
+    low_totals = np.zeros((measure.width, 1 << low))
+    low_pop = np.zeros(1 << low, dtype=np.int64)
+    for i in range(low):
+        step = 1 << i
+        low_totals[:, step : 2 * step] = low_totals[:, :step] + stats[:, i : i + 1]
+        low_pop[step : 2 * step] = low_pop[:step] + 1
+    wins_by_size = np.zeros(n + 1, dtype=np.int64)
+    wins_with_player = np.zeros((n, n + 1), dtype=np.int64)
+    for high_mask in range(1 << (n - low)):
+        high_players = [low + j for j in range(n - low) if high_mask >> j & 1]
+        totals = low_totals
+        for p in high_players:
+            totals = totals + stats[:, p : p + 1]
+        widx = np.flatnonzero(measure.wins(totals, game.target))
+        sizes = low_pop[widx] + len(high_players)
+        chunk_by_size = np.bincount(sizes, minlength=n + 1)
+        wins_by_size += chunk_by_size
+        for i in range(low):
+            wins_with_player[i] += np.bincount(sizes[(widx >> i & 1) == 1], minlength=n + 1)
+        for p in high_players:
+            wins_with_player[p] += chunk_by_size
+    return wins_by_size, wins_with_player
+
+
+class TestExactCountsMatchReference:
+    def _assert_same(self, game):
+        wins_by_size, wins_with_player = shapley._exact_counts(game)
+        expected_by_size, expected_with_player = _reference_exact_counts(game)
+        assert wins_by_size.dtype == wins_with_player.dtype == np.int64
+        assert np.array_equal(wins_by_size, expected_by_size)
+        assert np.array_equal(wins_with_player, expected_with_player)
+        return wins_by_size, wins_with_player
+
+    @pytest.mark.parametrize("mode", ALL_MODES, ids=lambda m: m.value)
+    def test_one_chunk(self, mode):
+        rng = np.random.default_rng(2718)
+        for n in range(1, 19):
+            self._assert_same(random_threshold_game(rng, mode, max_players=n, min_players=n))
+
+    # chunks of 8 and 16 coalitions tallied as one row, and of 2^11 as a 32 x 64 matrix
+    @pytest.mark.parametrize("low_bits, sizes", ((3, range(5, 13)), (4, range(5, 13)), (11, (12, 13))))
+    @pytest.mark.parametrize("mode", ALL_MODES, ids=lambda m: m.value)
+    def test_many_chunks(self, mode, low_bits, sizes, monkeypatch):
+        monkeypatch.setattr(shapley, "_LOW_BITS", low_bits)
+        rng = np.random.default_rng(31 + low_bits)
+        for n in sizes:
+            for _ in range(2):
+                self._assert_same(random_threshold_game(rng, mode, max_players=n, min_players=n))
+
+    def test_two_full_chunks_krr(self):
+        game = random_threshold_game(
+            np.random.default_rng(21), AggregationMode.KRR_COMPOSITION, max_players=21, min_players=21
+        )
+        assert game.n == shapley._LOW_BITS + 1
+        wins_by_size, _ = self._assert_same(game)
+        assert wins_by_size.sum() > 0
+
+    @pytest.mark.parametrize("low_bits", (2, 20))
+    def test_edge_games(self, low_bits, monkeypatch):
+        monkeypatch.setattr(shapley, "_LOW_BITS", low_bits)
+        n = 6
+        nobody = _additive_game((1.0,) * n, 100.0, 10.0)
+        wins_by_size, wins_with_player = self._assert_same(nobody)
+        assert not wins_by_size.any() and not wins_with_player.any()
+
+        everyone = _additive_game((1.0,) * n, 0.5, 10.0)
+        wins_by_size, wins_with_player = self._assert_same(everyone)
+        sizes = [math.comb(n, r) for r in range(n + 1)]
+        assert wins_by_size.tolist() == [0, *sizes[1:]]
+        assert wins_with_player.tolist() == [[0, *(math.comb(n - 1, r - 1) for r in range(1, n + 1))]] * n
+
+        players = [(f"p{i}", (ReportBatch(1, 1.0),)) for i in range(n)]
+        players[3] = ("p3", (ReportBatch(0, 2.0), ReportBatch(0, 5.0)))
+        idle = ThresholdGame(
+            tuple(players), AggregationMode.ADDITIVE_INFORMATION, 2.0, 10.0, AlphabetSpec(2)
+        )
+        wins_by_size, wins_with_player = self._assert_same(idle)
+        numerators = shapley._enumerated_numerators(idle)
+        assert numerators[3] == 0 and all(num > 0 for i, num in enumerate(numerators) if i != 3)
+
+        diluted = _krr_game(DILUTED_KRR + ((1, 6.0), (3, 2.0), (20, 0.05)), 4.0, 30.0)
+        self._assert_same(diluted)
+        assert min(shapley._enumerated_numerators(diluted)) < 0
+
+
 class TestPivotCountIdentity:
     """Pairs with nonzero marginal, counted two independent ways.
 
