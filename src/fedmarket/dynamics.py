@@ -98,7 +98,6 @@ class YearLedger:
 
     year: int
     target: float
-    mode: AggregationMode
     rounds_used: int
     achieved: float
     reached: bool
@@ -312,7 +311,6 @@ def run_collection_year(
     return YearLedger(
         year=year,
         target=target,
-        mode=mode,
         rounds_used=rounds_used,
         achieved=achieved,
         reached=achieved >= target,

@@ -32,7 +32,7 @@ from .dynamics import (
     savings_snapshot,
 )
 from .errors import OutputError
-from .manifest import write_manifest
+from .manifest import write_json, write_manifest
 from .market import (
     Bid,
     ConsumerOffer,
@@ -96,17 +96,6 @@ def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Mapping]) -> Pa
             writer = csv.writer(handle)
             writer.writerow(header)
             writer.writerows([row[name] for name in header] for row in rows)
-    except OSError as exc:
-        raise OutputError(f"cannot write {path}: {exc}") from exc
-    return path
-
-
-def _write_json(path: Path, payload) -> Path:
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
     except OSError as exc:
         raise OutputError(f"cannot write {path}: {exc}") from exc
     return path
@@ -432,7 +421,7 @@ def simulate(config: ScenarioConfig, out_dir: str | Path) -> dict:
             ("year", "round", "provider", "d_t", "eps_t", "cumulative"),
             trace_rows,
         ),
-        _write_json(
+        write_json(
             out_dir / "ledgers.json",
             [
                 {
@@ -451,7 +440,7 @@ def simulate(config: ScenarioConfig, out_dir: str | Path) -> dict:
                 for ledger in ledgers
             ],
         ),
-        _write_json(
+        write_json(
             out_dir / "deal.json",
             {
                 "budget": offer.budget,
@@ -467,7 +456,7 @@ def simulate(config: ScenarioConfig, out_dir: str | Path) -> dict:
                 "aggregation": config.aggregation.value,
             },
         ),
-        _write_json(
+        write_json(
             out_dir / "shares.json",
             {
                 "method": result.method,
@@ -476,7 +465,7 @@ def simulate(config: ScenarioConfig, out_dir: str | Path) -> dict:
                 "shares": {pid: share for pid, share in sorted(result.shares.items())},
             },
         ),
-        _write_json(
+        write_json(
             out_dir / "penalties.json",
             {
                 "savings": savings,

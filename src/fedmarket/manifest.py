@@ -31,6 +31,18 @@ def file_digest(path: str | Path) -> str:
     return digest.hexdigest()
 
 
+def write_json(path: Path, payload) -> Path:
+    """Write ``payload`` as key-sorted, indented JSON plus a newline."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "w") as handle:
+            json.dump(payload, handle, indent=2, sort_keys=True)
+            handle.write("\n")
+    except OSError as exc:
+        raise OutputError(f"cannot write {path}: {exc}") from exc
+    return path
+
+
 @dataclass(frozen=True)
 class RunManifest:
     config_digest: str
@@ -54,13 +66,7 @@ def write_manifest(
         seeds=dict(seeds),
         outputs={p.name: file_digest(p) for p in sorted(output_paths)},
     )
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w") as handle:
-            json.dump(asdict(manifest), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-    except OSError as exc:
-        raise OutputError(f"cannot write manifest {path}: {exc}") from exc
+    write_json(path, asdict(manifest))
     return manifest
 
 

@@ -1,43 +1,49 @@
 """Threshold-game characteristic function and Shapley evaluators.
 
 A threshold game pays the full prize to any coalition whose aggregated
-information reaches the promised level, and nothing otherwise. Three
-evaluators are provided:
+information reaches the promised level, and nothing otherwise. Every
+evaluator reduces to one quantity, player i's net marginal count at prefix
+size s: the sum over |S| = s, i not in S, of v(S + i) - v(S), in units of
+the prize. The two enumerators return it as one int64 matrix
+``marginals[i, s]``, which ``_shares`` turns into shares by weighting
+column s with s! (n - 1 - s)! in Python ints and dividing once by n!:
 
 * ``shapley_exact`` enumerates every coalition (guarded at n <= 30)
   and counts the winning ones by size and by member, as power-index
-  algorithms do (Matsui & Matsui 2000). The coalitions come in chunks
-  of up to 2^20, each a matrix of win flags whose rows and columns are
-  two halves of the low players; two histograms of a chunk (winners per
-  row and column popcount, and per row popcount and column) and small
-  cached bit tables give every player's count per size, with no pass
-  over the chunk per player,
+  algorithms do (Matsui & Matsui 2000); the marginal at size s is the
+  winners of size s + 1 with i less the winners of size s without i.
+  The coalitions come in chunks of up to 2^20, each a matrix of win
+  flags whose rows and columns are two halves of the low players; two
+  histograms of a chunk (winners per row and column popcount, and per
+  row popcount and column) and small cached bit tables give every
+  player's count per size, with no pass over the chunk per player,
 * ``shapley_pruned`` enumerates only losing coalitions and must
   reproduce the exact shares bit for bit. Pruning needs a monotone
   measure (the additive ones): their statistics are non-negative and
   IEEE addition is monotone, so losing coalitions are downward closed
-  even in floating point, and player i's pivot count at size s is
+  even in floating point, and player i's marginal at size s is
   L_s - c_s(i) - c_{s+1}(i), where L_s losing coalitions have size s and
   c_s(i) of them contain i. kRR composition is not monotone, so a kRR
-  game is tallied over the full enumeration instead,
+  game takes the full enumeration's matrix instead,
 * ``shapley_sampled`` is the permutation-sampling estimator for
-  federations too large to enumerate (Castro, Gomez & Tejada 2009).
+  federations too large to enumerate (Castro, Gomez & Tejada 2009). It
+  samples the same marginals: one tally of every rise and fall of the
+  win flag along each ordering, whose net count per player goes through
+  the same final division, by the sample count.
 
 Bit-for-bit agreement between the first two is engineered, not hoped
 for: every player's statistics come from ``privacy.Measure``, every
 coalition's aggregate is computed by folding player statistics in
 ascending player order (the exact evaluator's doubling scheme and the
 pruned evaluator's colex frontier extension produce the identical float),
-winning flags are decided by the measure's one predicate, and the
-factorial weights are accumulated in exact integer arithmetic with a
-single late division.
+winning flags are decided by the measure's one predicate, and both return
+the same integer matrix.
 
-The sampler holds each batch of orderings position-major, folds prefix
-sums one position at a time across the batch, and counts +1 and -1
-marginals per player as exact integers (``up``, ``down``) with a single
-late division, so its shares do not depend on the batch size;
-``shapley_sampled`` says why each share is the float an ordering-major
-running sum and float accumulator give.
+The sampler holds each batch of orderings position-major and folds
+prefix sums one position at a time across the batch. Its counts are
+exact integers with a single late division, so its shares do not depend
+on the batch size; ``shapley_sampled`` says why each share is the float
+an ordering-major running sum and float accumulator give.
 """
 
 from __future__ import annotations
@@ -45,6 +51,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple
 
@@ -143,11 +150,29 @@ def characteristic(subset: Iterable[str], game: ThresholdGame) -> float:
     return game.prize if game.measure.wins(totals, game.target) else 0.0
 
 
-def _shares_from_numerators(game: ThresholdGame, numerators: list[int]) -> dict[str, float]:
-    n_fact = math.factorial(game.n)
+def _shares(
+    game: ThresholdGame, marginals: np.ndarray, samples: int | None = None
+) -> dict[str, float]:
+    """Each player's share, prize * (num / den), from exact integer counts.
+
+    ``marginals[i, s]`` sums v(S + i) - v(S) over the coalitions S of size
+    s without player i, in units of the prize. Each such S precedes i in
+    s! (n - 1 - s)! of the n! orderings, so num weights column s by that
+    and den = n!. The sampler passes one column, each player's net count
+    over its ``samples`` orderings: num is that count and den = samples.
+    Every weight and sum is a Python int; the one division per player is
+    correctly rounded, signed zeros included.
+    """
+    if samples is None:
+        n = game.n
+        columns = np.flatnonzero(marginals.any(axis=0)).tolist()
+        weights = [math.factorial(s) * math.factorial(n - 1 - s) for s in columns]
+        marginals, den = marginals[:, columns], math.factorial(n)
+    else:
+        weights, den = [1], samples
     return {
-        pid: game.prize * (num / n_fact)
-        for (pid, _), num in zip(game.players, numerators)
+        pid: game.prize * (sum(map(operator.mul, weights, row)) / den)
+        for (pid, _), row in zip(game.players, marginals.tolist())
     }
 
 
@@ -281,44 +306,25 @@ def _exact_counts(game: ThresholdGame) -> tuple[np.ndarray, np.ndarray]:
     return wins_by_size, wins_with_player
 
 
-def _enumerated_numerators(game: ThresholdGame) -> list[int]:
-    """Shapley numerators (shares times n! / prize) from the full enumeration.
+def _enumerated_marginals(game: ThresholdGame) -> np.ndarray:
+    """Net marginal counts from the full enumeration's winning-coalition counts.
 
-    The per-player sum of weighted marginal contributions is regrouped as
-    a sum over winning coalitions: a winning R adds weight (|R|-1)!(n-|R|)!
-    for each member and subtracts |R|!(n-1-|R|)! for each non-member.
+    Over |S| = s, i not in S, v(S + i) sums to the W_{s+1}(i) winners of
+    size s + 1 with i, and v(S) to the W_s - W_s(i) winners of size s
+    without i.
     """
-    n = game.n
     wins_by_size, wins_with_player = _exact_counts(game)
-    fact = [math.factorial(r) for r in range(n + 1)]
-    numerators = []
-    for i in range(n):
-        num = 0
-        for r in range(n + 1):
-            total = int(wins_by_size[r])
-            if total == 0:
-                continue
-            with_i = int(wins_with_player[i, r])
-            if r >= 1:
-                num += fact[r - 1] * fact[n - r] * with_i
-            if r <= n - 1:
-                num -= fact[r] * fact[n - 1 - r] * (total - with_i)
-        numerators.append(num)
-    return numerators
+    return wins_with_player[:, 1:] - (wins_by_size[:-1] - wins_with_player[:, :-1])
 
 
 def shapley_exact(game: ThresholdGame) -> ShapleyResult:
-    """Shapley shares by full enumeration of all 2^n coalitions.
-
-    Weights are exact integers; the single division happens at the end.
-    """
+    """Shapley shares by full enumeration of all 2^n coalitions."""
     _guard_enumeration(game.n, "shapley_exact")
-    numerators = _enumerated_numerators(game)
-    return ShapleyResult(shares=_shares_from_numerators(game, numerators), method="exact")
+    return ShapleyResult(shares=_shares(game, _enumerated_marginals(game)), method="exact")
 
 
-def _pruned_numerators(game: ThresholdGame) -> list[int]:
-    """Shapley numerators from pivot counts, for a monotone measure.
+def _pruned_marginals(game: ThresholdGame) -> np.ndarray:
+    """Net marginal counts from the losing coalitions alone, for a monotone measure.
 
     Losing coalitions are grown layer by layer by colex extension: a
     coalition is extended only by players above its top, in ascending
@@ -332,28 +338,26 @@ def _pruned_numerators(game: ThresholdGame) -> list[int]:
     of the next layer. With L_s losing coalitions of size s, c_s(i) of
     them containing i, player i is pivotal (S loses, S + {i} wins) for
     L_s - c_s(i) - c_{s+1}(i) coalitions S of size s: the losing ones
-    without i, less those whose S + {i} still loses. Each pivot carries
-    weight s! (n - 1 - s)!. Once a layer is empty, so are all larger ones,
-    and the growth stops.
+    without i, less those whose S + {i} still loses. Once a layer is
+    empty, so are all larger ones, and the growth stops.
     """
     n = game.n
     measure = game.measure
     values = _player_stats(game)[0]  # a monotone measure carries one statistic
     target = game.target
-    weight = [math.factorial(s) * math.factorial(n - 1 - s) for s in range(n)]
     players = np.arange(n, dtype=np.int64)
     bits = np.int64(1) << players
-    numerators = [0] * n
+    losing = np.zeros(n, dtype=np.int64)  # L_s
+    inside = np.zeros((n + 1, n), dtype=np.int64)  # c_s(i)
 
     masks = np.zeros(1, dtype=np.int64)
     sums = np.zeros(1)
     tops = np.full(1, -1, dtype=np.int64)
-    inside = [0] * n  # c_s(i) of the current layer
     total_frontier = 1
 
     for s in range(n):
-        losing = masks.size  # L_s
-        if losing == 0:
+        losing[s] = masks.size
+        if masks.size == 0:
             break
         # the parents of child j are the prefix of the layer with tops below j
         ends = np.searchsorted(tops, players)
@@ -369,33 +373,29 @@ def _pruned_numerators(game: ThresholdGame) -> list[int]:
             raise CapacityError(
                 "pruned enumeration frontier exceeded capacity; use shapley_sampled"
             )
+        inside[s + 1] = [np.count_nonzero(masks & bit) for bit in bits]
 
-        inside_next = [int(np.count_nonzero(masks & bit)) for bit in bits]
-        for i in range(n):
-            numerators[i] += weight[s] * (losing - inside[i] - inside_next[i])
-        inside = inside_next
-
-    return numerators
+    return (losing[:, None] - inside[:-1] - inside[1:]).T
 
 
 def shapley_pruned(game: ThresholdGame) -> ShapleyResult:
     """Shapley shares accumulating only threshold-crossing coalitions.
 
     For a threshold game the marginal contribution of player i at S is
-    zero unless adding i crosses the target, so tallying crossing pairs
-    with their factorial weights reproduces the exact shares. Under the
-    additive measures entire branches above the target are skipped, which
-    is where the speedup over full enumeration comes from. kRR composition
-    is not monotone (a low-epsilon batch can dilute the pooled parameter
-    below the target), so its losing coalitions are not downward closed,
-    nothing can be pruned, and the full enumeration's tally is returned.
+    zero unless adding i crosses the target, so counting crossing pairs
+    reproduces the exact shares. Under the additive measures entire
+    branches above the target are skipped, which is where the speedup over
+    full enumeration comes from. kRR composition is not monotone (a
+    low-epsilon batch can dilute the pooled parameter below the target),
+    so its losing coalitions are not downward closed, nothing can be
+    pruned, and the full enumeration's counts are used.
     """
     _guard_enumeration(game.n, "shapley_pruned")
     if game.mode is AggregationMode.KRR_COMPOSITION:
-        numerators = _enumerated_numerators(game)
+        marginals = _enumerated_marginals(game)
     else:
-        numerators = _pruned_numerators(game)
-    return ShapleyResult(shares=_shares_from_numerators(game, numerators), method="pruned")
+        marginals = _pruned_marginals(game)
+    return ShapleyResult(shares=_shares(game, marginals), method="pruned")
 
 
 def shapley_sampled(
@@ -417,11 +417,10 @@ def shapley_sampled(
     every ordering is a left fold in ordering order, so each prefix is
     the same float that a per-ordering cumulative sum gives.
 
-    The monotone measures (one non-negative statistic) lose on the empty
-    prefix and never lose again once they win, so an ordering credits at
-    most its pivotal player, at position n minus its count of winning
-    prefixes. kRR is not monotone: every change of the win flag along an
-    ordering is credited, a rise to ``up`` and a fall to ``down``.
+    Every change of the win flag along an ordering is credited to the
+    player whose step makes it: a rise to ``up``, a fall to ``down``. Under
+    the monotone measures the flag rises at most once and never falls;
+    under kRR a low-epsilon step can make it fall.
 
     The counts are exact integers. Every share, including the sign of a
     zero share, is the float a per-ordering float accumulator of the
@@ -446,19 +445,11 @@ def shapley_sampled(
             for j in range(1, n):
                 np.add(c[j - 1], c[j], out=c[j])
         win = measure.wins(prefix, game.target)
-        if measure.width == 1:
-            crossing = n - np.count_nonzero(win, axis=0)
-            crossed = crossing < n
-            up += np.bincount(order[crossing[crossed], crossed.nonzero()[0]], minlength=n)
-        else:
-            rise = win.copy()
-            rise[1:] &= ~win[:-1]
-            fall = win[:-1] & ~win[1:]
-            up += np.bincount(order[rise], minlength=n)
-            down += np.bincount(order[1:][fall], minlength=n)
+        rise = win.copy()
+        rise[1:] &= ~win[:-1]
+        fall = win[:-1] & ~win[1:]
+        up += np.bincount(order[rise], minlength=n)
+        down += np.bincount(order[1:][fall], minlength=n)
 
-    shares = {
-        pid: game.prize * (float(u - d) / samples)
-        for (pid, _), u, d in zip(game.players, up.tolist(), down.tolist())
-    }
+    shares = _shares(game, (up - down)[:, None], samples)
     return ShapleyResult(shares=shares, method="sampled", sample_count=samples)

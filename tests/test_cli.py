@@ -365,6 +365,16 @@ def test_capacity_error_exit_code(tmp_path, capsys):
     assert main(["shapley", str(path), "--method", "exact"]) == 3
 
 
+@pytest.mark.parametrize(
+    "command, out", (("simulate", "blocker"), ("exp-rounds", "blocker/sub")), ids=("simulate", "exp-rounds")
+)
+def test_output_error_exit_code(command, out, config_path, tmp_path, capsys):
+    (tmp_path / "blocker").write_text("a regular file, not a directory\n")
+    assert main([command, "--config", str(config_path), "--out", str(tmp_path / out)]) == 4
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: cannot write ")
+
+
 def test_cli_overrides_change_outputs(config_path, tmp_path):
     out_a, out_b = tmp_path / "s1", tmp_path / "s2"
     main(["simulate", "--config", str(config_path), "--out", str(out_a), "--seed", "1"])

@@ -15,7 +15,7 @@ from fedmarket.config import (
     load_config,
     sample_thresholds,
 )
-from fedmarket.errors import ConfigError
+from fedmarket.errors import ConfigError, OutputError
 from fedmarket.manifest import (
     config_digest,
     file_digest,
@@ -285,3 +285,8 @@ class TestManifest:
         manifest = write_manifest(tmp_path / "manifest.json", ScenarioConfig(), {}, [])
         assert manifest.outputs == {}
         assert verify_manifest(load_manifest(tmp_path / "manifest.json"), ScenarioConfig(), tmp_path) == []
+
+    def test_unwritable_manifest_raises_output_error(self, tmp_path):
+        (tmp_path / "blocker").write_text("")
+        with pytest.raises(OutputError, match="^cannot write "):
+            write_manifest(tmp_path / "blocker" / "manifest.json", ScenarioConfig(), {}, [])

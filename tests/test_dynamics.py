@@ -44,7 +44,6 @@ def _ledger(year, entries, target=100.0):
     return YearLedger(
         year=year,
         target=target,
-        mode=AggregationMode.ADDITIVE_INFORMATION,
         rounds_used=1,
         achieved=0.0,
         reached=False,

@@ -32,6 +32,9 @@ def _additive_game(contributions, target, prize):
     )
 
 
+MONOTONE_MODES = [m for m in ALL_MODES if m is not AggregationMode.KRR_COMPOSITION]
+
+
 # The worked three-provider split: contributions (1.0, 0.5, 0.3), target
 # 1.4, prize 60. Applying v literally (a coalition pays only when its sum
 # reaches 1.4) both independent oracles give (30, 30, 0): only the
@@ -401,12 +404,13 @@ class TestExactCountsMatchReference:
             tuple(players), AggregationMode.ADDITIVE_INFORMATION, 2.0, 10.0, AlphabetSpec(2)
         )
         wins_by_size, wins_with_player = self._assert_same(idle)
-        numerators = shapley._enumerated_numerators(idle)
-        assert numerators[3] == 0 and all(num > 0 for i, num in enumerate(numerators) if i != 3)
+        marginals = shapley._enumerated_marginals(idle)
+        assert not marginals[3].any()
+        assert all(row.min() >= 0 and row.sum() > 0 for i, row in enumerate(marginals) if i != 3)
 
         diluted = _krr_game(DILUTED_KRR + ((1, 6.0), (3, 2.0), (20, 0.05)), 4.0, 30.0)
         self._assert_same(diluted)
-        assert min(shapley._enumerated_numerators(diluted)) < 0
+        assert shapley._enumerated_marginals(diluted).min() < 0
 
 
 class TestPivotCountIdentity:
@@ -458,6 +462,36 @@ class TestPivotCountIdentity:
                     for s in range(n):
                         weight = math.factorial(s) * math.factorial(n - 1 - s)
                         assert perms[s] == pairs[s] * weight
+
+
+class TestMarginalMatrix:
+    """Both enumerators' ``marginals[i, s]`` against the pair counts, at n <= 6."""
+
+    def _assert_matches_pairs(self, game, marginals):
+        assert marginals.dtype == np.int64 and marginals.shape == (game.n, game.n)
+        for i, pid in enumerate(game.player_ids()):
+            pairs = TestPivotCountIdentity()._pair_counts(game, pid)
+            assert marginals[i].tolist() == [pairs[s] for s in range(game.n)]
+
+    @pytest.mark.parametrize("mode", ALL_MODES, ids=lambda m: m.value)
+    def test_enumerated(self, mode):
+        rng = np.random.default_rng(6061)
+        for _ in range(12):
+            game = random_threshold_game(rng, mode, max_players=6)
+            self._assert_matches_pairs(game, shapley._enumerated_marginals(game))
+
+    @pytest.mark.parametrize("mode", MONOTONE_MODES, ids=lambda m: m.value)
+    def test_pruned(self, mode):
+        rng = np.random.default_rng(6062)
+        for _ in range(12):
+            game = random_threshold_game(rng, mode, max_players=6)
+            self._assert_matches_pairs(game, shapley._pruned_marginals(game))
+
+    def test_krr_game_with_a_negative_entry(self):
+        game = _krr_game(DILUTED_KRR, 4.0, 30.0)
+        marginals = shapley._enumerated_marginals(game)
+        self._assert_matches_pairs(game, marginals)
+        assert marginals[1, 1] < 0  # p1 joining {p0} dilutes it below the target
 
 
 class TestGameValidation:
