@@ -28,8 +28,8 @@ column s with s! (n - 1 - s)! in Python ints and dividing once by n!:
 * ``shapley_sampled`` is the permutation-sampling estimator for
   federations too large to enumerate (Castro, Gomez & Tejada 2009). It
   samples the same marginals: one tally of every rise and fall of the
-  win flag along each ordering, whose net count per player goes through
-  the same final division, by the sample count.
+  win flag along each ordering, whose net count per player is divided
+  once, by the sample count, as prize * (num / den) does above.
 
 Bit-for-bit agreement between the first two is engineered, not hoped
 for: every player's statistics come from ``privacy.Measure``, every
@@ -150,29 +150,22 @@ def characteristic(subset: Iterable[str], game: ThresholdGame) -> float:
     return game.prize if game.measure.wins(totals, game.target) else 0.0
 
 
-def _shares(
-    game: ThresholdGame, marginals: np.ndarray, samples: int | None = None
-) -> dict[str, float]:
-    """Each player's share, prize * (num / den), from exact integer counts.
+def _shares(game: ThresholdGame, marginals: np.ndarray) -> dict[str, float]:
+    """Each player's share, prize * (num / n!), from its net marginal counts.
 
     ``marginals[i, s]`` sums v(S + i) - v(S) over the coalitions S of size
     s without player i, in units of the prize. Each such S precedes i in
-    s! (n - 1 - s)! of the n! orderings, so num weights column s by that
-    and den = n!. The sampler passes one column, each player's net count
-    over its ``samples`` orderings: num is that count and den = samples.
+    s! (n - 1 - s)! of the n! orderings, so num weights column s by that.
     Every weight and sum is a Python int; the one division per player is
     correctly rounded, signed zeros included.
     """
-    if samples is None:
-        n = game.n
-        columns = np.flatnonzero(marginals.any(axis=0)).tolist()
-        weights = [math.factorial(s) * math.factorial(n - 1 - s) for s in columns]
-        marginals, den = marginals[:, columns], math.factorial(n)
-    else:
-        weights, den = [1], samples
+    n = game.n
+    columns = np.flatnonzero(marginals.any(axis=0)).tolist()
+    weights = [math.factorial(s) * math.factorial(n - 1 - s) for s in columns]
+    den = math.factorial(n)
     return {
         pid: game.prize * (sum(map(operator.mul, weights, row)) / den)
-        for (pid, _), row in zip(game.players, marginals.tolist())
+        for (pid, _), row in zip(game.players, marginals[:, columns].tolist())
     }
 
 
@@ -451,5 +444,8 @@ def shapley_sampled(
         up += np.bincount(order[rise], minlength=n)
         down += np.bincount(order[1:][fall], minlength=n)
 
-    shares = _shares(game, (up - down)[:, None], samples)
+    shares = {
+        pid: game.prize * ((u - d) / samples)
+        for (pid, _), u, d in zip(game.players, up.tolist(), down.tolist())
+    }
     return ShapleyResult(shares=shares, method="sampled", sample_count=samples)

@@ -410,7 +410,7 @@ class TestExactCountsMatchReference:
 
         diluted = _krr_game(DILUTED_KRR + ((1, 6.0), (3, 2.0), (20, 0.05)), 4.0, 30.0)
         self._assert_same(diluted)
-        assert shapley._enumerated_marginals(diluted).min() < 0
+        assert min(shapley.shapley_exact(diluted).shares.values()) < 0
 
 
 class TestPivotCountIdentity:
