@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -12,7 +13,7 @@ import numpy as np
 
 from .config import _TYPE_CHECKS, ScenarioConfig, config_from_dict, load_config
 from .dynamics import PolicyKind
-from .errors import ConfigError, FedMarketError
+from .errors import ConfigError, FedMarketError, OutputError
 from .experiments import (
     audit_outputs,
     experiment_free_riders,
@@ -37,15 +38,24 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--replications", type=int, help="override the replication count")
 
 
-def _resolve_config(args: argparse.Namespace) -> ScenarioConfig:
+def _prepare_run(args: argparse.Namespace) -> ScenarioConfig:
+    """The scenario the flags describe, with ``--out`` made a writable directory
+    before anything is computed."""
     config = load_config(args.config) if args.config else ScenarioConfig()
     keys = {f.name for f in fields(ScenarioConfig)}
     flags = {key: value for key, value in vars(args).items() if key in keys and value is not None}
-    return config_from_dict({**config.to_dict(), **flags})
+    config = config_from_dict({**config.to_dict(), **flags})
+    try:
+        args.out.mkdir(parents=True, exist_ok=True)
+        if not os.access(args.out, os.W_OK | os.X_OK):
+            raise PermissionError("permission denied")
+    except OSError as exc:
+        raise OutputError(f"cannot write {args.out}: {exc}") from exc
+    return config
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    summary = simulate(_resolve_config(args), args.out)
+    summary = simulate(_prepare_run(args), args.out)
     print(f"sealed deal at w*={summary['w_star']:.6f}, promised eps {summary['promised_eps']:.4f}")
     print(
         f"collection finished in {summary['rounds_used']} rounds, "
@@ -90,6 +100,8 @@ def _cmd_shapley(args: argparse.Namespace) -> int:
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad game file {args.game}: {exc}") from exc
+    if args.seed is not None and args.seed < 0:
+        raise ConfigError(f"--seed must be non-negative, got {args.seed}")
 
     if args.method == "exact":
         result = shapley_exact(game)
@@ -117,17 +129,17 @@ def _summarize(rows: list[dict], out: Path, label: str) -> int:
 
 
 def _cmd_exp_rounds(args: argparse.Namespace) -> int:
-    rows = experiment_rounds(_resolve_config(args), args.out)
+    rows = experiment_rounds(_prepare_run(args), args.out)
     return _summarize(rows, args.out, "exp-rounds")
 
 
 def _cmd_exp_freeriders(args: argparse.Namespace) -> int:
-    rows = experiment_free_riders(_resolve_config(args), args.out)
+    rows = experiment_free_riders(_prepare_run(args), args.out)
     return _summarize(rows, args.out, "exp-freeriders")
 
 
 def _cmd_exp_timing(args: argparse.Namespace) -> int:
-    rows = experiment_shapley_timing(_resolve_config(args), args.out)
+    rows = experiment_shapley_timing(_prepare_run(args), args.out)
     for row in rows:
         print(f"n={row['n']:>3} {row['method']:<7} {row['wall_time']:.6f}s {row['shares_digest'][:12]}")
     return _summarize(rows, args.out, "exp-timing")

@@ -16,14 +16,15 @@ and the free-rider detection of the penalty scheme.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, replace
 from enum import Enum
+from itertools import compress, repeat
 
 import numpy as np
 
 from .errors import DomainError, FedMarketError
-from .market import Federation, Provider
+from .market import Federation, Provider, RowView, strongest_member
 from .privacy import MAX_EPSILON, AggregationMode, AlphabetSpec, Measure, validate_epsilon
 from .valuation import ExponentialValuation
 
@@ -112,27 +113,11 @@ class YearLedger:
 
     @property
     def reports(self) -> Sequence[RoundReport]:
-        return _Reports(self)
+        def report(i: int) -> RoundReport:
+            who = self.provider_ids[self.provider[i]]
+            return RoundReport(who, self.year, self.round[i], self.d_t[i], self.eps_t[i])
 
-
-class _Reports(Sequence):
-    """A ledger's report columns as ``RoundReport`` objects; ``len`` builds none."""
-
-    __slots__ = ("_ledger",)
-
-    def __init__(self, ledger: YearLedger) -> None:
-        self._ledger = ledger
-
-    def __len__(self) -> int:
-        return len(self._ledger.d_t)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(map(self.__getitem__, range(len(self))[i]))
-        led = self._ledger
-        return RoundReport(
-            led.provider_ids[led.provider[i]], led.year, led.round[i], led.d_t[i], led.eps_t[i]
-        )
+        return RowView(report, len(self.d_t))
 
 
 @dataclass(frozen=True)
@@ -147,30 +132,40 @@ class PenaltyState:
 
 
 def savings_snapshot(
-    ledgers: Sequence[YearLedger], providers: Iterable[Provider]
-) -> dict[str, float]:
-    """Each provider's privacy saving over the window ``ledgers``, by provider id.
+    ledgers: Sequence[YearLedger], member_ids: Sequence[str], eps_threshold: Sequence[float]
+) -> np.ndarray:
+    """Each member's privacy saving over the window ``ledgers``, in member order.
 
-    A provider's saving is the capacity left unused, the sum of
+    A member's saving is the capacity left unused, the sum of
     d(m) * (eps_T - eps(m)) over the years m of the window with reports:
-    eps_T is the provider's current threshold, d(m) the points reported
-    and eps(m) the epsilons spent in year m. One pass over each ledger's
-    ``provider_ids``/``d_total``/``eps_level`` adds every provider's terms
-    in ledger order. Ledger members not among ``providers`` (excluded since)
-    are skipped; a provider absent from every ledger saves 0.0.
+    eps_T is the member's current threshold, d(m) the points reported and
+    eps(m) the epsilons spent in year m. The window's member columns
+    become a (year, member) grid of terms below a row of zeros, and each
+    saving is a left fold down its column from +0.0, in ledger order. A
+    term with d(m) = 0 is +0.0, which changes no sum. Ledger members not
+    among ``member_ids`` (excluded since) are skipped; a member absent from
+    every ledger saves 0.0.
     """
-    thresholds = {p.id: p.eps_threshold for p in providers}
-    savings = dict.fromkeys(thresholds, 0.0)
-    for ledger in ledgers:
-        for pid, d, eps in zip(ledger.provider_ids, ledger.d_total, ledger.eps_level):
-            if d and pid in thresholds:
-                savings[pid] += d * (thresholds[pid] - eps)
-    return savings
+    n = len(member_ids)
+    row = None
+    d = np.zeros((len(ledgers) + 1, n + 1), dtype=np.int64)  # column n: members that left
+    eps = np.zeros(d.shape)
+    for year, ledger in enumerate(ledgers, 1):
+        if ledger.provider_ids == member_ids:
+            cols = slice(n)
+        else:
+            row = row or dict(zip(member_ids, range(n)))
+            cols = np.fromiter(map(row.get, ledger.provider_ids, repeat(n)), np.intp)
+        d[year, cols] = ledger.d_total
+        eps[year, cols] = ledger.eps_level
+    threshold = np.append(np.asarray(eps_threshold, dtype=float), 0.0)
+    terms = np.where(d > 0, d * (threshold - eps), 0.0)
+    return np.add.accumulate(terms)[-1, :n]
 
 
 def privacy_saving(ledgers: Sequence[YearLedger], provider: Provider) -> float:
     """One provider's saving over the window ``ledgers``; see ``savings_snapshot``."""
-    return savings_snapshot(ledgers, (provider,))[provider.id]
+    return float(savings_snapshot(ledgers, (provider.id,), (provider.eps_threshold,))[0])
 
 
 def catalyzing_parameter(
@@ -204,17 +199,18 @@ def run_collection_year(
     max_rounds: int,
     mode: AggregationMode,
     rng: np.random.Generator,
-    savings: Mapping[str, float] | None = None,
+    savings: np.ndarray | None = None,
     year: int = 1,
     spec: AlphabetSpec | None = None,
 ) -> YearLedger:
     """Simulate one collection year; failure to reach the target is recorded.
 
-    ``savings`` carries each provider's privacy saving over the tolerance
-    window of previous years and only matters under the catalyzing
-    policy, where it drives the escalation factor. Deterministic given
-    the generator state: every round draws ``n`` participation and then
-    ``n`` epsilon uniforms, whether or not anyone reports.
+    ``savings`` carries each member's privacy saving over the tolerance
+    window of previous years, in member order (``savings_snapshot``; none
+    means 0.0 for all). It only matters under the catalyzing policy, where
+    it drives the escalation factor. Deterministic given the generator
+    state: every round draws ``n`` participation and then ``n`` epsilon
+    uniforms, whether or not anyone reports.
 
     Each round is one elementwise step over all members: a row of d_t
     (0 for a member who does not report) and a row of epsilons. Every
@@ -236,22 +232,22 @@ def run_collection_year(
     if max_rounds < 1:
         raise DomainError("need at least one collection round")
     spec = spec or AlphabetSpec(2)
-    savings = savings or {}
-    members = federation.members
-    n = len(members)
-    ids = tuple(p.id for p in members)
+    ids = federation.member_ids
+    n = len(ids)
 
     try:
-        d_p = np.array([p.d_p for p in members], dtype=np.int64)
+        d_p = np.array(federation.d_p, dtype=np.int64)
     except OverflowError:
         raise DomainError("yearly point budgets must fit in a 64-bit integer") from None
     chunk = min(policy.points_per_round, _INT64_MAX)  # no budget is larger
-    threshold = np.array([p.eps_threshold for p in members], dtype=float)
+    threshold = np.array(federation.eps_threshold, dtype=float)
     hi = policy.initial_eps_high * threshold
     width = hi - policy.initial_eps_low * threshold
     catalyzing = policy.kind is PolicyKind.CATALYZING
     if catalyzing:
-        delta = np.array([savings.get(pid, 0.0) for pid in ids], dtype=float)
+        delta = np.zeros(n) if savings is None else np.asarray(savings, dtype=float)
+        if delta.shape != (n,):
+            raise DomainError(f"savings hold {delta.size} entries for {n} members")
 
     measure = Measure(mode, spec.k)
     remaining = d_p.copy()
@@ -335,12 +331,19 @@ def run_collection_years(
     rng: np.random.Generator,
     spec: AlphabetSpec | None = None,
 ) -> list[YearLedger]:
-    """Run consecutive years, rolling privacy savings over the tolerance window."""
+    """Run consecutive years, rolling privacy savings over the tolerance window.
+
+    Savings drive only the catalyzing escalation, and an empty window saves
+    nothing, so other years run without a snapshot.
+    """
     if years < 1:
         raise DomainError("need at least one collection year")
     ledgers: list[YearLedger] = []
     for m in range(1, years + 1):
-        savings = savings_snapshot(ledgers[-federation.tolerance_window :], federation.members)
+        window = ledgers[-federation.tolerance_window :]
+        savings = None
+        if window and policy.kind is PolicyKind.CATALYZING:
+            savings = savings_snapshot(window, federation.member_ids, federation.eps_threshold)
         ledgers.append(
             run_collection_year(
                 federation,
@@ -357,44 +360,53 @@ def run_collection_years(
     return ledgers
 
 
-def detect_free_riders(savings: Mapping[str, float], delta_threshold: float) -> set[str]:
-    """Providers whose saving reaches the federation's tolerance (inclusive)."""
+def detect_free_riders(savings: np.ndarray, delta_threshold: float) -> np.ndarray:
+    """Mask of the members whose saving reaches the federation's tolerance (inclusive)."""
     if delta_threshold <= 0:
         raise DomainError("free-rider threshold must be positive")
-    return {pid for pid, delta in savings.items() if delta >= delta_threshold}
+    return np.asarray(savings) >= delta_threshold
 
 
 def apply_penalty(
     federation: Federation,
-    flagged: set[str],
+    flagged: np.ndarray,
     registry: Mapping[str, PenaltyState],
 ) -> tuple[Federation, dict[str, PenaltyState]]:
-    """Exclude flagged members, hand out demerits, update the registry.
+    """Exclude the members ``flagged`` marks, hand out demerits, update the registry.
 
-    If the representative is removed, the member with the largest
-    information limit takes over. Flagging everyone leaves an inactive
-    federation behind.
+    ``flagged`` is a boolean mask in member order. If the representative
+    is removed, the member with the largest information limit takes over.
+    Flagging everyone leaves an inactive federation behind.
     """
-    member_ids = {p.id for p in federation.members}
-    unknown = flagged - member_ids
-    if unknown:
-        raise DomainError(f"cannot penalize non-members: {sorted(unknown)}")
-
+    flagged = np.asarray(flagged, dtype=bool)
+    if flagged.shape != (len(federation.member_ids),):
+        raise DomainError(
+            f"penalty mask has {flagged.size} entries for {len(federation.member_ids)} members"
+        )
     updated = dict(registry)
-    for pid in flagged:
-        state = updated.get(pid, PenaltyState(pid))
-        updated[pid] = PenaltyState(pid, demerits=state.demerits + 1, excluded=True)
+    if not flagged.any():
+        return federation, updated
+    for pid in compress(federation.member_ids, flagged.tolist()):
+        state = updated.get(pid)
+        demerits = 1 + (state.demerits if state else 0)
+        updated[pid] = PenaltyState(pid, demerits=demerits, excluded=True)
 
-    remaining = tuple(p for p in federation.members if p.id not in flagged)
-    if not remaining:
-        reduced = replace(federation, members=(), representative=None, active=False)
-        return reduced, updated
-
-    if federation.representative in flagged:
-        representative = max(remaining, key=lambda p: p.information_limit).id
-    else:
-        representative = federation.representative
-    reduced = replace(federation, members=remaining, representative=representative)
+    keep = (~flagged).tolist()
+    ids, d_p, eps = (
+        tuple(compress(column, keep))
+        for column in (federation.member_ids, federation.d_p, federation.eps_threshold)
+    )
+    representative = federation.representative
+    if representative not in ids:
+        representative = strongest_member(ids, d_p, eps) if ids else None
+    reduced = replace(
+        federation,
+        member_ids=ids,
+        d_p=d_p,
+        eps_threshold=eps,
+        representative=representative,
+        active=federation.active and bool(ids),
+    )
     return reduced, updated
 
 
@@ -405,9 +417,14 @@ def admit_member(
     state = registry.get(provider.id)
     if state is not None and state.excluded:
         raise DomainError(f"provider {provider.id} is excluded and cannot be admitted")
-    if any(p.id == provider.id for p in federation.members):
+    if provider.id in federation.member_ids:
         raise DomainError(f"provider {provider.id} is already a member")
-    return replace(federation, members=federation.members + (provider,))
+    return replace(
+        federation,
+        member_ids=federation.member_ids + (provider.id,),
+        d_p=federation.d_p + (provider.d_p,),
+        eps_threshold=federation.eps_threshold + (provider.eps_threshold,),
+    )
 
 
 @dataclass(frozen=True)

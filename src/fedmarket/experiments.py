@@ -37,18 +37,21 @@ from .market import (
     Bid,
     ConsumerOffer,
     Federation,
-    Provider,
     SealedDeal,
     compute_scaling,
     make_bid,
     seal_deal,
     settle,
+    strongest_member,
 )
 from .privacy import AggregationMode, AlphabetSpec, ReportBatch
-from .shapley import ShapleyResult, ThresholdGame, shapley_exact, shapley_pruned, shapley_sampled
+from .shapley import ThresholdGame, shapley_exact, shapley_pruned, shapley_sampled
 from .valuation import ExponentialValuation
 
 _POLICIES = (PolicyKind.CATALYZING, PolicyKind.NON_CATALYZING)
+# One timing measurement repeats an evaluation back to back until this many
+# seconds have passed, so that a stall of a millisecond cannot swing it.
+TIMING_MIN_SECONDS = 0.05
 
 
 def build_federation(
@@ -63,16 +66,15 @@ def build_federation(
     The member with the largest information limit is elected
     representative.
     """
-    thresholds = sample_thresholds(config.thresholds, n, rng)
-    providers = tuple(
-        Provider(id=f"p{i:03d}", d_p=config.data_points, eps_threshold=float(eps))
-        for i, eps in enumerate(thresholds)
-    )
-    representative = max(providers, key=lambda p: p.information_limit).id
+    ids = tuple(f"p{i:03d}" for i in range(n))
+    d_p = (config.data_points,) * n
+    thresholds = tuple(sample_thresholds(config.thresholds, n, rng).tolist())
     return Federation(
         id=fed_id,
-        members=providers,
-        representative=representative,
+        member_ids=ids,
+        d_p=d_p,
+        eps_threshold=thresholds,
+        representative=strongest_member(ids, d_p, thresholds),
         delta_threshold=delta_threshold if delta_threshold is not None else config.delta_thresholds[0],
         tolerance_window=config.tolerance_window,
     )
@@ -243,7 +245,7 @@ def experiment_free_riders(config: ScenarioConfig, out_dir: str | Path) -> list[
                     federation = base
                     registry: dict = {}
                     ledgers = []
-                    savings: dict[str, float] = {}
+                    savings = None
                     for year in range(1, config.freerider_years + 1):
                         if not federation.active:
                             break
@@ -261,11 +263,14 @@ def experiment_free_riders(config: ScenarioConfig, out_dir: str | Path) -> list[
                             )
                         )
                         savings = savings_snapshot(
-                            ledgers[-config.tolerance_window :], federation.members
+                            ledgers[-config.tolerance_window :],
+                            federation.member_ids,
+                            federation.eps_threshold,
                         )
                         if year >= config.tolerance_window:
                             flagged = detect_free_riders(savings, delta)
                             federation, registry = apply_penalty(federation, flagged, registry)
+                            savings = savings[~flagged]  # aligned with the remaining members
                     rows.append(
                         {
                             "n": n,
@@ -314,8 +319,10 @@ def experiment_shapley_timing(config: ScenarioConfig, out_dir: str | Path) -> li
     """Wall time of exact vs pruned evaluation on identical games.
 
     Per size: one warmup evaluation (excluded), then the median of
-    ``timing_repeats`` monotonic-clock measurements. The shares digest
-    proves both methods returned identical money.
+    ``timing_repeats`` monotonic-clock measurements. Each measurement runs
+    back-to-back evaluations until ``TIMING_MIN_SECONDS`` have passed and
+    records the time per evaluation. The shares digest proves both methods
+    returned identical money.
     """
     out_dir = Path(out_dir)
     rows: list[dict] = []
@@ -324,13 +331,14 @@ def experiment_shapley_timing(config: ScenarioConfig, out_dir: str | Path) -> li
         seeds[f"timing/n={n}"] = derive_seed(config.master_seed, "timing", n)
         game = timing_game(config, n)
         for method, evaluate in (("exact", shapley_exact), ("pruned", shapley_pruned)):
-            evaluate(game)  # warmup, excluded from measurement
+            result = evaluate(game)  # warmup, excluded from measurement
             times = []
-            result: ShapleyResult | None = None
             for _ in range(config.timing_repeats):
-                start = time.perf_counter()
-                result = evaluate(game)
-                times.append(time.perf_counter() - start)
+                calls, start = 0, time.perf_counter()
+                while (elapsed := time.perf_counter() - start) < TIMING_MIN_SECONDS:
+                    result = evaluate(game)
+                    calls += 1
+                times.append(elapsed / calls)
             rows.append(
                 {
                     "n": n,
@@ -397,9 +405,12 @@ def simulate(config: ScenarioConfig, out_dir: str | Path) -> dict:
             game, config.shapley_samples, np.random.default_rng(seeds["simulate/shapley"])
         )
 
-    savings = savings_snapshot(ledgers[-config.tolerance_window :], federation.members)
+    savings = savings_snapshot(
+        ledgers[-config.tolerance_window :], federation.member_ids, federation.eps_threshold
+    )
     flagged = detect_free_riders(savings, federation.delta_threshold)
     reduced, registry = apply_penalty(federation, flagged, {})
+    flagged_ids = sorted(registry)  # a fresh registry holds exactly the flagged members
 
     trace_rows = [
         {
@@ -445,7 +456,7 @@ def simulate(config: ScenarioConfig, out_dir: str | Path) -> dict:
             {
                 "budget": offer.budget,
                 "federation": federation.id,
-                "members": len(federation.members),
+                "members": len(federation.member_ids),
                 "eps_threshold_fed": bid.eps_threshold_fed,
                 "asking_price": bid.asking_price,
                 "w_star": w_star,
@@ -468,14 +479,14 @@ def simulate(config: ScenarioConfig, out_dir: str | Path) -> dict:
         write_json(
             out_dir / "penalties.json",
             {
-                "savings": savings,
-                "flagged": sorted(flagged),
+                "savings": dict(zip(federation.member_ids, savings.tolist())),
+                "flagged": flagged_ids,
                 "registry": {
                     pid: {"demerits": state.demerits, "excluded": state.excluded}
                     for pid, state in sorted(registry.items())
                 },
                 "federation_active": reduced.active,
-                "remaining_members": len(reduced.members),
+                "remaining_members": len(reduced.member_ids),
             },
         ),
     ]
@@ -486,7 +497,7 @@ def simulate(config: ScenarioConfig, out_dir: str | Path) -> dict:
         "achieved": measured.achieved,
         "payout": payout,
         "rounds_used": measured.rounds_used,
-        "flagged": sorted(flagged),
+        "flagged": flagged_ids,
     }
 
 

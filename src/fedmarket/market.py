@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import math
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+
+import numpy as np
 
 from .errors import DomainError
-from .privacy import AggregationMode, AlphabetSpec, ReportBatch, aggregate, validate_epsilon
+from .privacy import MAX_EPSILON, AggregationMode, AlphabetSpec, ReportBatch, aggregate, validate_epsilon
 from .valuation import ValuationContract
 
 BISECTION_TOL = 1e-9
@@ -26,37 +29,79 @@ class Provider:
             raise DomainError(f"provider {self.id} must hold at least one data point")
         validate_epsilon(self.eps_threshold)
 
-    @property
-    def information_limit(self) -> float:
-        return self.d_p * self.eps_threshold
+
+class RowView(Sequence):
+    """Rows built from columns only when read; ``len`` builds none."""
+
+    __slots__ = ("_row", "_len")
+
+    def __init__(self, row: Callable[[int], object], length: int) -> None:
+        self._row = row
+        self._len = length
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self._row, range(self._len)[i]))
+        return self._row(range(self._len)[i])
+
+
+def strongest_member(
+    member_ids: Sequence[str], d_p: Sequence[int], eps_threshold: Sequence[float]
+) -> str:
+    """The member with the largest information limit d_p * eps_threshold, the first on a tie."""
+    return member_ids[int(np.argmax(np.multiply(d_p, eps_threshold)))]
 
 
 @dataclass(frozen=True)
 class Federation:
-    """A coalition of providers with an elected representative.
+    """A coalition of providers with an elected representative, held as member columns.
 
-    ``delta_threshold`` is the free-rider tolerance, ``tolerance_window``
-    the number of past years over which privacy savings accumulate. A
-    federation emptied by penalties is kept around with ``active=False``.
+    ``member_ids``, ``d_p`` and ``eps_threshold`` are tuples in member
+    order; ``members`` reads them as ``Provider`` objects, built only when
+    read. ``delta_threshold`` is the free-rider tolerance,
+    ``tolerance_window`` the number of past years over which privacy
+    savings accumulate. A federation emptied by penalties is kept around
+    with ``active=False``.
     """
 
     id: str
-    members: tuple[Provider, ...]
+    member_ids: tuple[str, ...]
+    d_p: tuple[int, ...]
+    eps_threshold: tuple[float, ...]
     representative: str | None
     delta_threshold: float
     tolerance_window: int
     active: bool = True
 
     def __post_init__(self) -> None:
+        d_p, eps = self.d_p, self.eps_threshold
+        if not len(self.member_ids) == len(d_p) == len(eps):
+            raise DomainError(f"federation {self.id} has member columns of unequal length")
+        # whole-column reductions; a NaN or an infinity makes the sum non-finite
+        if d_p and not (
+            min(d_p) >= 1 and min(eps) > 0.0 and max(eps) <= MAX_EPSILON and math.isfinite(sum(eps))
+        ):
+            bad = (i for i, (d, e) in enumerate(zip(d_p, eps)) if d < 1 or not 0.0 < e <= MAX_EPSILON)
+            self.members[next(bad)]  # the first bad member's Provider says what is wrong
         if self.delta_threshold <= 0:
             raise DomainError("delta threshold must be positive")
         if self.tolerance_window < 1:
             raise DomainError("tolerance window must cover at least one year")
         if self.active:
-            if not self.members:
+            if not self.member_ids:
                 raise DomainError(f"active federation {self.id} has no members")
-            if self.representative not in {p.id for p in self.members}:
+            if self.representative not in self.member_ids:
                 raise DomainError(f"representative {self.representative} not in federation {self.id}")
+
+    @property
+    def members(self) -> Sequence[Provider]:
+        return RowView(
+            lambda i: Provider(self.member_ids[i], self.d_p[i], self.eps_threshold[i]),
+            len(self.member_ids),
+        )
 
 
 @dataclass(frozen=True)
@@ -99,8 +144,7 @@ def federation_threshold(
     federation: Federation, mode: AggregationMode, spec: AlphabetSpec
 ) -> float:
     """Maximum information threshold of a federation under ``mode``."""
-    batches = [ReportBatch(p.d_p, p.eps_threshold) for p in federation.members]
-    return aggregate(batches, mode, spec)
+    return aggregate(map(ReportBatch, federation.d_p, federation.eps_threshold), mode, spec)
 
 
 def make_bid(

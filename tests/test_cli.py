@@ -15,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fedmarket
+from fedmarket import cli
 from fedmarket.cli import main
 from fedmarket.config import load_config
 from fedmarket.manifest import config_digest, file_digest
@@ -242,18 +243,19 @@ def test_python_dash_m_runs_the_cli(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "text",
+    "text, flags",
     [
-        '{"players": [',
-        "[1, 2]",
-        _game_text(d=1.7),
-        _game_text(k=2.9),
-        _game_text(prize=float("nan")),
-        _game_text(prize=float("inf")),
-        _game_text(eps="1.5"),
-        _game_text(target="1.0"),
-        _game_text(prize=True),
-        _game_text(d=True),
+        ('{"players": [', ()),
+        ("[1, 2]", ()),
+        (_game_text(d=1.7), ()),
+        (_game_text(k=2.9), ()),
+        (_game_text(prize=float("nan")), ()),
+        (_game_text(prize=float("inf")), ()),
+        (_game_text(eps="1.5"), ()),
+        (_game_text(target="1.0"), ()),
+        (_game_text(prize=True), ()),
+        (_game_text(d=True), ()),
+        (_game_text(), ("--method", "sampled", "--seed", "-1")),
     ],
     ids=[
         "malformed-json",
@@ -266,12 +268,13 @@ def test_python_dash_m_runs_the_cli(tmp_path):
         "string-target",
         "bool-prize",
         "bool-d",
+        "negative-seed",
     ],
 )
-def test_shapley_rejects_bad_game_with_one_line(text, tmp_path, capsys):
+def test_shapley_rejects_bad_game_with_one_line(text, flags, tmp_path, capsys):
     path = tmp_path / "game.json"
     path.write_text(text)
-    assert main(["shapley", str(path)]) == 2
+    assert main(["shapley", str(path), *flags]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
 
@@ -373,6 +376,27 @@ def test_output_error_exit_code(command, out, config_path, tmp_path, capsys):
     assert main([command, "--config", str(config_path), "--out", str(tmp_path / out)]) == 4
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: cannot write ")
+
+
+@pytest.mark.parametrize(
+    "command, entry",
+    (
+        ("simulate", "simulate"),
+        ("exp-rounds", "experiment_rounds"),
+        ("exp-freeriders", "experiment_free_riders"),
+        ("exp-timing", "experiment_shapley_timing"),
+    ),
+)
+def test_unwritable_out_fails_before_computing(command, entry, config_path, tmp_path, capsys, monkeypatch):
+    def computes(*args, **kwargs):
+        raise AssertionError(f"{entry} ran before --out was checked")
+
+    monkeypatch.setattr(cli, entry, computes)
+    (tmp_path / "blocker").write_text("a regular file, not a directory\n")
+    out = tmp_path / "blocker" / "sub"
+    assert main([command, "--config", str(config_path), "--out", str(out)]) == 4
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: cannot write {out}")
 
 
 def test_cli_overrides_change_outputs(config_path, tmp_path):

@@ -1,4 +1,6 @@
+import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,6 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import scalar_stats
+from fedmarket import experiments
+from fedmarket.config import ScenarioConfig, derive_seed, sample_thresholds
 from fedmarket.dynamics import (
     CollectionPolicy,
     PenaltyState,
@@ -32,7 +36,9 @@ from fedmarket.valuation import ExponentialValuation
 def _federation(members, delta=2.0, window=3, rep=None):
     return Federation(
         id="F1",
-        members=tuple(members),
+        member_ids=tuple(p.id for p in members),
+        d_p=tuple(p.d_p for p in members),
+        eps_threshold=tuple(p.eps_threshold for p in members),
         representative=rep or members[0].id,
         delta_threshold=delta,
         tolerance_window=window,
@@ -161,7 +167,7 @@ class TestRunCollectionYear:
 
     def test_catalyzing_epsilon_non_decreasing(self):
         fed = _federation(self._members(n=6))
-        savings = {p.id: 500.0 for p in fed.members}  # strong escalation fuel
+        savings = np.full(len(fed.members), 500.0)  # strong escalation fuel
         ledger = run_collection_year(
             fed,
             1e9,
@@ -218,7 +224,7 @@ class TestRunCollectionYear:
                 int(rng.integers(1, 8)),
                 mode,
                 np.random.default_rng(int(rng.integers(2**32))),
-                savings={p.id: float(rng.uniform(0.0, 50.0)) for p in members},
+                savings=[float(rng.uniform(0.0, 50.0)) for p in members],
                 spec=spec,
             )
             batches = [ReportBatch(r.d_t, r.eps_t) for r in ledger.reports]
@@ -323,7 +329,7 @@ def _scalar_year(federation, target, policy, max_rounds, mode, rng, savings, yea
             else:
                 if reported[pid] < 1 or prev_eps[pid] <= 0:
                     raise DomainError("catalyzing needs a reported point and a positive epsilon")
-                n_p = max(1.0, savings.get(pid, 0.0) / (reported[pid] * provider.eps_threshold))
+                n_p = max(1.0, float(savings[i]) / (reported[pid] * provider.eps_threshold))
                 eps_t = min(n_p * prev_eps[pid], provider.eps_threshold)
             reports.append(RoundReport(pid, year, t, d_t, eps_t))
             remaining[pid] -= d_t
@@ -408,7 +414,7 @@ class TestColumnarYearMatchesScalarLoop:
             participation_prob=case["participation"],
             points_per_round=case["points_per_round"],
         )
-        savings = {p.id: s for p, s in zip(members, case["savings"])}
+        savings = np.array(case["savings"])
         ref_rng = np.random.default_rng(case["seed"])
         rng = np.random.default_rng(case["seed"])
 
@@ -444,7 +450,7 @@ class TestColumnarYearMatchesScalarLoop:
         rng = np.random.default_rng(77)
         members = [Provider(f"p{i}", 12, float(rng.uniform(0.5, 6.0))) for i in range(40)]
         federation, spec = _federation(members), AlphabetSpec(5)
-        savings = {p.id: float(rng.uniform(0.0, 40.0)) for p in members}
+        savings = np.array([float(rng.uniform(0.0, 40.0)) for p in members])
         runs = []
         for target in (math.inf, None):
             if target is None:  # exactly the aggregate after round 3
@@ -460,26 +466,200 @@ class TestColumnarYearMatchesScalarLoop:
         assert ledger.rounds_used == 3 and ledger.reached
 
 
+def _reference_members(config, n, build_seed):
+    """Per-``Provider`` builder: one validated object per sampled threshold."""
+    thresholds = sample_thresholds(config.thresholds, n, np.random.default_rng(build_seed))
+    return [Provider(f"p{i:03d}", config.data_points, float(eps)) for i, eps in enumerate(thresholds)]
+
+
+def _reference_savings(ledgers, members):
+    """Per-provider savings fold: a dict by id, one ledger entry at a time."""
+    thresholds = {p.id: p.eps_threshold for p in members}
+    savings = dict.fromkeys(thresholds, 0.0)
+    for ids, d_total, eps_level in ledgers:
+        for pid, d, eps in zip(ids, d_total, eps_level):
+            if d and pid in thresholds:
+                savings[pid] += d * (thresholds[pid] - eps)
+    return savings
+
+
+def _reference_year(config, members, target, policy, max_rounds, rng, savings, year):
+    """One year of the scalar loop, as the (ids, d_total, eps_level) the savings read."""
+    _, _, d_total, eps_level, _, _ = _scalar_year(
+        _federation(members), target, policy, max_rounds, config.aggregation, rng,
+        [savings.get(p.id, 0.0) for p in members], year, AlphabetSpec(config.k),
+    )
+    return tuple(p.id for p in members), d_total, eps_level
+
+
+def _strongest(members):
+    return max(members, key=lambda p: p.d_p * p.eps_threshold).id
+
+
+def _reference_free_riders(config, n, delta, rep, kind, events):
+    """One free-rider row's count from the per-``Provider`` year loop.
+
+    Savings are dicts by id, flags a set of ids, and a penalty filters the
+    member list. ``events`` collects which exclusions happened.
+    """
+    members = _reference_members(
+        config, n, derive_seed(config.master_seed, "freeriders-build", n, delta, rep)
+    )
+    representative = _strongest(members)
+    rng = np.random.default_rng(derive_seed(config.master_seed, "freeriders-run", n, delta, rep))
+    ledgers, registry, savings = [], set(), {}
+    for year in range(1, config.freerider_years + 1):
+        if not members:
+            break
+        ledgers.append(
+            _reference_year(
+                config, members, math.inf, config.freerider_policy(kind),
+                config.freerider_rounds_per_year, rng, savings, year,
+            )
+        )
+        savings = _reference_savings(ledgers[-config.tolerance_window :], members)
+        if year >= config.tolerance_window:
+            flagged = {pid for pid, saving in savings.items() if saving >= delta}
+            registry |= flagged
+            remaining = [p for p in members if p.id not in flagged]
+            if flagged and remaining:
+                events.add("some members excluded")
+                if year < config.freerider_years:
+                    events.add("a reduced federation ran another year")
+            if representative in flagged and remaining:
+                events.add("representative excluded")
+                representative = _strongest(remaining)
+            members = remaining
+    return len(registry)
+
+
+def _reference_simulate_penalties(config, promised):
+    """``simulate``'s savings and flags from the per-``Provider`` loop."""
+    n = config.federation_sizes[0]
+    members = _reference_members(config, n, derive_seed(config.master_seed, "simulate-build", n))
+    rng = np.random.default_rng(derive_seed(config.master_seed, "simulate-run", n))
+    ledgers = []
+    for year in range(1, config.warmup_years + 2):
+        savings = _reference_savings(ledgers[-config.tolerance_window :], members)
+        ledgers.append(
+            _reference_year(
+                config, members, promised, config.collection_policy(config.policy),
+                config.max_rounds, rng, savings, year,
+            )
+        )
+    savings = _reference_savings(ledgers[-config.tolerance_window :], members)
+    flagged = sorted(pid for pid, saving in savings.items() if saving >= config.delta_thresholds[0])
+    return savings, flagged
+
+
+def _check_against_reference(config, tmp_path):
+    """Free-rider rows and ``simulate``'s penalties against the reference loop;
+    returns the exclusion events the reference saw."""
+    events = set()
+    rows = experiments.experiment_free_riders(config, tmp_path / "fr")
+    (n,) = config.freerider_sizes
+    expected = sorted(
+        (n, float(delta).hex(), kind.value, rep, _reference_free_riders(config, n, delta, rep, kind, events))
+        for delta in config.delta_thresholds
+        for rep in range(config.replications)
+        for kind in PolicyKind
+    )
+    got = sorted(
+        (r["n"], r["delta_f"].hex(), r["policy"], r["replication"], r["free_rider_count"])
+        for r in rows
+    )
+    assert got == expected
+
+    experiments.simulate(config, tmp_path / "sim")
+    deal = json.loads((tmp_path / "sim" / "deal.json").read_text())
+    penalties = json.loads((tmp_path / "sim" / "penalties.json").read_text())
+    savings, flagged = _reference_simulate_penalties(config, deal["promised_eps"])
+    assert list(penalties["savings"]) == list(savings)
+    assert [v.hex() for v in penalties["savings"].values()] == [v.hex() for v in savings.values()]
+    assert penalties["flagged"] == flagged
+    assert sorted(penalties["registry"]) == flagged
+    assert penalties["remaining_members"] == len(savings) - len(flagged)
+    assert penalties["federation_active"] == (len(flagged) < len(savings))
+    return events
+
+
+_PENALTY_BASE = ScenarioConfig(shapley_samples=64, timing_sizes=(4,))
+
+
+@st.composite
+def _penalty_configs(draw):
+    return replace(
+        _PENALTY_BASE,
+        master_seed=draw(st.integers(0, 2**32 - 1)),
+        aggregation=draw(st.sampled_from(list(AggregationMode))),
+        k=draw(st.integers(2, 8)),
+        data_points=draw(st.integers(1, 12)),
+        federation_sizes=(draw(st.integers(1, 8)),),
+        budget=draw(st.floats(20.0, 5000.0)),
+        max_rounds=draw(st.integers(1, 6)),
+        warmup_years=draw(st.integers(0, 3)),
+        freerider_sizes=(draw(st.integers(1, 10)),),
+        delta_thresholds=tuple(
+            draw(st.lists(st.floats(0.05, 4.0), min_size=1, max_size=2, unique=True))
+        ),
+        replications=draw(st.integers(1, 2)),
+        tolerance_window=draw(st.integers(1, 3)),
+        freerider_years=draw(st.integers(1, 6)),
+        freerider_rounds_per_year=draw(st.integers(1, 4)),
+    )
+
+
+class TestColumnarPenaltiesMatchProviderLoop:
+    """Free-rider rows and ``simulate``'s savings against the per-``Provider`` loop, bit for bit."""
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(config=_penalty_configs())
+    def test_identical_rows_and_savings(self, config, tmp_path_factory):
+        _check_against_reference(config, tmp_path_factory.mktemp("penalties"))
+
+    def test_covers_exclusions_mid_run_and_of_the_representative(self, tmp_path):
+        config = replace(
+            _PENALTY_BASE,
+            federation_sizes=(6,),
+            freerider_sizes=(12,),
+            delta_thresholds=(0.5, 1.5),
+            replications=2,
+            tolerance_window=2,
+            freerider_years=6,
+        )
+        events = _check_against_reference(config, tmp_path)
+        assert events == {
+            "some members excluded",
+            "a reduced federation ran another year",
+            "representative excluded",
+        }
+
+
 class TestDetectFreeRiders:
     def test_above_threshold_flagged(self):
-        assert detect_free_riders({"a": 3.0}, 2.0) == {"a"}
+        assert detect_free_riders(np.array([3.0]), 2.0).tolist() == [True]
 
     def test_boundary_inclusive(self):
-        assert detect_free_riders({"a": 2.0}, 2.0) == {"a"}
+        assert detect_free_riders(np.array([2.0]), 2.0).tolist() == [True]
 
     def test_zero_savings_never_flagged(self):
-        assert detect_free_riders({"a": 0.0}, 1e-9) == set()
+        assert detect_free_riders(np.array([0.0]), 1e-9).tolist() == [False]
 
     def test_antitone_in_threshold(self):
         rng = np.random.default_rng(13)
-        savings = {f"p{i}": float(rng.normal(2, 3)) for i in range(50)}
+        savings = np.array([float(rng.normal(2, 3)) for i in range(50)])
         flagged = [detect_free_riders(savings, d) for d in (0.5, 1.0, 2.0, 4.0)]
         for tighter, looser in zip(flagged, flagged[1:]):
-            assert looser <= tighter
+            assert (looser <= tighter).all()  # every looser flag is a tighter flag
 
     def test_positive_threshold_required(self):
         with pytest.raises(DomainError):
-            detect_free_riders({}, 0.0)
+            detect_free_riders(np.array([]), 0.0)
+
+
+def _flags(federation, *ids):
+    """Penalty mask over ``federation``'s members that marks ``ids``."""
+    return np.array([pid in ids for pid in federation.member_ids], dtype=bool)
 
 
 class TestApplyPenalty:
@@ -490,35 +670,48 @@ class TestApplyPenalty:
 
     def test_empty_flag_set_is_identity(self):
         fed = self._fed()
-        out, registry = apply_penalty(fed, set(), {})
+        out, registry = apply_penalty(fed, _flags(fed), {})
         assert out == fed and registry == {}
 
     def test_flagged_members_removed_with_demerits(self):
-        out, registry = apply_penalty(self._fed(), {"b"}, {})
+        out, registry = apply_penalty(self._fed(), _flags(self._fed(), "b"), {})
         assert {p.id for p in out.members} == {"a", "c"}
         assert registry["b"].demerits == 1 and registry["b"].excluded
 
     def test_representative_reassigned_by_information_limit(self):
-        out, _ = apply_penalty(self._fed(), {"a"}, {})
+        out, _ = apply_penalty(self._fed(), _flags(self._fed(), "a"), {})
         assert out.representative == "c"  # largest d_p * eps_threshold
 
+    def test_representative_tie_goes_to_the_first_member(self):
+        members = [Provider("a", 5, 2.0), Provider("b", 2, 5.0), Provider("c", 10, 1.0)]
+        fed = _federation(members + [Provider("d", 1, 3.0)], rep="d")
+        out, _ = apply_penalty(fed, _flags(fed, "d"), {})
+        assert out.representative == "a"  # a, b and c all have the limit 10.0
+
+    def test_builder_tie_goes_to_the_first_member(self, monkeypatch):
+        ties = np.array([1.0, 3.0, 2.0, 3.0])
+        monkeypatch.setattr(experiments, "sample_thresholds", lambda dist, n, rng: ties)
+        fed = experiments.build_federation("F", 4, ScenarioConfig(), np.random.default_rng(0))
+        assert fed.representative == "p001"
+        assert fed.eps_threshold == (1.0, 3.0, 2.0, 3.0)
+
     def test_flagging_everyone_deactivates(self):
-        out, registry = apply_penalty(self._fed(), {"a", "b", "c"}, {})
+        out, registry = apply_penalty(self._fed(), _flags(self._fed(), "a", "b", "c"), {})
         assert not out.active and not out.members and out.representative is None
         assert all(state.excluded for state in registry.values())
 
     def test_repeat_offender_accumulates_demerits(self):
         fed = self._fed()
-        _, registry = apply_penalty(fed, {"b"}, {})
-        _, registry = apply_penalty(fed, {"b"}, registry)
+        _, registry = apply_penalty(fed, _flags(fed, "b"), {})
+        _, registry = apply_penalty(fed, _flags(fed, "b"), registry)
         assert registry["b"].demerits == 2
 
     def test_non_member_rejected(self):
-        with pytest.raises(DomainError):
-            apply_penalty(self._fed(), {"ghost"}, {})
+        with pytest.raises(DomainError):  # a mask with a fourth, non-member entry
+            apply_penalty(self._fed(), np.ones(4, dtype=bool), {})
 
     def test_registry_blocks_readmission(self):
-        fed, registry = apply_penalty(self._fed(), {"b"}, {})
+        fed, registry = apply_penalty(self._fed(), _flags(self._fed(), "b"), {})
         with pytest.raises(DomainError):
             admit_member(fed, Provider("b", 5, 3.0), registry)
         welcomed = admit_member(fed, Provider("d", 5, 1.0), registry)
@@ -539,11 +732,19 @@ def _saving_fold(ledgers, provider):
     return total
 
 
+def _snapshot(ledgers, providers):
+    """``savings_snapshot`` over ``providers``' columns, keyed by id for the assertions."""
+    ids = tuple(p.id for p in providers)
+    savings = savings_snapshot(ledgers, ids, tuple(p.eps_threshold for p in providers))
+    assert savings.shape == (len(ids),)
+    return dict(zip(ids, savings.tolist()))
+
+
 class TestSavingsSnapshot:
     def test_snapshot_window_and_values(self):
         providers = [Provider("a", 10, 5.0), Provider("b", 10, 5.0)]
         ledgers = [_ledger(3, {"a": (10, 4.0), "b": (10, 5.0)}), _ledger(4, {"a": (10, 4.5)})]
-        savings = savings_snapshot(ledgers, providers)
+        savings = _snapshot(ledgers, providers)
         assert savings["a"] == pytest.approx(15.0)
         assert savings["b"] == pytest.approx(0.0)
 
@@ -561,7 +762,7 @@ class TestSavingsSnapshot:
             second = entries("ac")
             third = {**entries("cab"), "c": (0, 0.0)}
             ledgers = [_ledger(1, first), _ledger(2, second), _ledger(3, third)]
-            savings = savings_snapshot(ledgers, providers)
+            savings = _snapshot(ledgers, providers)
             assert list(savings) == [p.id for p in providers]
             for p in providers:
                 assert savings[p.id].hex() == _saving_fold(ledgers, p).hex()

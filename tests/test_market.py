@@ -23,7 +23,9 @@ from fedmarket.valuation import ExponentialValuation
 def _federation(members, rep=None, fed_id="F1"):
     return Federation(
         id=fed_id,
-        members=tuple(members),
+        member_ids=tuple(p.id for p in members),
+        d_p=tuple(p.d_p for p in members),
+        eps_threshold=tuple(p.eps_threshold for p in members),
         representative=rep or members[0].id,
         delta_threshold=1.0,
         tolerance_window=3,
@@ -201,7 +203,37 @@ class TestTypes:
         with pytest.raises(DomainError):
             _federation([Provider("a", 1, 1.0)], rep="ghost")
         with pytest.raises(DomainError):
-            Federation("F", (), None, 1.0, 3, active=True)
+            Federation("F", (), (), (), None, 1.0, 3, active=True)
+
+    @pytest.mark.parametrize(
+        "d_p, eps, message",
+        [
+            (0, 1.0, "provider b must hold at least one data point"),
+            (1, math.nan, "privacy parameter must be positive and finite, got nan"),
+            (1, 0.0, "privacy parameter must be positive and finite, got 0.0"),
+            (1, 700.5, "privacy parameter 700.5 exceeds saturation bound 700.0"),
+        ],
+        ids=["zero-points", "nan-threshold", "zero-threshold", "threshold-above-700"],
+    )
+    def test_federation_names_its_first_bad_member(self, d_p, eps, message):
+        # "c" holds no data either; the error is about "b", the first bad member
+        with pytest.raises(DomainError) as raised:
+            Federation("F", ("a", "b", "c"), (1, d_p, 0), (1.0, eps, 1.0), "a", 1.0, 3)
+        assert str(raised.value) == message
+        with pytest.raises(DomainError) as alone:
+            Provider("b", d_p, eps)
+        assert str(alone.value) == message
+
+    def test_federation_columns_must_align(self):
+        with pytest.raises(DomainError):
+            Federation("F", ("a", "b"), (1, 1), (1.0,), "a", 1.0, 3)
+
+    def test_members_view_reads_the_columns(self):
+        fed = Federation("F", ("a", "b"), (2, 3), (1.5, 0.5), "a", 1.0, 3)
+        assert len(fed.members) == 2
+        assert list(fed.members) == [Provider("a", 2, 1.5), Provider("b", 3, 0.5)]
+        assert fed.members[-1] == Provider("b", 3, 0.5)
+        assert fed.members[:1] == (Provider("a", 2, 1.5),)
 
     def test_offer_validation(self):
         with pytest.raises(DomainError):
