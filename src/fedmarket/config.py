@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import sys
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from enum import Enum, EnumMeta
 from pathlib import Path
 from typing import get_origin, get_type_hints
@@ -214,10 +214,17 @@ class ScenarioConfig:
         )
 
     def to_dict(self) -> dict:
-        """Plain values (enums as their values) that ``config_from_dict`` reads back."""
-        return asdict(
-            self, dict_factory=lambda items: {k: v.value if isinstance(v, Enum) else v for k, v in items}
-        )
+        """Plain values (enums as their values, ``thresholds`` as a mapping of its
+        four numbers) that ``config_from_dict`` reads back."""
+        plain = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, Enum):
+                value = value.value
+            elif isinstance(value, ThresholdDist):
+                value = {g.name: getattr(value, g.name) for g in fields(value)}
+            plain[f.name] = value
+        return plain
 
 
 _FIELD_TYPES = get_type_hints(ScenarioConfig)

@@ -235,10 +235,7 @@ def run_collection_year(
     ids = federation.member_ids
     n = len(ids)
 
-    try:
-        d_p = np.array(federation.d_p, dtype=np.int64)
-    except OverflowError:
-        raise DomainError("yearly point budgets must fit in a 64-bit integer") from None
+    d_p = federation.point_budgets()
     chunk = min(policy.points_per_round, _INT64_MAX)  # no budget is larger
     threshold = np.array(federation.eps_threshold, dtype=float)
     hi = policy.initial_eps_high * threshold

@@ -11,10 +11,13 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
+import itertools
 import json
 import math
 import statistics
 import time
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -31,8 +34,7 @@ from .dynamics import (
     run_collection_years,
     savings_snapshot,
 )
-from .errors import OutputError
-from .manifest import write_json, write_manifest
+from .manifest import write_json, write_manifest, write_output
 from .market import (
     Bid,
     ConsumerOffer,
@@ -91,16 +93,18 @@ def seal_single_federation_deal(
     return bid, w_star, seal_deal([bid], offer, w_star)
 
 
-def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Mapping]) -> Path:
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(header)
-            writer.writerows([row[name] for name in header] for row in rows)
-    except OSError as exc:
-        raise OutputError(f"cannot write {path}: {exc}") from exc
-    return path
+def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """Write ``header`` and ``rows`` of values in header order as CSV; return its SHA-256."""
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return write_output(path, buffer.getvalue().encode())
+
+
+def _write_records(path: Path, header: Sequence[str], records: Iterable[Mapping]) -> str:
+    """``_write_csv`` for rows held as mappings keyed by ``header``."""
+    return _write_csv(path, header, map(itemgetter(*header), records))
 
 
 DEAL_HEADER = (
@@ -200,15 +204,15 @@ def experiment_rounds(config: ScenarioConfig, out_dir: str | Path) -> list[dict]
 
     rows.sort(key=lambda r: (r["n"], r["target"], r["policy"], r["replication"]))
     deal_rows.sort(key=lambda r: (r["cell"], r["policy"], r["replication"]))
-    paths = [
-        _write_csv(
+    outputs = {
+        "rounds.csv": _write_records(
             out_dir / "rounds.csv",
             ("n", "target", "policy", "replication", "rounds_used", "achieved"),
             rows,
         ),
-        _write_csv(out_dir / "rounds_deals.csv", DEAL_HEADER, deal_rows),
-    ]
-    write_manifest(out_dir / "rounds_manifest.json", config, seeds, paths)
+        "rounds_deals.csv": _write_records(out_dir / "rounds_deals.csv", DEAL_HEADER, deal_rows),
+    }
+    write_manifest(out_dir / "rounds_manifest.json", config, seeds, outputs)
     return rows
 
 
@@ -282,14 +286,14 @@ def experiment_free_riders(config: ScenarioConfig, out_dir: str | Path) -> list[
                     )
 
     rows.sort(key=lambda r: (r["n"], r["delta_f"], r["policy"], r["replication"]))
-    paths = [
-        _write_csv(
+    outputs = {
+        "freeriders.csv": _write_records(
             out_dir / "freeriders.csv",
             ("n", "delta_f", "policy", "replication", "free_rider_count"),
             rows,
         )
-    ]
-    write_manifest(out_dir / "freeriders_manifest.json", config, seeds, paths)
+    }
+    write_manifest(out_dir / "freeriders_manifest.json", config, seeds, outputs)
     return rows
 
 
@@ -349,12 +353,12 @@ def experiment_shapley_timing(config: ScenarioConfig, out_dir: str | Path) -> li
             )
 
     rows.sort(key=lambda r: (r["n"], r["method"]))
-    paths = [
-        _write_csv(
+    outputs = {
+        "timing.csv": _write_records(
             out_dir / "timing.csv", ("n", "method", "wall_time", "shares_digest"), rows
         )
-    ]
-    write_manifest(out_dir / "timing_manifest.json", config, seeds, paths)
+    }
+    write_manifest(out_dir / "timing_manifest.json", config, seeds, outputs)
     return rows
 
 
@@ -412,27 +416,25 @@ def simulate(config: ScenarioConfig, out_dir: str | Path) -> dict:
     reduced, registry = apply_penalty(federation, flagged, {})
     flagged_ids = sorted(registry)  # a fresh registry holds exactly the flagged members
 
-    trace_rows = [
-        {
-            "year": ledger.year,
-            "round": t,
-            "provider": ledger.provider_ids[i],
-            "d_t": d_t,
-            "eps_t": eps_t,
-            "cumulative": running,
-        }
+    trace_rows = (
+        row
         for ledger in ledgers
-        for t, i, d_t, eps_t, running in zip(
-            ledger.round, ledger.provider, ledger.d_t, ledger.eps_t, ledger.cumulative
+        for row in zip(
+            itertools.repeat(ledger.year),
+            ledger.round,
+            map(ledger.provider_ids.__getitem__, ledger.provider),
+            ledger.d_t,
+            ledger.eps_t,
+            ledger.cumulative,
         )
-    ]
-    paths = [
-        _write_csv(
+    )
+    outputs = {
+        "trace.csv": _write_csv(
             out_dir / "trace.csv",
             ("year", "round", "provider", "d_t", "eps_t", "cumulative"),
             trace_rows,
         ),
-        write_json(
+        "ledgers.json": write_json(
             out_dir / "ledgers.json",
             [
                 {
@@ -451,7 +453,7 @@ def simulate(config: ScenarioConfig, out_dir: str | Path) -> dict:
                 for ledger in ledgers
             ],
         ),
-        write_json(
+        "deal.json": write_json(
             out_dir / "deal.json",
             {
                 "budget": offer.budget,
@@ -467,7 +469,7 @@ def simulate(config: ScenarioConfig, out_dir: str | Path) -> dict:
                 "aggregation": config.aggregation.value,
             },
         ),
-        write_json(
+        "shares.json": write_json(
             out_dir / "shares.json",
             {
                 "method": result.method,
@@ -476,7 +478,7 @@ def simulate(config: ScenarioConfig, out_dir: str | Path) -> dict:
                 "shares": {pid: share for pid, share in sorted(result.shares.items())},
             },
         ),
-        write_json(
+        "penalties.json": write_json(
             out_dir / "penalties.json",
             {
                 "savings": dict(zip(federation.member_ids, savings.tolist())),
@@ -489,8 +491,8 @@ def simulate(config: ScenarioConfig, out_dir: str | Path) -> dict:
                 "remaining_members": len(reduced.member_ids),
             },
         ),
-    ]
-    write_manifest(out_dir / "manifest.json", config, seeds, paths)
+    }
+    write_manifest(out_dir / "manifest.json", config, seeds, outputs)
     return {
         "w_star": w_star,
         "promised_eps": term.promised_eps,

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
 
@@ -31,16 +31,24 @@ def file_digest(path: str | Path) -> str:
     return digest.hexdigest()
 
 
-def write_json(path: Path, payload) -> Path:
-    """Write ``payload`` as key-sorted, indented JSON plus a newline."""
+def write_output(path: Path, data: bytes) -> str:
+    """Write ``data`` to ``path`` in one truncating write; return its SHA-256.
+
+    The digest is taken from the bytes in hand, so a manifest never has to
+    read back what a run has just written.
+    """
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        with open(path, "wb") as handle:
+            handle.write(data)
     except OSError as exc:
         raise OutputError(f"cannot write {path}: {exc}") from exc
-    return path
+    return hashlib.sha256(data).hexdigest()
+
+
+def write_json(path: Path, payload) -> str:
+    """Write ``payload`` as key-sorted, indented JSON plus a newline; return its SHA-256."""
+    return write_output(path, (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode())
 
 
 @dataclass(frozen=True)
@@ -56,17 +64,19 @@ def write_manifest(
     path: str | Path,
     config: ScenarioConfig,
     seeds: Mapping[str, int],
-    output_paths: list[Path],
+    outputs: Mapping[str, str],
 ) -> RunManifest:
-    """Write the manifest JSON next to the outputs it inventories."""
-    path = Path(path)
+    """Write the manifest JSON next to the outputs it inventories.
+
+    ``outputs`` maps each output's file name to the SHA-256 its writer returned.
+    """
     manifest = RunManifest(
         config_digest=config_digest(config),
         master_seed=config.master_seed,
         seeds=dict(seeds),
-        outputs={p.name: file_digest(p) for p in sorted(output_paths)},
+        outputs=dict(outputs),
     )
-    write_json(path, asdict(manifest))
+    write_json(Path(path), vars(manifest))  # the fields, whose values are all plain
     return manifest
 
 

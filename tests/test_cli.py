@@ -18,7 +18,7 @@ import fedmarket
 from fedmarket import cli
 from fedmarket.cli import main
 from fedmarket.config import load_config
-from fedmarket.manifest import config_digest, file_digest
+from fedmarket.manifest import config_digest, file_digest, load_manifest, verify_manifest
 
 
 SMALL_CONFIG = """
@@ -193,6 +193,23 @@ def test_exp_timing_smoke(config_path, tmp_path, capsys):
         by_n.setdefault(row["n"], {})[row["method"]] = row["shares_digest"]
     for digests in by_n.values():
         assert digests["exact"] == digests["pruned"]
+
+
+@pytest.mark.parametrize(
+    "command, manifest_name",
+    (
+        ("simulate", "manifest.json"),
+        ("exp-rounds", "rounds_manifest.json"),
+        ("exp-freeriders", "freeriders_manifest.json"),
+        ("exp-timing", "timing_manifest.json"),
+    ),
+)
+def test_manifest_digests_match_the_files_written(command, manifest_name, config_path, tmp_path):
+    out = tmp_path / "run"
+    assert main([command, "--config", str(config_path), "--out", str(out)]) == 0
+    manifest = load_manifest(out / manifest_name)
+    assert set(manifest.outputs) == {p.name for p in out.iterdir()} - {manifest_name}
+    assert verify_manifest(manifest, load_config(config_path), out) == []
 
 
 def test_shapley_subcommand(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import math
-from dataclasses import fields
+from dataclasses import asdict, fields
+from enum import Enum
 
 import numpy as np
 import pytest
@@ -16,13 +17,29 @@ from fedmarket.config import (
     sample_thresholds,
 )
 from fedmarket.errors import ConfigError, OutputError
+from fedmarket.experiments import _write_csv
 from fedmarket.manifest import (
     config_digest,
     file_digest,
     load_manifest,
     verify_manifest,
+    write_json,
     write_manifest,
 )
+
+
+def _asdict_reference(config):
+    """The deep ``asdict`` form ``ScenarioConfig.to_dict`` returned before it walked
+    the fields itself; kept as its reference."""
+    return asdict(
+        config, dict_factory=lambda items: {k: v.value if isinstance(v, Enum) else v for k, v in items}
+    )
+
+
+def _same_plain_form(config):
+    """Same keys in the same order, with equal values of the same types."""
+    plain, reference = config.to_dict(), _asdict_reference(config)
+    return [(k, type(v), v) for k, v in plain.items()] == [(k, type(v), v) for k, v in reference.items()]
 
 
 class TestThresholdSampling:
@@ -57,6 +74,10 @@ class TestConfigLoading:
     def test_defaults_are_valid(self):
         config = ScenarioConfig()
         assert config.aggregation.value == "additive"
+
+    def test_to_dict_is_the_asdict_form(self):
+        assert _same_plain_form(ScenarioConfig())
+        assert config_from_dict(ScenarioConfig().to_dict()) == ScenarioConfig()
 
     def test_yaml_round_trip(self, tmp_path):
         path = tmp_path / "scenario.yaml"
@@ -233,6 +254,7 @@ class TestConfigFuzz:
             config = config_from_dict(data)
         except ConfigError:
             return
+        assert _same_plain_form(config)
         for spec in (config, config.thresholds):
             for f in fields(spec):
                 value = getattr(spec, f.name)
@@ -268,7 +290,8 @@ class TestManifest:
         config = ScenarioConfig()
         out = tmp_path / "data.csv"
         out.write_text("n,value\n1,2\n")
-        manifest = write_manifest(tmp_path / "manifest.json", config, {"cell": 5}, [out])
+        outputs = {"data.csv": file_digest(out)}
+        manifest = write_manifest(tmp_path / "manifest.json", config, {"cell": 5}, outputs)
         assert manifest.outputs["data.csv"] == file_digest(out)
 
         loaded = load_manifest(tmp_path / "manifest.json")
@@ -281,12 +304,24 @@ class TestManifest:
         out.write_text("n,value\n1,3\n")
         assert any("data.csv" in p for p in verify_manifest(loaded, config, tmp_path))
 
+    def test_writers_return_the_digest_of_the_file_written(self, tmp_path):
+        json_path, csv_path = tmp_path / "out" / "data.json", tmp_path / "data.csv"
+        payload = {"b": [1.5, None, "x"], "a": {"nested": 0.1 + 0.2}}
+        assert write_json(json_path, payload) == file_digest(json_path)
+        rows = [(1, 0.1 + 0.2, "p,1"), (2, 1e-300, 'say "hi"')]
+        assert _write_csv(csv_path, ("n", "x", "who"), rows) == file_digest(csv_path)
+        assert (tmp_path / "data.csv").read_bytes().count(b"\r\n") == 3
+        # a plain truncating write: a longer old file leaves nothing behind
+        (tmp_path / "long.json").write_text("x" * 1000)
+        assert write_json(tmp_path / "long.json", 1) == file_digest(tmp_path / "long.json")
+        assert (tmp_path / "long.json").read_text() == "1\n"
+
     def test_empty_run_manifest(self, tmp_path):
-        manifest = write_manifest(tmp_path / "manifest.json", ScenarioConfig(), {}, [])
+        manifest = write_manifest(tmp_path / "manifest.json", ScenarioConfig(), {}, {})
         assert manifest.outputs == {}
         assert verify_manifest(load_manifest(tmp_path / "manifest.json"), ScenarioConfig(), tmp_path) == []
 
     def test_unwritable_manifest_raises_output_error(self, tmp_path):
         (tmp_path / "blocker").write_text("")
         with pytest.raises(OutputError, match="^cannot write "):
-            write_manifest(tmp_path / "blocker" / "manifest.json", ScenarioConfig(), {}, [])
+            write_manifest(tmp_path / "blocker" / "manifest.json", ScenarioConfig(), {}, {})

@@ -16,7 +16,7 @@ from fedmarket.market import (
     seal_deal,
     settle,
 )
-from fedmarket.privacy import AggregationMode, AlphabetSpec
+from fedmarket.privacy import AggregationMode, AlphabetSpec, ReportBatch, aggregate
 from fedmarket.valuation import ExponentialValuation
 
 
@@ -50,6 +50,31 @@ class TestFederationThreshold:
         fed = _federation([Provider("a", 2, 5.0), Provider("b", 3, 5.0)])
         out = federation_threshold(fed, AggregationMode.ADDITIVE_INFORMATION, AlphabetSpec(2))
         assert out == pytest.approx(25.0, abs=1e-12)
+
+    @pytest.mark.parametrize("mode", list(AggregationMode), ids=lambda m: m.value)
+    def test_matches_aggregate_of_one_batch_per_member(self, mode):
+        rng = np.random.default_rng(1201)
+        for _ in range(200):
+            n = int(rng.integers(1, 40))
+            spec = AlphabetSpec(int(rng.integers(2, 1 << 20)))
+            fed = Federation(
+                "F",
+                tuple(f"p{i}" for i in range(n)),
+                tuple(int(d) for d in rng.integers(1, 10**6, size=n)),
+                tuple(float(e) for e in rng.uniform(1e-3, 700.0, size=n) ** rng.uniform(0.2, 1.0)),
+                "p0",
+                1.0,
+                3,
+            )
+            batches = map(ReportBatch, fed.d_p, fed.eps_threshold)
+            expected = aggregate(batches, mode, spec)
+            assert federation_threshold(fed, mode, spec).hex() == expected.hex()
+
+    @pytest.mark.parametrize("d_p, message", ((2**63, "64-bit"), (1.5, "integers")))
+    def test_point_budget_outside_int64_rejected(self, d_p, message):
+        fed = _federation([Provider("a", d_p, 5.0)])
+        with pytest.raises(DomainError, match=message):
+            federation_threshold(fed, AggregationMode.ADDITIVE_INFORMATION, AlphabetSpec(2))
 
 
 class TestMakeBid:

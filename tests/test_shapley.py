@@ -10,9 +10,12 @@ from conftest import (
     oracle_shapley_permutations,
     oracle_shapley_subsets,
     random_threshold_game,
+    scalar_stats,
 )
 from fedmarket import shapley
+from fedmarket.config import ScenarioConfig
 from fedmarket.errors import CapacityError, DomainError
+from fedmarket.experiments import timing_game
 from fedmarket.privacy import AggregationMode, AlphabetSpec, ReportBatch
 from fedmarket.shapley import (
     ThresholdGame,
@@ -195,6 +198,97 @@ class TestPruned:
             shapley_pruned(game)
 
 
+class TestPlayerStats:
+    @pytest.mark.parametrize("mode", ALL_MODES, ids=lambda m: m.value)
+    def test_fsum_of_scalar_statistics(self, mode):
+        # criterion-01 games have 1-3 batches per player, some without data
+        rng = np.random.default_rng(909)
+        games = [random_threshold_game(rng, mode, max_players=14) for _ in range(200)]
+        huge = (
+            ("a", (ReportBatch(2**62 + 1, 0.3),)),
+            ("b", (ReportBatch(2**53 + 1, 2.0), ReportBatch(3, 0.5))),
+        )
+        games.append(ThresholdGame(huge, mode, 1.0, 1.0, AlphabetSpec(3)))
+        for game in games:
+            expected = [
+                [
+                    math.fsum(scalar_stats(mode, game.spec.k, b.d, b.epsilon)[j] for b in batches if b.d > 0)
+                    for _, batches in game.players
+                ]
+                for j in range(game.measure.width)
+            ]
+            got = shapley._player_stats(game)
+            assert got.dtype == np.float64
+            assert [[x.hex() for x in row] for row in got.tolist()] == [
+                [x.hex() for x in row] for row in expected
+            ]
+
+
+def _monotone_game(rng, mode, n, fraction):
+    """A criterion-01 game with ``n`` players and its target at ``fraction`` of the grand total."""
+    game = random_threshold_game(rng, mode, max_players=n, min_players=n)
+    total = math.fsum(shapley._player_stats(game)[0])
+    target = fraction * total if total > 0 else 1.0
+    return ThresholdGame(game.players, mode, target, game.prize, game.spec)
+
+
+def _takes_enumeration(game):
+    full = 1 << game.n
+    bound = shapley._losing_bound(shapley._player_stats(game)[0], game.target)
+    return full <= shapley.MAX_FRONTIER and shapley._ENUMERATION_FACTOR * bound >= full
+
+
+class TestPrunedCostCheck:
+    """``shapley_pruned`` takes the enumeration's matrix where the losing family may be large."""
+
+    @pytest.mark.parametrize("mode", MONOTONE_MODES, ids=lambda m: m.value)
+    def test_both_matrices_equal_on_both_sides_of_the_switch(self, mode):
+        rng = np.random.default_rng(1212)
+        sides = set()
+        for _ in range(300):
+            game = _monotone_game(rng, mode, int(rng.integers(1, 15)), float(rng.uniform(0.05, 1.2)))
+            stats = shapley._player_stats(game)
+            pruned = shapley._pruned_marginals(game, stats)
+            assert pruned.dtype == np.int64
+            assert np.array_equal(pruned, shapley._enumerated_marginals(game, stats))
+            sides.add(_takes_enumeration(game))
+        assert sides == {True, False}
+
+    def _spy(self, monkeypatch):
+        taken = []
+        for name in ("_enumerated_marginals", "_pruned_marginals"):
+            original = getattr(shapley, name)
+
+            def spy(game, stats, name=name, original=original):
+                taken.append(name)
+                return original(game, stats)
+
+            monkeypatch.setattr(shapley, name, spy)
+        return taken
+
+    def test_settle_like_game_takes_the_enumeration(self, monkeypatch):
+        rng = np.random.default_rng(76)
+        games = [
+            _monotone_game(rng, mode, n, fraction)
+            for mode in MONOTONE_MODES
+            for n in (6, 10, 14)
+            for fraction in (0.76, 0.9, 1.0)
+        ]
+        taken = self._spy(monkeypatch)
+        for game in games:
+            assert shapley_pruned(game).method == "pruned"
+        assert taken == ["_enumerated_marginals"] * len(games)
+
+    def test_timing_game_walks_the_frontier(self, monkeypatch):
+        config = ScenarioConfig()
+        assert config.timing_target_fraction == 0.15
+        games = [timing_game(config, n) for n in (*config.timing_sizes, 10, 12)]
+        taken = self._spy(monkeypatch)
+        for game in games:
+            shapley_pruned(game)
+        assert taken == ["_pruned_marginals"] * len(games)
+
+
 class TestSampled:
     def test_example_game_within_three_standard_errors(self):
         samples = 100_000
@@ -353,7 +447,7 @@ def _reference_exact_counts(game):
 
 class TestExactCountsMatchReference:
     def _assert_same(self, game):
-        wins_by_size, wins_with_player = shapley._exact_counts(game)
+        wins_by_size, wins_with_player = shapley._exact_counts(game, shapley._player_stats(game))
         expected_by_size, expected_with_player = _reference_exact_counts(game)
         assert wins_by_size.dtype == wins_with_player.dtype == np.int64
         assert np.array_equal(wins_by_size, expected_by_size)
@@ -404,7 +498,7 @@ class TestExactCountsMatchReference:
             tuple(players), AggregationMode.ADDITIVE_INFORMATION, 2.0, 10.0, AlphabetSpec(2)
         )
         wins_by_size, wins_with_player = self._assert_same(idle)
-        marginals = shapley._enumerated_marginals(idle)
+        marginals = shapley._enumerated_marginals(idle, shapley._player_stats(idle))
         assert not marginals[3].any()
         assert all(row.min() >= 0 and row.sum() > 0 for i, row in enumerate(marginals) if i != 3)
 
@@ -478,18 +572,18 @@ class TestMarginalMatrix:
         rng = np.random.default_rng(6061)
         for _ in range(12):
             game = random_threshold_game(rng, mode, max_players=6)
-            self._assert_matches_pairs(game, shapley._enumerated_marginals(game))
+            self._assert_matches_pairs(game, shapley._enumerated_marginals(game, shapley._player_stats(game)))
 
     @pytest.mark.parametrize("mode", MONOTONE_MODES, ids=lambda m: m.value)
     def test_pruned(self, mode):
         rng = np.random.default_rng(6062)
         for _ in range(12):
             game = random_threshold_game(rng, mode, max_players=6)
-            self._assert_matches_pairs(game, shapley._pruned_marginals(game))
+            self._assert_matches_pairs(game, shapley._pruned_marginals(game, shapley._player_stats(game)))
 
     def test_krr_game_with_a_negative_entry(self):
         game = _krr_game(DILUTED_KRR, 4.0, 30.0)
-        marginals = shapley._enumerated_marginals(game)
+        marginals = shapley._enumerated_marginals(game, shapley._player_stats(game))
         self._assert_matches_pairs(game, marginals)
         assert marginals[1, 1] < 0  # p1 joining {p0} dilutes it below the target
 
