@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -13,7 +12,7 @@ import numpy as np
 
 from .config import _TYPE_CHECKS, ScenarioConfig, config_from_dict, load_config
 from .dynamics import PolicyKind
-from .errors import ConfigError, FedMarketError, OutputError
+from .errors import ConfigError, FedMarketError
 from .experiments import (
     audit_outputs,
     experiment_free_riders,
@@ -22,6 +21,7 @@ from .experiments import (
     shares_digest,
     simulate,
 )
+from .manifest import prepare_out_dir
 from .privacy import AggregationMode, AlphabetSpec, ReportBatch
 from .shapley import ThresholdGame, shapley_exact, shapley_pruned, shapley_sampled
 
@@ -40,17 +40,12 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 def _prepare_run(args: argparse.Namespace) -> ScenarioConfig:
     """The scenario the flags describe, with ``--out`` made a writable directory
-    before anything is computed."""
+    before the command runs."""
     config = load_config(args.config) if args.config else ScenarioConfig()
     keys = {f.name for f in fields(ScenarioConfig)}
     flags = {key: value for key, value in vars(args).items() if key in keys and value is not None}
     config = config_from_dict({**config.to_dict(), **flags})
-    try:
-        args.out.mkdir(parents=True, exist_ok=True)
-        if not os.access(args.out, os.W_OK | os.X_OK):
-            raise PermissionError("permission denied")
-    except OSError as exc:
-        raise OutputError(f"cannot write {args.out}: {exc}") from exc
+    prepare_out_dir(args.out)
     return config
 
 

@@ -24,7 +24,7 @@ from itertools import compress, repeat
 import numpy as np
 
 from .errors import DomainError, FedMarketError
-from .market import Federation, Provider, RowView, strongest_member
+from .market import Federation, Provider, RowView
 from .privacy import MAX_EPSILON, AggregationMode, AlphabetSpec, Measure, validate_epsilon
 from .valuation import ExponentialValuation
 
@@ -235,7 +235,7 @@ def run_collection_year(
     ids = federation.member_ids
     n = len(ids)
 
-    d_p = federation.point_budgets()
+    d_p = np.array(federation.d_p, dtype=np.int64)
     chunk = min(policy.points_per_round, _INT64_MAX)  # no budget is larger
     threshold = np.array(federation.eps_threshold, dtype=float)
     hi = policy.initial_eps_high * threshold
@@ -371,9 +371,10 @@ def apply_penalty(
 ) -> tuple[Federation, dict[str, PenaltyState]]:
     """Exclude the members ``flagged`` marks, hand out demerits, update the registry.
 
-    ``flagged`` is a boolean mask in member order. If the representative
-    is removed, the member with the largest information limit takes over.
-    Flagging everyone leaves an inactive federation behind.
+    ``flagged`` is a boolean mask in member order. The representative is
+    read off the remaining members, so an excluded one is succeeded by the
+    first member with the largest information limit. Flagging everyone
+    leaves an inactive federation behind.
     """
     flagged = np.asarray(flagged, dtype=bool)
     if flagged.shape != (len(federation.member_ids),):
@@ -393,29 +394,20 @@ def apply_penalty(
         tuple(compress(column, keep))
         for column in (federation.member_ids, federation.d_p, federation.eps_threshold)
     )
-    representative = federation.representative
-    if representative not in ids:
-        representative = strongest_member(ids, d_p, eps) if ids else None
-    reduced = replace(
-        federation,
-        member_ids=ids,
-        d_p=d_p,
-        eps_threshold=eps,
-        representative=representative,
-        active=federation.active and bool(ids),
-    )
-    return reduced, updated
+    return replace(federation, member_ids=ids, d_p=d_p, eps_threshold=eps), updated
 
 
 def admit_member(
     federation: Federation, provider: Provider, registry: Mapping[str, PenaltyState]
 ) -> Federation:
-    """Admit a provider unless the demerit registry still excludes her."""
+    """Admit a provider unless the demerit registry still excludes her.
+
+    The federation rejects a provider who is already a member, and a
+    stronger newcomer becomes its representative.
+    """
     state = registry.get(provider.id)
     if state is not None and state.excluded:
         raise DomainError(f"provider {provider.id} is excluded and cannot be admitted")
-    if provider.id in federation.member_ids:
-        raise DomainError(f"provider {provider.id} is already a member")
     return replace(
         federation,
         member_ids=federation.member_ids + (provider.id,),

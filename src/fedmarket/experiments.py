@@ -34,7 +34,8 @@ from .dynamics import (
     run_collection_years,
     savings_snapshot,
 )
-from .manifest import write_json, write_manifest, write_output
+from .errors import DomainError
+from .manifest import prepare_out_dir, write_json, write_manifest, write_output
 from .market import (
     Bid,
     ConsumerOffer,
@@ -44,7 +45,6 @@ from .market import (
     make_bid,
     seal_deal,
     settle,
-    strongest_member,
 )
 from .privacy import AggregationMode, AlphabetSpec, ReportBatch
 from .shapley import ThresholdGame, shapley_exact, shapley_pruned, shapley_sampled
@@ -63,20 +63,12 @@ def build_federation(
     rng: np.random.Generator,
     delta_threshold: float | None = None,
 ) -> Federation:
-    """Sample provider thresholds and assemble a federation.
-
-    The member with the largest information limit is elected
-    representative.
-    """
-    ids = tuple(f"p{i:03d}" for i in range(n))
-    d_p = (config.data_points,) * n
-    thresholds = tuple(sample_thresholds(config.thresholds, n, rng).tolist())
+    """Sample provider thresholds and assemble a federation."""
     return Federation(
         id=fed_id,
-        member_ids=ids,
-        d_p=d_p,
-        eps_threshold=thresholds,
-        representative=strongest_member(ids, d_p, thresholds),
+        member_ids=tuple(f"p{i:03d}" for i in range(n)),
+        d_p=(config.data_points,) * n,
+        eps_threshold=tuple(sample_thresholds(config.thresholds, n, rng).tolist()),
         delta_threshold=delta_threshold if delta_threshold is not None else config.delta_thresholds[0],
         tolerance_window=config.tolerance_window,
     )
@@ -88,8 +80,12 @@ def seal_single_federation_deal(
     mode: AggregationMode,
     spec: AlphabetSpec,
 ) -> tuple[Bid, float, SealedDeal]:
+    """Bid, scale and seal one federation's deal; a deal that buys no privacy
+    (w* = 0, a promise of 0) is a ``DomainError``, since no year can collect it."""
     bid = make_bid(federation, offer, mode, spec)
     w_star = compute_scaling([bid], offer)
+    if w_star == 0.0:
+        raise DomainError(f"budget {offer.budget} buys no privacy from federation {federation.id}: w* = 0")
     return bid, w_star, seal_deal([bid], offer, w_star)
 
 
@@ -150,7 +146,7 @@ def experiment_rounds(config: ScenarioConfig, out_dir: str | Path) -> list[dict]
     budget priced exactly at the cell's target; both policies then run
     the warmup years plus one measured year on identical draws.
     """
-    out_dir = Path(out_dir)
+    out_dir = prepare_out_dir(out_dir)
     spec = AlphabetSpec(config.k)
     valuation = ExponentialValuation(config.k1, config.k2)
     rows: list[dict] = []
@@ -228,7 +224,7 @@ def experiment_free_riders(config: ScenarioConfig, out_dir: str | Path) -> list[
     flags free riders, who are excluded; the reported count is the
     number of excluded providers at the end of the run.
     """
-    out_dir = Path(out_dir)
+    out_dir = prepare_out_dir(out_dir)
     spec = AlphabetSpec(config.k)
     open_target = math.inf  # never reached: every year runs the full round count
     rows: list[dict] = []
@@ -328,7 +324,7 @@ def experiment_shapley_timing(config: ScenarioConfig, out_dir: str | Path) -> li
     records the time per evaluation. The shares digest proves both methods
     returned identical money.
     """
-    out_dir = Path(out_dir)
+    out_dir = prepare_out_dir(out_dir)
     rows: list[dict] = []
     seeds: dict[str, int] = {}
     for n in config.timing_sizes:
@@ -369,7 +365,7 @@ def simulate(config: ScenarioConfig, out_dir: str | Path) -> dict:
     per-round trace, year ledgers, deal record, revenue shares, penalty
     snapshot, and the run manifest.
     """
-    out_dir = Path(out_dir)
+    out_dir = prepare_out_dir(out_dir)
     spec = AlphabetSpec(config.k)
     valuation = ExponentialValuation(config.k1, config.k2)
     n = config.federation_sizes[0]
@@ -445,8 +441,8 @@ def simulate(config: ScenarioConfig, out_dir: str | Path) -> dict:
                     "reached": ledger.reached,
                     "providers": {
                         pid: {"d_total": d_total, "eps_level": eps_level}
-                        for pid, d_total, eps_level in sorted(
-                            zip(ledger.provider_ids, ledger.d_total, ledger.eps_level)
+                        for pid, d_total, eps_level in zip(
+                            ledger.provider_ids, ledger.d_total, ledger.eps_level
                         )
                     },
                 }
@@ -475,7 +471,7 @@ def simulate(config: ScenarioConfig, out_dir: str | Path) -> dict:
                 "method": result.method,
                 "sample_count": result.sample_count,
                 "prize": payout,
-                "shares": {pid: share for pid, share in sorted(result.shares.items())},
+                "shares": result.shares,
             },
         ),
         "penalties.json": write_json(
@@ -485,7 +481,7 @@ def simulate(config: ScenarioConfig, out_dir: str | Path) -> dict:
                 "flagged": flagged_ids,
                 "registry": {
                     pid: {"demerits": state.demerits, "excluded": state.excluded}
-                    for pid, state in sorted(registry.items())
+                    for pid, state in registry.items()
                 },
                 "federation_active": reduced.active,
                 "remaining_members": len(reduced.member_ids),

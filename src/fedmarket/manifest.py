@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
@@ -31,14 +32,30 @@ def file_digest(path: str | Path) -> str:
     return digest.hexdigest()
 
 
+def prepare_out_dir(out_dir: str | Path) -> Path:
+    """Create ``out_dir`` if it is missing and check that it takes outputs.
+
+    Every run calls this before it computes anything, so an unwritable
+    path fails at once; the writers then only write.
+    """
+    out_dir = Path(out_dir)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        if not os.access(out_dir, os.W_OK | os.X_OK):
+            raise PermissionError("permission denied")
+    except OSError as exc:
+        raise OutputError(f"cannot write {out_dir}: {exc}") from exc
+    return out_dir
+
+
 def write_output(path: Path, data: bytes) -> str:
     """Write ``data`` to ``path`` in one truncating write; return its SHA-256.
 
-    The digest is taken from the bytes in hand, so a manifest never has to
-    read back what a run has just written.
+    The directory must exist (``prepare_out_dir``). The digest is taken
+    from the bytes in hand, so a manifest never has to read back what a
+    run has just written.
     """
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
         with open(path, "wb") as handle:
             handle.write(data)
     except OSError as exc:

@@ -49,64 +49,53 @@ class RowView(Sequence):
         return self._row(range(self._len)[i])
 
 
-def strongest_member(
-    member_ids: Sequence[str], d_p: Sequence[int], eps_threshold: Sequence[float]
-) -> str:
-    """The member with the largest information limit d_p * eps_threshold, the first on a tie."""
-    return member_ids[int(np.argmax(np.multiply(d_p, eps_threshold)))]
-
-
 @dataclass(frozen=True)
 class Federation:
-    """A coalition of providers with an elected representative, held as member columns.
+    """A coalition of providers, held as member columns.
 
     ``member_ids``, ``d_p`` and ``eps_threshold`` are tuples in member
     order; ``members`` reads them as ``Provider`` objects, built only when
-    read. ``delta_threshold`` is the free-rider tolerance,
+    read. Every member rule is checked here, once: ids are unique, each
+    yearly budget is an integer in [1, 2^63) and each threshold lies in
+    (0, ``MAX_EPSILON``]. ``delta_threshold`` is the free-rider tolerance,
     ``tolerance_window`` the number of past years over which privacy
-    savings accumulate. A federation emptied by penalties is kept around
-    with ``active=False``.
+    savings accumulate. The representative and ``active`` are read off
+    the members, so they follow every admission and exclusion; a
+    federation emptied by penalties is kept around, inactive.
     """
 
     id: str
     member_ids: tuple[str, ...]
     d_p: tuple[int, ...]
     eps_threshold: tuple[float, ...]
-    representative: str | None
     delta_threshold: float
     tolerance_window: int
-    active: bool = True
 
     def __post_init__(self) -> None:
-        d_p, eps = self.d_p, self.eps_threshold
-        if not len(self.member_ids) == len(d_p) == len(eps):
+        ids, d_p, eps = self.member_ids, self.d_p, self.eps_threshold
+        if not len(ids) == len(d_p) == len(eps):
             raise DomainError(f"federation {self.id} has member columns of unequal length")
+        if len(set(ids)) < len(ids):
+            twice = next(pid for i, pid in enumerate(ids) if pid in ids[:i])
+            raise DomainError(f"provider {twice} is listed twice in federation {self.id}")
         # whole-column reductions; a NaN or an infinity makes the sum non-finite
         if d_p and not (
             min(d_p) >= 1 and min(eps) > 0.0 and max(eps) <= MAX_EPSILON and math.isfinite(sum(eps))
         ):
-            bad = (i for i, (d, e) in enumerate(zip(d_p, eps)) if d < 1 or not 0.0 < e <= MAX_EPSILON)
-            self.members[next(bad)]  # the first bad member's Provider says what is wrong
+            for _ in self.members:  # the first bad member's Provider says what is wrong
+                pass
+        try:
+            budgets = np.array(d_p, dtype=np.int64).tolist()
+        except OverflowError:
+            raise DomainError("yearly point budgets must fit in a 64-bit integer") from None
+        except ValueError:  # a NaN budget
+            budgets = None
+        if budgets != list(d_p):  # the cast truncates a fraction
+            raise DomainError(f"yearly point budgets must be integers, got {list(d_p)}")
         if self.delta_threshold <= 0:
             raise DomainError("delta threshold must be positive")
         if self.tolerance_window < 1:
             raise DomainError("tolerance window must cover at least one year")
-        if self.active:
-            if not self.member_ids:
-                raise DomainError(f"active federation {self.id} has no members")
-            if self.representative not in self.member_ids:
-                raise DomainError(f"representative {self.representative} not in federation {self.id}")
-
-    def point_budgets(self) -> np.ndarray:
-        """``d_p`` as an int64 array; a budget that is not an integer or does not
-        fit in int64 is a ``DomainError``."""
-        try:
-            budgets = np.array(self.d_p, dtype=np.int64)
-        except OverflowError:
-            raise DomainError("yearly point budgets must fit in a 64-bit integer") from None
-        if budgets.tolist() != list(self.d_p):  # the cast truncates a fraction
-            raise DomainError(f"yearly point budgets must be integers, got {list(self.d_p)}")
-        return budgets
 
     @property
     def members(self) -> Sequence[Provider]:
@@ -114,6 +103,19 @@ class Federation:
             lambda i: Provider(self.member_ids[i], self.d_p[i], self.eps_threshold[i]),
             len(self.member_ids),
         )
+
+    @property
+    def representative(self) -> str | None:
+        """The member who bids for the federation: the one with the largest
+        information limit d_p * eps_threshold, the first on a tie; ``None``
+        once no member is left."""
+        if not self.member_ids:
+            return None
+        return self.member_ids[int(np.argmax(np.multiply(self.d_p, self.eps_threshold)))]
+
+    @property
+    def active(self) -> bool:
+        return bool(self.member_ids)
 
 
 @dataclass(frozen=True)
@@ -163,7 +165,8 @@ def federation_threshold(
     """
     measure = Measure(mode, spec.k)
     totals = [0.0] * measure.width
-    measure.add(totals, federation.point_budgets(), np.array(federation.eps_threshold, dtype=float))
+    d_p = np.array(federation.d_p, dtype=np.int64)
+    measure.add(totals, d_p, np.array(federation.eps_threshold, dtype=float))
     return measure.level(totals)
 
 

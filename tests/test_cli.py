@@ -15,9 +15,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fedmarket
-from fedmarket import cli
+from fedmarket import cli, experiments
 from fedmarket.cli import main
-from fedmarket.config import load_config
+from fedmarket.config import ScenarioConfig, load_config
+from fedmarket.errors import OutputError
 from fedmarket.manifest import config_digest, file_digest, load_manifest, verify_manifest
 
 
@@ -414,6 +415,69 @@ def test_unwritable_out_fails_before_computing(command, entry, config_path, tmp_
     assert main([command, "--config", str(config_path), "--out", str(out)]) == 4
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"error: cannot write {out}")
+
+
+def test_library_run_into_unwritable_out_fails_before_computing(tmp_path, monkeypatch):
+    def computes(*args, **kwargs):
+        raise AssertionError("simulate built a federation before out_dir was checked")
+
+    monkeypatch.setattr(experiments, "build_federation", computes)
+    (tmp_path / "blocker").write_text("a regular file, not a directory\n")
+    with pytest.raises(OutputError, match=f"cannot write {tmp_path / 'blocker' / 'sub'}"):
+        experiments.simulate(ScenarioConfig(), tmp_path / "blocker" / "sub")
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    (("simulate", "budget: 0.001\n"), ("exp-rounds", "targets: [1.0e-12]\nreplications: 1\n")),
+    ids=("simulate", "exp-rounds"),
+)
+def test_deal_that_buys_no_privacy_exits_2(command, text, tmp_path, capsys):
+    path = tmp_path / "scenario.yaml"
+    path.write_text(text)
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: budget ")
+    assert "buys no privacy from federation" in lines[0] and "w* = 0" in lines[0]
+
+
+@st.composite
+def _simulate_configs(draw):
+    """Small whole-run scenarios; budgets down to 1e-6 seal deals that buy nothing."""
+    return {
+        "master_seed": draw(st.integers(0, 2**32 - 1)),
+        "aggregation": draw(st.sampled_from(["additive", "example", "krr"])),
+        "k": draw(st.integers(2, 6)),
+        "federation_sizes": [draw(st.integers(1, 8))],
+        "data_points": draw(st.integers(1, 12)),
+        "budget": draw(st.floats(1.0, 10.0)) * 10.0 ** draw(st.integers(-6, 3)),
+        "policy": draw(st.sampled_from(["catalyzing", "non-catalyzing"])),
+        "max_rounds": draw(st.integers(1, 6)),
+        "warmup_years": draw(st.integers(0, 2)),
+        "tolerance_window": draw(st.integers(1, 3)),
+        "delta_thresholds": [draw(st.floats(0.05, 50.0))],
+        "shapley_samples": 64,
+    }
+
+
+class TestSimulateCliFuzz:
+    """Whole ``simulate`` runs from random configs: a clean audit, or one ``error:`` line and exit 2."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(config=_simulate_configs())
+    @example(config={"federation_sizes": [8], "budget": 1.0e-6, "shapley_samples": 64})
+    def test_every_run_exits_cleanly(self, config):
+        with tempfile.TemporaryDirectory() as tmp:
+            path, out = Path(tmp) / "scenario.yaml", Path(tmp) / "out"
+            path.write_text(yaml.safe_dump(config))
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(["simulate", "--config", str(path), "--out", str(out)])
+                if code == 0:
+                    assert main(["audit", "--out", str(out)]) == 0
+            if code:
+                lines = err.getvalue().splitlines()
+                assert code == 2 and len(lines) == 1 and lines[0].startswith("error: "), lines
 
 
 def test_cli_overrides_change_outputs(config_path, tmp_path):

@@ -22,6 +22,7 @@ from fedmarket.manifest import (
     config_digest,
     file_digest,
     load_manifest,
+    prepare_out_dir,
     verify_manifest,
     write_json,
     write_manifest,
@@ -305,7 +306,7 @@ class TestManifest:
         assert any("data.csv" in p for p in verify_manifest(loaded, config, tmp_path))
 
     def test_writers_return_the_digest_of_the_file_written(self, tmp_path):
-        json_path, csv_path = tmp_path / "out" / "data.json", tmp_path / "data.csv"
+        json_path, csv_path = prepare_out_dir(tmp_path / "out") / "data.json", tmp_path / "data.csv"
         payload = {"b": [1.5, None, "x"], "a": {"nested": 0.1 + 0.2}}
         assert write_json(json_path, payload) == file_digest(json_path)
         rows = [(1, 0.1 + 0.2, "p,1"), (2, 1e-300, 'say "hi"')]
@@ -320,6 +321,13 @@ class TestManifest:
         manifest = write_manifest(tmp_path / "manifest.json", ScenarioConfig(), {}, {})
         assert manifest.outputs == {}
         assert verify_manifest(load_manifest(tmp_path / "manifest.json"), ScenarioConfig(), tmp_path) == []
+
+    def test_writers_leave_making_the_directory_to_the_run(self, tmp_path):
+        with pytest.raises(OutputError, match="^cannot write "):
+            write_json(tmp_path / "missing" / "data.json", 1)
+        assert not (tmp_path / "missing").exists()
+        assert prepare_out_dir(tmp_path / "a" / "b") == tmp_path / "a" / "b"
+        assert (tmp_path / "a" / "b").is_dir()
 
     def test_unwritable_manifest_raises_output_error(self, tmp_path):
         (tmp_path / "blocker").write_text("")

@@ -33,13 +33,12 @@ from fedmarket.privacy import AggregationMode, AlphabetSpec, Measure, ReportBatc
 from fedmarket.valuation import ExponentialValuation
 
 
-def _federation(members, delta=2.0, window=3, rep=None):
+def _federation(members, delta=2.0, window=3):
     return Federation(
         id="F1",
         member_ids=tuple(p.id for p in members),
         d_p=tuple(p.d_p for p in members),
         eps_threshold=tuple(p.eps_threshold for p in members),
-        representative=rep or members[0].id,
         delta_threshold=delta,
         tolerance_window=window,
     )
@@ -231,11 +230,8 @@ class TestRunCollectionYear:
             assert ledger.achieved == ledger.cumulative[-1] == aggregate(batches, mode, spec)
 
     def test_point_budget_beyond_int64_rejected(self):
-        fed = _federation([Provider("p", 2**70, 5.0)])
         with pytest.raises(DomainError):
-            run_collection_year(
-                fed, 1.0, NONCAT, 2, AggregationMode.ADDITIVE_INFORMATION, np.random.default_rng(0)
-            )
+            _federation([Provider("p", 2**70, 5.0)])
 
     @pytest.mark.parametrize("max_rounds", (1, 3))
     @pytest.mark.parametrize("kind", list(PolicyKind), ids=lambda k: k.value)
@@ -664,9 +660,7 @@ def _flags(federation, *ids):
 
 class TestApplyPenalty:
     def _fed(self):
-        return _federation(
-            [Provider("a", 5, 2.0), Provider("b", 5, 3.0), Provider("c", 5, 4.0)], rep="a"
-        )
+        return _federation([Provider("a", 5, 2.0), Provider("b", 5, 3.0), Provider("c", 5, 4.0)])
 
     def test_empty_flag_set_is_identity(self):
         fed = self._fed()
@@ -679,12 +673,17 @@ class TestApplyPenalty:
         assert registry["b"].demerits == 1 and registry["b"].excluded
 
     def test_representative_reassigned_by_information_limit(self):
-        out, _ = apply_penalty(self._fed(), _flags(self._fed(), "a"), {})
-        assert out.representative == "c"  # largest d_p * eps_threshold
+        fed = self._fed()
+        assert fed.representative == "c"  # largest d_p * eps_threshold
+        out, _ = apply_penalty(fed, _flags(fed, "c"), {})
+        assert out.representative == "b"
+        kept, _ = apply_penalty(fed, _flags(fed, "a"), {})
+        assert kept.representative == "c"
 
     def test_representative_tie_goes_to_the_first_member(self):
         members = [Provider("a", 5, 2.0), Provider("b", 2, 5.0), Provider("c", 10, 1.0)]
-        fed = _federation(members + [Provider("d", 1, 3.0)], rep="d")
+        fed = _federation(members + [Provider("d", 4, 3.0)])
+        assert fed.representative == "d"
         out, _ = apply_penalty(fed, _flags(fed, "d"), {})
         assert out.representative == "a"  # a, b and c all have the limit 10.0
 
@@ -716,6 +715,16 @@ class TestApplyPenalty:
             admit_member(fed, Provider("b", 5, 3.0), registry)
         welcomed = admit_member(fed, Provider("d", 5, 1.0), registry)
         assert any(p.id == "d" for p in welcomed.members)
+
+    def test_admission_rejects_a_member(self):
+        with pytest.raises(DomainError, match="provider b is listed twice in federation F1"):
+            admit_member(self._fed(), Provider("b", 1, 1.0), {})
+
+    def test_stronger_newcomer_becomes_the_representative(self):
+        fed = _federation([Provider("a", 5, 1.0), Provider("b", 5, 3.0)])
+        assert fed.representative == "b"
+        assert admit_member(fed, Provider("c", 50, 6.0), {}).representative == "c"
+        assert admit_member(fed, Provider("d", 3, 5.0), {}).representative == "b"  # a tie: b came first
 
     def test_penalty_state_invariant(self):
         with pytest.raises(DomainError):

@@ -20,13 +20,12 @@ from fedmarket.privacy import AggregationMode, AlphabetSpec, ReportBatch, aggreg
 from fedmarket.valuation import ExponentialValuation
 
 
-def _federation(members, rep=None, fed_id="F1"):
+def _federation(members, fed_id="F1"):
     return Federation(
         id=fed_id,
         member_ids=tuple(p.id for p in members),
         d_p=tuple(p.d_p for p in members),
         eps_threshold=tuple(p.eps_threshold for p in members),
-        representative=rep or members[0].id,
         delta_threshold=1.0,
         tolerance_window=3,
     )
@@ -62,7 +61,6 @@ class TestFederationThreshold:
                 tuple(f"p{i}" for i in range(n)),
                 tuple(int(d) for d in rng.integers(1, 10**6, size=n)),
                 tuple(float(e) for e in rng.uniform(1e-3, 700.0, size=n) ** rng.uniform(0.2, 1.0)),
-                "p0",
                 1.0,
                 3,
             )
@@ -72,9 +70,8 @@ class TestFederationThreshold:
 
     @pytest.mark.parametrize("d_p, message", ((2**63, "64-bit"), (1.5, "integers")))
     def test_point_budget_outside_int64_rejected(self, d_p, message):
-        fed = _federation([Provider("a", d_p, 5.0)])
         with pytest.raises(DomainError, match=message):
-            federation_threshold(fed, AggregationMode.ADDITIVE_INFORMATION, AlphabetSpec(2))
+            _federation([Provider("a", d_p, 5.0)])
 
 
 class TestMakeBid:
@@ -225,10 +222,24 @@ class TestTypes:
             Provider("a", 1, -1.0)
 
     def test_federation_validation(self):
-        with pytest.raises(DomainError):
-            _federation([Provider("a", 1, 1.0)], rep="ghost")
-        with pytest.raises(DomainError):
-            Federation("F", (), (), (), None, 1.0, 3, active=True)
+        with pytest.raises(DomainError, match="provider a is listed twice in federation F"):
+            Federation("F", ("a", "b", "a"), (1, 1, 1), (1.0, 1.0, 1.0), 1.0, 3)
+        with pytest.raises(DomainError, match="provider b must hold at least one data point"):
+            Federation("F", ("a", "b"), (1, 0), (1.0, 1.0), 1.0, 3)
+        for d_p, message in ((1.5, "integers"), (math.nan, "integers"), (2**63, "64-bit"), (1e19, "64-bit")):
+            with pytest.raises(DomainError, match=f"yearly point budgets must .*{message}"):
+                Federation("F", ("a", "b"), (1, d_p), (1.0, 1.0), 1.0, 3)
+        for eps in (0.0, -1.0, 700.5, math.inf):
+            with pytest.raises(DomainError):
+                Federation("F", ("a",), (1,), (eps,), 1.0, 3)
+        assert Federation("F", ("a",), (2**63 - 1,), (700.0,), 1.0, 3).d_p == (2**63 - 1,)
+
+    def test_representative_and_active_are_read_off_the_members(self):
+        fed = Federation("F", ("a", "b", "c", "d"), (5, 2, 10, 1), (2.0, 5.0, 1.0, 3.0), 1.0, 3)
+        assert fed.representative == "a"  # a, b and c all have the limit 10.0
+        assert fed.active
+        empty = Federation("F", (), (), (), 1.0, 3)
+        assert empty.representative is None and not empty.active
 
     @pytest.mark.parametrize(
         "d_p, eps, message",
@@ -243,7 +254,7 @@ class TestTypes:
     def test_federation_names_its_first_bad_member(self, d_p, eps, message):
         # "c" holds no data either; the error is about "b", the first bad member
         with pytest.raises(DomainError) as raised:
-            Federation("F", ("a", "b", "c"), (1, d_p, 0), (1.0, eps, 1.0), "a", 1.0, 3)
+            Federation("F", ("a", "b", "c"), (1, d_p, 0), (1.0, eps, 1.0), 1.0, 3)
         assert str(raised.value) == message
         with pytest.raises(DomainError) as alone:
             Provider("b", d_p, eps)
@@ -251,10 +262,10 @@ class TestTypes:
 
     def test_federation_columns_must_align(self):
         with pytest.raises(DomainError):
-            Federation("F", ("a", "b"), (1, 1), (1.0,), "a", 1.0, 3)
+            Federation("F", ("a", "b"), (1, 1), (1.0,), 1.0, 3)
 
     def test_members_view_reads_the_columns(self):
-        fed = Federation("F", ("a", "b"), (2, 3), (1.5, 0.5), "a", 1.0, 3)
+        fed = Federation("F", ("a", "b"), (2, 3), (1.5, 0.5), 1.0, 3)
         assert len(fed.members) == 2
         assert list(fed.members) == [Provider("a", 2, 1.5), Provider("b", 3, 0.5)]
         assert fed.members[-1] == Provider("b", 3, 0.5)
