@@ -21,7 +21,6 @@ from .experiments import (
     shares_digest,
     simulate,
 )
-from .manifest import prepare_out_dir
 from .privacy import AggregationMode, AlphabetSpec, ReportBatch
 from .shapley import ThresholdGame, shapley_exact, shapley_pruned, shapley_sampled
 
@@ -39,14 +38,12 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _prepare_run(args: argparse.Namespace) -> ScenarioConfig:
-    """The scenario the flags describe, with ``--out`` made a writable directory
-    before the command runs."""
+    """The scenario the flags describe. Each run makes ``--out`` a writable
+    directory itself, before it computes anything."""
     config = load_config(args.config) if args.config else ScenarioConfig()
     keys = {f.name for f in fields(ScenarioConfig)}
     flags = {key: value for key, value in vars(args).items() if key in keys and value is not None}
-    config = config_from_dict({**config.to_dict(), **flags})
-    prepare_out_dir(args.out)
-    return config
+    return config_from_dict({**config.to_dict(), **flags})
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:

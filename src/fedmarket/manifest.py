@@ -49,15 +49,25 @@ def prepare_out_dir(out_dir: str | Path) -> Path:
 
 
 def write_output(path: Path, data: bytes) -> str:
-    """Write ``data`` to ``path`` in one truncating write; return its SHA-256.
+    """Write ``data`` over ``path`` in place; return its SHA-256.
 
-    The directory must exist (``prepare_out_dir``). The digest is taken
-    from the bytes in hand, so a manifest never has to read back what a
-    run has just written.
+    An existing file is overwritten from offset 0 and then cut to
+    ``len(data)``, so it ends up holding exactly ``data``. Opening with
+    ``O_TRUNC`` instead costs several times as much on filesystems that
+    discard freed blocks, and every re-run into the same directory pays
+    it once per file. The directory must exist (``prepare_out_dir``).
+    The digest is taken from the bytes in hand, so a manifest never has
+    to read back what a run has just written.
     """
     try:
-        with open(path, "wb") as handle:
-            handle.write(data)
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        try:
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view) :]
+            os.ftruncate(fd, len(data))
+        finally:
+            os.close(fd)
     except OSError as exc:
         raise OutputError(f"cannot write {path}: {exc}") from exc
     return hashlib.sha256(data).hexdigest()

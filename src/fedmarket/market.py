@@ -19,7 +19,12 @@ BISECTION_MAX_ITER = 200
 
 @dataclass(frozen=True)
 class Provider:
-    """A data provider with a yearly point budget and a privacy threshold."""
+    """A data provider with a yearly point budget and a privacy threshold.
+
+    Both follow the rules a ``Federation`` applies to its members: the
+    budget is an integer in [1, 2^63), the threshold lies in
+    (0, ``MAX_EPSILON``].
+    """
 
     id: str
     d_p: int
@@ -28,7 +33,20 @@ class Provider:
     def __post_init__(self) -> None:
         if self.d_p < 1:
             raise DomainError(f"provider {self.id} must hold at least one data point")
+        _check_int64_budgets((self.d_p,))
         validate_epsilon(self.eps_threshold)
+
+
+def _check_int64_budgets(d_p: Sequence) -> None:
+    """Every yearly point budget is an integer that fits in an int64."""
+    try:
+        budgets = np.array(d_p, dtype=np.int64).tolist()
+    except OverflowError:
+        raise DomainError("yearly point budgets must fit in a 64-bit integer") from None
+    except ValueError:  # a NaN budget
+        budgets = None
+    if budgets != list(d_p):  # the cast truncates a fraction
+        raise DomainError(f"yearly point budgets must be integers, got {list(d_p)}")
 
 
 class RowView(Sequence):
@@ -84,14 +102,7 @@ class Federation:
         ):
             for _ in self.members:  # the first bad member's Provider says what is wrong
                 pass
-        try:
-            budgets = np.array(d_p, dtype=np.int64).tolist()
-        except OverflowError:
-            raise DomainError("yearly point budgets must fit in a 64-bit integer") from None
-        except ValueError:  # a NaN budget
-            budgets = None
-        if budgets != list(d_p):  # the cast truncates a fraction
-            raise DomainError(f"yearly point budgets must be integers, got {list(d_p)}")
+        _check_int64_budgets(d_p)
         if self.delta_threshold <= 0:
             raise DomainError("delta threshold must be positive")
         if self.tolerance_window < 1:

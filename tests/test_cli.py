@@ -182,6 +182,12 @@ def test_exp_freeriders_smoke(config_path, tmp_path):
     # one federation size x three tolerances x two policies x four reps
     assert len(rows) == 1 * 3 * 2 * 4
     assert all(int(r["free_rider_count"]) >= 0 for r in rows)
+    assert main(["audit", "--out", str(out)]) == 0  # nothing to settle, and nothing missing
+
+
+def test_audit_of_a_directory_without_runs_fails(tmp_path, capsys):
+    assert main(["audit", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"AUDIT FAIL: no deal records found under {tmp_path}\n"
 
 
 def test_exp_timing_smoke(config_path, tmp_path, capsys):
@@ -194,6 +200,7 @@ def test_exp_timing_smoke(config_path, tmp_path, capsys):
         by_n.setdefault(row["n"], {})[row["method"]] = row["shares_digest"]
     for digests in by_n.values():
         assert digests["exact"] == digests["pruned"]
+    assert main(["audit", "--out", str(out)]) == 0
 
 
 @pytest.mark.parametrize(
@@ -397,19 +404,19 @@ def test_output_error_exit_code(command, out, config_path, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "command, entry",
+    "command, step",
     (
-        ("simulate", "simulate"),
-        ("exp-rounds", "experiment_rounds"),
-        ("exp-freeriders", "experiment_free_riders"),
-        ("exp-timing", "experiment_shapley_timing"),
+        ("simulate", "build_federation"),
+        ("exp-rounds", "build_federation"),
+        ("exp-freeriders", "build_federation"),
+        ("exp-timing", "timing_game"),
     ),
 )
-def test_unwritable_out_fails_before_computing(command, entry, config_path, tmp_path, capsys, monkeypatch):
+def test_unwritable_out_fails_before_computing(command, step, config_path, tmp_path, capsys, monkeypatch):
     def computes(*args, **kwargs):
-        raise AssertionError(f"{entry} ran before --out was checked")
+        raise AssertionError(f"{command} called {step} before --out was checked")
 
-    monkeypatch.setattr(cli, entry, computes)
+    monkeypatch.setattr(experiments, step, computes)
     (tmp_path / "blocker").write_text("a regular file, not a directory\n")
     out = tmp_path / "blocker" / "sub"
     assert main([command, "--config", str(config_path), "--out", str(out)]) == 4
@@ -473,6 +480,60 @@ class TestSimulateCliFuzz:
             err = io.StringIO()
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
                 code = main(["simulate", "--config", str(path), "--out", str(out)])
+                if code == 0:
+                    assert main(["audit", "--out", str(out)]) == 0
+            if code:
+                lines = err.getvalue().splitlines()
+                assert code == 2 and len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
+@st.composite
+def _experiment_configs(draw):
+    """Small experiment grids for ``exp-rounds`` and ``exp-freeriders``; targets
+    down to 1e-12 price deals that buy nothing, targets up to 1e4 deals no
+    federation can meet."""
+    sizes = st.lists(st.integers(1, 8), min_size=1, max_size=2)
+    positives = st.lists(
+        st.builds(lambda m, e: m * 10.0**e, st.floats(1.0, 10.0), st.integers(-12, 3)),
+        min_size=1,
+        max_size=2,
+    )
+    return {
+        "master_seed": draw(st.integers(0, 2**32 - 1)),
+        "aggregation": draw(st.sampled_from(["additive", "example", "krr"])),
+        "k": draw(st.integers(2, 6)),
+        "replications": draw(st.integers(1, 2)),
+        "data_points": draw(st.integers(1, 12)),
+        "points_per_round": draw(st.integers(1, 4)),
+        "participation_prob": draw(st.floats(0.0, 1.0)),
+        "initial_eps_high": draw(st.floats(0.01, 1.0)),
+        "federation_sizes": draw(sizes),
+        "targets": draw(positives),
+        "max_rounds": draw(st.integers(1, 6)),
+        "warmup_years": draw(st.integers(0, 2)),
+        "tolerance_window": draw(st.integers(1, 3)),
+        "freerider_sizes": draw(sizes),
+        "delta_thresholds": draw(positives),
+        "freerider_years": draw(st.integers(1, 4)),
+        "freerider_rounds_per_year": draw(st.integers(1, 3)),
+        "freerider_points_per_round": draw(st.integers(1, 3)),
+        "freerider_initial_eps_high": draw(st.floats(0.01, 1.0)),
+    }
+
+
+class TestExperimentCliFuzz:
+    """Whole experiment grids from random configs: a clean audit, or one ``error:`` line and exit 2."""
+
+    @pytest.mark.parametrize("command", ("exp-rounds", "exp-freeriders"))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(config=_experiment_configs())
+    def test_every_run_exits_cleanly(self, command, config):
+        with tempfile.TemporaryDirectory() as tmp:
+            path, out = Path(tmp) / "scenario.yaml", Path(tmp) / "out"
+            path.write_text(yaml.safe_dump(config))
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main([command, "--config", str(path), "--out", str(out)])
                 if code == 0:
                     assert main(["audit", "--out", str(out)]) == 0
             if code:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from dataclasses import asdict, fields
 from enum import Enum
@@ -17,7 +18,7 @@ from fedmarket.config import (
     sample_thresholds,
 )
 from fedmarket.errors import ConfigError, OutputError
-from fedmarket.experiments import _write_csv
+from fedmarket.experiments import _write_csv, simulate
 from fedmarket.manifest import (
     config_digest,
     file_digest,
@@ -26,6 +27,7 @@ from fedmarket.manifest import (
     verify_manifest,
     write_json,
     write_manifest,
+    write_output,
 )
 
 
@@ -312,10 +314,40 @@ class TestManifest:
         rows = [(1, 0.1 + 0.2, "p,1"), (2, 1e-300, 'say "hi"')]
         assert _write_csv(csv_path, ("n", "x", "who"), rows) == file_digest(csv_path)
         assert (tmp_path / "data.csv").read_bytes().count(b"\r\n") == 3
-        # a plain truncating write: a longer old file leaves nothing behind
+        # written over in place and cut to length: a longer old file leaves nothing behind
         (tmp_path / "long.json").write_text("x" * 1000)
         assert write_json(tmp_path / "long.json", 1) == file_digest(tmp_path / "long.json")
         assert (tmp_path / "long.json").read_text() == "1\n"
+
+    @pytest.mark.parametrize(
+        "old",
+        (None, b"x" * 1000, b"{}\n", b"[" * 13),
+        ids=["no-file", "longer", "shorter", "equal-size"],
+    )
+    def test_write_over_an_old_file_leaves_exactly_the_new_bytes(self, old, tmp_path):
+        path, data = tmp_path / "data.json", b'{\n  "a": 1\n}\n'
+        if old is not None:
+            path.write_bytes(old)
+        assert write_json(path, {"a": 1}) == hashlib.sha256(data).hexdigest() == file_digest(path)
+        assert path.read_bytes() == data
+
+    def test_write_over_a_directory_raises_output_error(self, tmp_path):
+        (tmp_path / "data.json").mkdir()
+        with pytest.raises(OutputError, match="^cannot write "):
+            write_output(tmp_path / "data.json", b"1\n")
+
+    def test_smaller_run_over_a_larger_one_matches_a_fresh_run(self, tmp_path):
+        small = config_from_dict({"federation_sizes": [6], "shapley_samples": 500})
+        large = config_from_dict({"federation_sizes": [24], "shapley_samples": 500})
+        reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+        simulate(large, reused)
+        large_sizes = {p.name: p.stat().st_size for p in reused.iterdir()}
+        simulate(small, reused)
+        simulate(small, fresh)
+        files = {p.name: p.read_bytes() for p in sorted(reused.iterdir())}
+        assert files == {p.name: p.read_bytes() for p in sorted(fresh.iterdir())}
+        assert all(len(files[name]) < size for name, size in large_sizes.items() if name.endswith(".csv"))
+        assert verify_manifest(load_manifest(reused / "manifest.json"), small, reused) == []
 
     def test_empty_run_manifest(self, tmp_path):
         manifest = write_manifest(tmp_path / "manifest.json", ScenarioConfig(), {}, {})

@@ -260,6 +260,29 @@ class TestTypes:
             Provider("b", d_p, eps)
         assert str(alone.value) == message
 
+    @pytest.mark.parametrize(
+        "d_p, message",
+        (
+            (math.nan, "yearly point budgets must be integers, got [nan]"),
+            (1.5, "yearly point budgets must be integers, got [1.5]"),
+            (2**63, "yearly point budgets must fit in a 64-bit integer"),
+            (2**70, "yearly point budgets must fit in a 64-bit integer"),
+            (math.inf, "yearly point budgets must fit in a 64-bit integer"),
+        ),
+        ids=["nan", "fraction", "2^63", "2^70", "inf"],
+    )
+    def test_provider_takes_only_budgets_a_federation_takes(self, d_p, message):
+        with pytest.raises(DomainError) as alone:
+            Provider("a", d_p, 1.0)
+        with pytest.raises(DomainError) as member:
+            Federation("F", ("a",), (d_p,), (1.0,), 1.0, 3)
+        assert str(alone.value) == str(member.value) == message
+
+    def test_provider_budget_bounds(self):
+        assert Provider("a", 1, 1.0).d_p == 1
+        assert Provider("a", 2**63 - 1, 1.0).d_p == 2**63 - 1
+        assert Provider("a", np.int64(7), 1.0).d_p == 7
+
     def test_federation_columns_must_align(self):
         with pytest.raises(DomainError):
             Federation("F", ("a", "b"), (1, 1), (1.0,), 1.0, 3)
