@@ -131,6 +131,17 @@ class PenaltyState:
             raise DomainError("an excluded provider must carry at least one demerit")
 
 
+def _fold_savings(d: np.ndarray, eps: np.ndarray, threshold: np.ndarray) -> np.ndarray:
+    """Savings from a window's (year, ...) grids of points reported and epsilons spent.
+
+    A term is d(m) * (eps_T - eps(m)), or +0.0 in a year without reports,
+    and each saving is a left fold of its terms from +0.0, in year order.
+    ``threshold`` holds eps_T in the shape of one year.
+    """
+    terms = np.where(d > 0, d * (threshold - eps), 0.0)
+    return sum(terms, np.zeros(terms.shape[1:]))
+
+
 def savings_snapshot(
     ledgers: Sequence[YearLedger], member_ids: Sequence[str], eps_threshold: Sequence[float]
 ) -> np.ndarray:
@@ -140,17 +151,15 @@ def savings_snapshot(
     d(m) * (eps_T - eps(m)) over the years m of the window with reports:
     eps_T is the member's current threshold, d(m) the points reported and
     eps(m) the epsilons spent in year m. The window's member columns
-    become a (year, member) grid of terms below a row of zeros, and each
-    saving is a left fold down its column from +0.0, in ledger order. A
-    term with d(m) = 0 is +0.0, which changes no sum. Ledger members not
-    among ``member_ids`` (excluded since) are skipped; a member absent from
-    every ledger saves 0.0.
+    become a (year, member) grid, folded down each column in ledger order.
+    Ledger members not among ``member_ids`` (excluded since) are skipped;
+    a member absent from every ledger saves 0.0.
     """
     n = len(member_ids)
     row = None
-    d = np.zeros((len(ledgers) + 1, n + 1), dtype=np.int64)  # column n: members that left
+    d = np.zeros((len(ledgers), n + 1), dtype=np.int64)  # column n: members that left
     eps = np.zeros(d.shape)
-    for year, ledger in enumerate(ledgers, 1):
+    for year, ledger in enumerate(ledgers):
         if ledger.provider_ids == member_ids:
             cols = slice(n)
         else:
@@ -159,8 +168,7 @@ def savings_snapshot(
         d[year, cols] = ledger.d_total
         eps[year, cols] = ledger.eps_level
     threshold = np.append(np.asarray(eps_threshold, dtype=float), 0.0)
-    terms = np.where(d > 0, d * (threshold - eps), 0.0)
-    return np.add.accumulate(terms)[-1, :n]
+    return _fold_savings(d, eps, threshold)[:n]
 
 
 def privacy_saving(ledgers: Sequence[YearLedger], provider: Provider) -> float:
@@ -192,6 +200,94 @@ def next_round_epsilon(
     return np.minimum(n_p * prev_eps, eps_threshold)
 
 
+def _round_rule(
+    policy: CollectionPolicy,
+    d_p: np.ndarray,
+    threshold: np.ndarray,
+    savings: np.ndarray | None,
+) -> Callable[[int, np.ndarray, np.ndarray, np.ndarray | None], tuple[np.ndarray, np.ndarray]]:
+    """The collection rule of a round, over member arrays of shape (n,) or (k, n).
+
+    ``d_p`` and ``threshold`` are the members' yearly budgets (int64) and
+    thresholds, ``savings`` their savings over the tolerance window (none
+    means 0.0 for all). The rule ``step(t, u, remaining, prev_eps)`` gives
+    the points ``d`` each member reports in round ``t`` (0 if she does not
+    report) and the epsilon ``eps`` she holds after it. ``u`` holds the
+    round's uniforms, per row n participation and then n epsilon ones;
+    ``remaining`` the points left before the round and ``prev_eps`` the
+    epsilons of round t - 1.
+
+    Everyone answers round 1; a later round is joined with the
+    participation probability. A fresh draw lies in (low, high] * eps_T.
+    Under the catalyzing policy, a member who joins a later round
+    escalates her previous epsilon instead, by the catalyzing factor of
+    her saving, capped at eps_T. Every float is one elementwise IEEE
+    ``*``, ``-``, ``/``, ``fmax`` (Python's ``max(1.0, x)``) or
+    ``minimum``, as in a per-report loop.
+    """
+    n = d_p.shape[-1]
+    chunk = min(policy.points_per_round, _INT64_MAX)  # no budget is larger
+    hi = policy.initial_eps_high * threshold
+    width = hi - policy.initial_eps_low * threshold
+    catalyzing = policy.kind is PolicyKind.CATALYZING
+    delta = np.zeros(threshold.shape) if savings is None else savings
+
+    def step(t, u, remaining, prev_eps):
+        d = np.minimum(remaining, chunk)
+        if t > 1:
+            joins = u[..., :n] < policy.participation_prob
+            d *= joins
+        if t > 1 and catalyzing:
+            n_p = catalyzing_parameter(delta, d_p - remaining, threshold)
+            try:
+                escalated = next_round_epsilon(prev_eps, n_p, threshold)
+            except DomainError:  # round 1's fresh draw was 0
+                raise DomainError(_FRESH_UNDERFLOW) from None
+            # a member who joins with no data left escalates unseen: it never reports again
+            eps = np.where(joins, escalated, prev_eps)
+        else:
+            eps = hi - u[..., n:] * width  # in (low, high] * threshold
+        return d, eps
+
+    return step
+
+
+def _close_year(
+    d_grid: np.ndarray,
+    eps_grid: np.ndarray,
+    remaining: np.ndarray,
+    d_p: np.ndarray,
+    ids: Sequence,
+    year: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Check a year's (round, ..., member) grids of points and epsilons.
+
+    ``remaining``, ``d_p`` and ``ids`` hold the members' points left,
+    yearly budgets and ids in the shape of one round. Every count must be
+    non-negative, every member's points must add up to her budget and
+    every reported epsilon must lie in (0, ``MAX_EPSILON``]. Returns each
+    member's points reported and epsilon sum, and the mask of reports.
+    """
+    if d_grid.min(initial=0) < 0:
+        raise DomainError("round report cannot carry a negative point count")
+    reported = d_grid.sum(axis=0)
+    lost = reported + remaining != d_p
+    if lost.any():
+        raise FedMarketError(
+            f"data conservation violated for provider {np.asarray(ids)[lost][0]} in year {year}"
+        )
+    mask = d_grid > 0
+    eps_t = eps_grid[mask]
+    if not (eps_t.min(initial=math.inf) > 0.0 and eps_t.max(initial=0.0) <= MAX_EPSILON):
+        if eps_t.min() == 0.0:
+            raise DomainError(_FRESH_UNDERFLOW)
+        for eps in eps_t.tolist():  # a NaN makes min and max NaN, which fails too
+            validate_epsilon(eps)
+    # running sums down the rounds add each member's epsilons in report order
+    eps_level = np.add.accumulate(np.where(mask, eps_grid, 0.0), axis=0)[-1]
+    return reported, eps_level, mask
+
+
 def run_collection_year(
     federation: Federation,
     target: float,
@@ -212,20 +308,18 @@ def run_collection_year(
     state: every round draws ``n`` participation and then ``n`` epsilon
     uniforms, whether or not anyone reports.
 
-    Each round is one elementwise step over all members: a row of d_t
-    (0 for a member who does not report) and a row of epsilons. Every
+    Each round is one step of ``_round_rule`` over all members: a row of
+    d_t (0 for a member who does not report) and a row of epsilons. Every
     member holds data, so all report in round 1 and each has a previous
     epsilon from round 2 on. The report columns are the rows' d_t > 0
     entries in row-major (round, member) order.
 
-    Every float equals the one a per-report loop computes. The fresh
-    draw, the catalyzing factor and the capped escalation are elementwise
-    IEEE ``*``, ``-``, ``/``, ``fmax`` (Python's ``max(1.0, x)``) and
-    ``minimum``. The statistics come from ``Measure.columns`` (e^eps and
-    the kRR logarithm by ``math``). The round's aggregate, the cumulative
-    column and each member's epsilon sum are sequential folds in report
-    order, never pairwise sums; a non-reporting member adds +0.0, which
-    changes no fold.
+    Every float equals the one a per-report loop computes. The statistics
+    come from ``Measure.columns`` (e^eps and the kRR logarithm by
+    ``math``). The round's aggregate, the cumulative column and each
+    member's epsilon sum are sequential folds in report order, never
+    pairwise sums; a non-reporting member adds +0.0, which changes no
+    fold.
     """
     if target <= 0:
         raise DomainError("collection target must be positive")
@@ -234,43 +328,24 @@ def run_collection_year(
     spec = spec or AlphabetSpec(2)
     ids = federation.member_ids
     n = len(ids)
+    if savings is not None and policy.kind is PolicyKind.CATALYZING:
+        savings = np.asarray(savings, dtype=float)
+        if savings.shape != (n,):
+            raise DomainError(f"savings hold {savings.size} entries for {n} members")
 
     d_p = np.array(federation.d_p, dtype=np.int64)
-    chunk = min(policy.points_per_round, _INT64_MAX)  # no budget is larger
-    threshold = np.array(federation.eps_threshold, dtype=float)
-    hi = policy.initial_eps_high * threshold
-    width = hi - policy.initial_eps_low * threshold
-    catalyzing = policy.kind is PolicyKind.CATALYZING
-    if catalyzing:
-        delta = np.zeros(n) if savings is None else np.asarray(savings, dtype=float)
-        if delta.shape != (n,):
-            raise DomainError(f"savings hold {delta.size} entries for {n} members")
-
+    step = _round_rule(policy, d_p, np.array(federation.eps_threshold, dtype=float), savings)
     measure = Measure(mode, spec.k)
     remaining = d_p.copy()
     totals = [0.0] * measure.width
     d_rows: list[np.ndarray] = []
     eps_rows: list[np.ndarray] = []
+    eps = None
     rounds_used = 0
 
     for t in range(1, max_rounds + 1):
-        u = rng.random(2 * n)  # the round's n participation, then n epsilon uniforms
         rounds_used = t
-        d = np.minimum(remaining, chunk)
-        if t > 1:
-            joins = u[:n] < policy.participation_prob
-            d *= joins
-        if t > 1 and catalyzing:
-            n_p = catalyzing_parameter(delta, d_p - remaining, threshold)
-            try:
-                escalated = next_round_epsilon(prev_eps, n_p, threshold)
-            except DomainError:  # round 1's fresh draw was 0
-                raise DomainError(_FRESH_UNDERFLOW) from None
-            # a member who joins with no data left escalates unseen: it never reports again
-            eps = np.where(joins, escalated, prev_eps)
-        else:
-            eps = hi - u[n:] * width  # in (low, high] * threshold
-        prev_eps = eps
+        d, eps = step(t, rng.random(2 * n), remaining, eps)
         remaining -= d
         measure.add(totals, d, eps)
         d_rows.append(d)
@@ -279,27 +354,14 @@ def run_collection_year(
             break
 
     d_grid = np.array(d_rows)
-    if d_grid.min(initial=0) < 0:
-        raise DomainError("round report cannot carry a negative point count")
-    reported = d_grid.sum(axis=0)
-    lost = reported + remaining != d_p
-    if lost.any():
-        raise FedMarketError(
-            f"data conservation violated for provider {ids[lost.argmax()]} in year {year}"
-        )
-    mask = d_grid > 0
+    eps_grid = np.array(eps_rows)
+    reported, eps_level, mask = _close_year(d_grid, eps_grid, remaining, d_p, ids, year)
     round_idx, provider_idx = mask.nonzero()
     d_t = d_grid[mask]
-    eps_grid = np.array(eps_rows)
     eps_t = eps_grid[mask]
-    if not (eps_t.min(initial=math.inf) > 0.0 and eps_t.max(initial=0.0) <= MAX_EPSILON):
-        if eps_t.min() == 0.0:
-            raise DomainError(_FRESH_UNDERFLOW)
-        for eps in eps_t.tolist():  # a NaN makes min and max NaN, which fails too
-            validate_epsilon(eps)
-    # running sums down the rounds add each member's epsilons in report order
-    eps_level = np.add.accumulate(np.where(mask, eps_grid, 0.0), axis=0)[-1]
-    cumulative = measure.levels([np.add.accumulate(c) for c in measure.columns(d_t, eps_t)])
+    # kRR's count column adds up as floats, like the round's totals, not as wrapping int64
+    running = [np.add.accumulate(c, dtype=float) for c in measure.columns(d_t, eps_t)]
+    cumulative = measure.levels(running)
     achieved = cumulative[-1] if cumulative else 0.0
     return YearLedger(
         year=year,
@@ -357,6 +419,100 @@ def run_collection_years(
     return ledgers
 
 
+def run_collection_batch(
+    federations: Sequence[Federation],
+    targets: Sequence[float],
+    policy: CollectionPolicy,
+    years: int,
+    max_rounds: int,
+    mode: AggregationMode,
+    rngs: Sequence[np.random.Generator],
+    spec: AlphabetSpec | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``run_collection_years`` for k runs of one federation size at once.
+
+    Run r collects from ``federations[r]`` towards ``targets[r]`` with its
+    own generator ``rngs[r]``; all follow ``policy``. Returns each run's
+    ``rounds_used`` and ``achieved`` per year as two (years, k) arrays,
+    equal to those of the ledgers ``run_collection_years`` gives for run r
+    alone, and leaves every generator in the state that run leaves it in.
+    No ledger is built.
+
+    The runs step together through ``_round_rule`` and ``_close_year`` as
+    (k, n) arrays, so every float is the one the single run computes; each
+    run's aggregate is a left fold over its members, round by round, as in
+    ``Measure.add``. A run draws its round's 2n uniforms from its own
+    generator only while it collects. Once its level reaches its target it
+    draws nothing more: its uniforms stay at 1.0, so no member joins, it
+    reports nothing and adds +0.0 to its totals.
+    """
+    if years < 1:
+        raise DomainError("need at least one collection year")
+    if max_rounds < 1:
+        raise DomainError("need at least one collection round")
+    k = len(federations)
+    if not k or len(targets) != k or len(rngs) != k:
+        raise DomainError("a batch needs a federation, and one target and one generator for each")
+    n = len(federations[0].member_ids)
+    window = federations[0].tolerance_window
+    if any(len(f.member_ids) != n or f.tolerance_window != window for f in federations):
+        raise DomainError("the federations of a batch must share their size and tolerance window")
+    target = np.array(targets, dtype=float)
+    if (target <= 0).any():
+        raise DomainError("collection target must be positive")
+    spec = spec or AlphabetSpec(2)
+    ids = [f.member_ids for f in federations]
+    d_p = np.array([f.d_p for f in federations], dtype=np.int64).reshape(k, n)
+    threshold = np.array([f.eps_threshold for f in federations], dtype=float).reshape(k, n)
+    catalyzing = policy.kind is PolicyKind.CATALYZING
+    measure = Measure(mode, spec.k)
+    rounds_used = np.full((years, k), max_rounds)
+    achieved = np.zeros((years, k))
+    d_years: list[np.ndarray] = []
+    eps_years: list[np.ndarray] = []
+
+    for m in range(years):
+        savings = None
+        if catalyzing and d_years:
+            past = slice(-window, None)
+            savings = _fold_savings(np.array(d_years[past]), np.array(eps_years[past]), threshold)
+        step = _round_rule(policy, d_p, threshold, savings)
+        remaining = d_p.copy()
+        totals = [np.zeros(k)] * measure.width
+        u = np.empty((k, 2 * n))
+        live = np.ones(k, dtype=bool)
+        runs = list(range(k))  # the live runs
+        d_rows: list[np.ndarray] = []
+        eps_rows: list[np.ndarray] = []
+        eps = None
+        for t in range(1, max_rounds + 1):
+            for r in runs:
+                rngs[r].random(out=u[r])
+            d, eps = step(t, u, remaining, eps)
+            remaining -= d
+            measure.add(totals, d, eps)
+            d_rows.append(d)
+            eps_rows.append(eps)
+            if not n:
+                continue
+            left = live & (np.array(measure.levels(totals)) >= target)
+            if left.any():
+                rounds_used[m, left] = t
+                u[left] = 1.0  # no participation probability exceeds it
+                live &= ~left
+                runs = np.flatnonzero(live).tolist()
+                if not runs:
+                    break
+        reported, eps_level, _ = _close_year(
+            np.array(d_rows), np.array(eps_rows), remaining, d_p, ids, m + 1
+        )
+        d_years.append(reported)
+        eps_years.append(eps_level)
+        if n:
+            achieved[m] = measure.levels(totals)
+    return rounds_used, achieved
+
+
 def detect_free_riders(savings: np.ndarray, delta_threshold: float) -> np.ndarray:
     """Mask of the members whose saving reaches the federation's tolerance (inclusive)."""
     if delta_threshold <= 0:
@@ -389,12 +545,7 @@ def apply_penalty(
         demerits = 1 + (state.demerits if state else 0)
         updated[pid] = PenaltyState(pid, demerits=demerits, excluded=True)
 
-    keep = (~flagged).tolist()
-    ids, d_p, eps = (
-        tuple(compress(column, keep))
-        for column in (federation.member_ids, federation.d_p, federation.eps_threshold)
-    )
-    return replace(federation, member_ids=ids, d_p=d_p, eps_threshold=eps), updated
+    return federation.subset((~flagged).tolist()), updated
 
 
 def admit_member(

@@ -26,10 +26,10 @@ import numpy as np
 from .config import ScenarioConfig, derive_seed, sample_thresholds
 from .dynamics import (
     PolicyKind,
-    YearLedger,
     apply_penalty,
     detect_free_riders,
     privacy_saving,  # noqa: F401  (unused here; the benchmark tracer wraps this binding)
+    run_collection_batch,
     run_collection_year,
     run_collection_years,
     savings_snapshot,
@@ -118,33 +118,14 @@ DEAL_HEADER = (
 )
 
 
-def _collect_and_settle(
-    config: ScenarioConfig,
-    federation: Federation,
-    deal: SealedDeal,
-    kind: PolicyKind,
-    seed: int,
-) -> tuple[list[YearLedger], float]:
-    """Run the warmup years plus one measured year and settle on the last."""
-    ledgers = run_collection_years(
-        federation,
-        deal.terms[federation.id].promised_eps,
-        config.collection_policy(kind),
-        years=config.warmup_years + 1,
-        max_rounds=config.max_rounds,
-        mode=config.aggregation,
-        rng=np.random.default_rng(seed),
-        spec=AlphabetSpec(config.k),
-    )
-    return ledgers, settle(deal, federation, ledgers[-1].achieved)
-
-
 def experiment_rounds(config: ScenarioConfig, out_dir: str | Path) -> list[dict]:
     """Rounds-to-target grid over federation sizes, targets, and policies.
 
     Per replication one federation is sampled and its deal sealed with a
     budget priced exactly at the cell's target; both policies then run
-    the warmup years plus one measured year on identical draws.
+    the warmup years plus one measured year on identical draws. The
+    replications of a cell run as one batch per policy
+    (``run_collection_batch``), after every deal of the cell is sealed.
     """
     out_dir = prepare_out_dir(out_dir)
     spec = AlphabetSpec(config.k)
@@ -155,10 +136,12 @@ def experiment_rounds(config: ScenarioConfig, out_dir: str | Path) -> list[dict]
 
     for n in config.federation_sizes:
         for target in config.targets:
+            cell = f"n={n}/target={target}"
+            runs = []  # per replication: its federation, its deal, its deal row's fixed fields
             for rep in range(config.replications):
                 build_seed = derive_seed(config.master_seed, "rounds-build", n, target, rep)
                 run_seed = derive_seed(config.master_seed, "rounds-run", n, target, rep)
-                seeds[f"rounds/n={n}/target={target}/rep={rep}"] = run_seed
+                seeds[f"rounds/{cell}/rep={rep}"] = run_seed
                 federation = build_federation(
                     f"F{n}", n, config, np.random.default_rng(build_seed)
                 )
@@ -167,34 +150,46 @@ def experiment_rounds(config: ScenarioConfig, out_dir: str | Path) -> list[dict]
                     federation, offer, config.aggregation, spec
                 )
                 term = deal.terms[federation.id]
-                for policy_kind in _POLICIES:
-                    ledgers, payout = _collect_and_settle(
-                        config, federation, deal, policy_kind, run_seed
-                    )
-                    measured = ledgers[-1]
+                record = {
+                    "experiment": "rounds",
+                    "cell": cell,
+                    "replication": rep,
+                    "seed": run_seed,
+                    "budget": offer.budget,
+                    "w_star": w_star,
+                    "promised_eps": term.promised_eps,
+                    "price": term.price,
+                }
+                runs.append((federation, deal, record))
+            for policy_kind in _POLICIES:
+                rounds_used, achieved = run_collection_batch(
+                    [federation for federation, _, _ in runs],
+                    [record["promised_eps"] for _, _, record in runs],
+                    config.collection_policy(policy_kind),
+                    years=config.warmup_years + 1,
+                    max_rounds=config.max_rounds,
+                    mode=config.aggregation,
+                    rngs=[np.random.default_rng(record["seed"]) for _, _, record in runs],
+                    spec=spec,
+                )
+                measured = zip(runs, rounds_used[-1].tolist(), achieved[-1].tolist())
+                for (federation, deal, record), used, got in measured:
                     rows.append(
                         {
                             "n": n,
                             "target": float(target),
                             "policy": policy_kind.value,
-                            "replication": rep,
-                            "rounds_used": measured.rounds_used if measured.reached else config.max_rounds,
-                            "achieved": measured.achieved,
+                            "replication": record["replication"],
+                            "rounds_used": used,  # max_rounds for a run that fell short
+                            "achieved": got,
                         }
                     )
                     deal_rows.append(
                         {
-                            "experiment": "rounds",
-                            "cell": f"n={n}/target={target}",
+                            **record,
                             "policy": policy_kind.value,
-                            "replication": rep,
-                            "seed": run_seed,
-                            "budget": offer.budget,
-                            "w_star": w_star,
-                            "promised_eps": term.promised_eps,
-                            "price": term.price,
-                            "achieved_eps": measured.achieved,
-                            "payout": payout,
+                            "achieved_eps": got,
+                            "payout": settle(deal, federation, got),
                         }
                     )
 
@@ -383,10 +378,18 @@ def simulate(config: ScenarioConfig, out_dir: str | Path) -> dict:
     )
     term = deal.terms[federation.id]
 
-    ledgers, payout = _collect_and_settle(
-        config, federation, deal, config.policy, seeds["simulate/run"]
+    ledgers = run_collection_years(
+        federation,
+        term.promised_eps,
+        config.collection_policy(config.policy),
+        years=config.warmup_years + 1,
+        max_rounds=config.max_rounds,
+        mode=config.aggregation,
+        rng=np.random.default_rng(seeds["simulate/run"]),
+        spec=spec,
     )
     measured = ledgers[-1]
+    payout = settle(deal, federation, measured.achieved)
 
     batches: list[list[ReportBatch]] = [[] for _ in measured.provider_ids]
     for i, d_t, eps_t in zip(measured.provider, measured.d_t, measured.eps_t):

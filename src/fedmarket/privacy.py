@@ -75,8 +75,9 @@ class AggregationMode(Enum):
 
 
 def _exp(eps: np.ndarray) -> np.ndarray:
-    """e^eps elementwise, by ``math.exp``, so it equals the scalar code's float."""
-    return np.array(list(map(math.exp, eps.tolist())))
+    """e^eps elementwise over an array of any shape, by ``math.exp``, so it
+    equals the scalar code's float."""
+    return np.fromiter(map(math.exp, eps.ravel().tolist()), float, eps.size).reshape(eps.shape)
 
 
 def keep_probability(eps: float, k: int) -> float:
@@ -143,10 +144,11 @@ class Measure:
     def __init__(self, mode: AggregationMode, k: int) -> None:
         self.k = k
         # ``columns(d, eps)`` gives the statistics of many batches at once,
-        # one array per statistic, from equal-length arrays of batch sizes
-        # (int64) and epsilons (float64). Each entry is one IEEE expression
-        # evaluated elementwise; e^eps comes from ``math.exp`` over a list
-        # because ``np.exp`` may differ from it by one ulp.
+        # one array per statistic, from equal-shape arrays of batch sizes
+        # (int64) and epsilons (float64), such as (n,) or (k, n). Each entry
+        # is one IEEE expression evaluated elementwise; e^eps comes from
+        # ``math.exp`` over a list because ``np.exp`` may differ from it by
+        # one ulp.
         if mode is AggregationMode.ADDITIVE_INFORMATION:
             self.width = 1
 
@@ -170,15 +172,20 @@ class Measure:
             raise DomainError(f"unknown aggregation mode {mode!r}")
         self.columns = columns
 
-    def add(self, totals: list[float], d: np.ndarray, eps: np.ndarray) -> None:
+    def add(self, totals: list, d: np.ndarray, eps: np.ndarray) -> None:
         """Add the statistics of batches ``d``, ``eps`` into ``totals`` in place.
 
-        A sequential fold, one batch after another, never a pairwise sum.
+        Batches run along the last axis: (n,) arrays add into scalar totals,
+        (k, n) arrays into (k,) arrays of totals, one per row. Each total is
+        a sequential fold, one batch after another, never a pairwise sum.
         """
         for j, column in enumerate(self.columns(d, eps)):
-            total = totals[j]
-            for x in column.tolist():
-                total += x
+            if column.ndim == 1:  # one row: a Python loop is the cheapest fold
+                total = totals[j]
+                for x in column.tolist():
+                    total += x
+            else:  # each row's total in front of it, accumulated along the row
+                total = np.add.accumulate(np.column_stack((totals[j], column)), axis=1)[:, -1]
             totals[j] = total
 
     def level(self, totals: Sequence[float]) -> float:

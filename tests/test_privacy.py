@@ -239,6 +239,26 @@ class TestMeasureColumns:
             assert [x.hex() for x in measure.levels(running)] == [x.hex() for x in levels]
 
 
+    @pytest.mark.parametrize("mode", list(AggregationMode), ids=lambda m: m.value)
+    def test_a_grid_of_runs_equals_each_run_alone(self, mode):
+        rng = np.random.default_rng(99)
+        measure = Measure(mode, 5)
+        d = rng.integers(0, 50, (4, 7))
+        eps = rng.uniform(1e-3, 30.0, (4, 7))
+        start = [rng.uniform(0.0, 10.0, 4) for _ in range(measure.width)]
+        added = list(start)
+        measure.add(added, d, eps)
+        columns = measure.columns(d, eps)
+        for r in range(4):
+            row_columns = measure.columns(d[r], eps[r])
+            assert [[float(x).hex() for x in c[r].tolist()] for c in columns] == [
+                [float(x).hex() for x in c.tolist()] for c in row_columns
+            ]
+            row_totals = [float(t[r]) for t in start]
+            measure.add(row_totals, d[r], eps[r])
+            assert [float(t[r]).hex() for t in added] == [x.hex() for x in row_totals]
+
+
 class TestTypes:
     def test_alphabet_validation(self):
         with pytest.raises(DomainError):
