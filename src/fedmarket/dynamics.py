@@ -545,7 +545,12 @@ def apply_penalty(
         demerits = 1 + (state.demerits if state else 0)
         updated[pid] = PenaltyState(pid, demerits=demerits, excluded=True)
 
-    return federation.subset((~flagged).tolist()), updated
+    keep = (~flagged).tolist()
+    ids, d_p, eps = (
+        tuple(compress(column, keep))
+        for column in (federation.member_ids, federation.d_p, federation.eps_threshold)
+    )
+    return replace(federation, member_ids=ids, d_p=d_p, eps_threshold=eps), updated
 
 
 def admit_member(

@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-import copy
 import math
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
-from itertools import compress
 
 import numpy as np
 
@@ -109,19 +107,6 @@ class Federation:
             raise DomainError("delta threshold must be positive")
         if self.tolerance_window < 1:
             raise DomainError("tolerance window must cover at least one year")
-
-    def subset(self, keep: Sequence[bool]) -> Federation:
-        """This federation with only the members ``keep`` marks, in member order.
-
-        A subset of checked members passes every member rule, so, unlike
-        the constructor, this checks none of them again.
-        """
-        reduced = copy.copy(self)
-        vars(reduced).update(
-            (name, tuple(compress(getattr(self, name), keep)))
-            for name in ("member_ids", "d_p", "eps_threshold")
-        )
-        return reduced
 
     @property
     def members(self) -> Sequence[Provider]:

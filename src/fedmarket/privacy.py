@@ -180,13 +180,9 @@ class Measure:
         a sequential fold, one batch after another, never a pairwise sum.
         """
         for j, column in enumerate(self.columns(d, eps)):
-            if column.ndim == 1:  # one row: a Python loop is the cheapest fold
-                total = totals[j]
-                for x in column.tolist():
-                    total += x
-            else:  # each row's total in front of it, accumulated along the row
-                total = np.add.accumulate(np.column_stack((totals[j], column)), axis=1)[:, -1]
-            totals[j] = total
+            # the running total heads the batches; accumulate adds strictly in
+            # order, where np.sum would pair terms up
+            totals[j] = np.add.accumulate(np.concatenate(([totals[j]], column.T)))[-1]
 
     def level(self, totals: Sequence[float]) -> float:
         """Information level of summed statistics.
