@@ -112,6 +112,10 @@ def sample_thresholds(
     return out
 
 
+# the list-valued keys that span the experiment grids
+_GRID_KEYS = ("federation_sizes", "targets", "freerider_sizes", "delta_thresholds", "timing_sizes")
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """One structured file drives every subcommand; all knobs live here."""
@@ -180,6 +184,11 @@ class ScenarioConfig:
             *(
                 (key, min(getattr(self, key), default=0) > 0, "must be a non-empty list of positive values")
                 for key in ("targets", "delta_thresholds")
+            ),
+            *(
+                # a repeated value would write its cell's rows twice under one seed
+                (key, len(set(getattr(self, key))) == len(getattr(self, key)), "must not repeat a value")
+                for key in _GRID_KEYS
             ),
             ("tolerance_window", self.tolerance_window >= 1, "must be at least 1"),
             ("warmup_years", self.warmup_years >= 0, "must be non-negative"),

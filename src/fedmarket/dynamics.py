@@ -30,12 +30,21 @@ from .valuation import ExponentialValuation
 
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
-# Escalation multiplies a positive epsilon by at least 1, so a zero epsilon
-# can only be a fresh draw whose upper end rounds away.
-_FRESH_UNDERFLOW = (
-    "initial_eps_high: a fresh epsilon underflowed to 0; "
-    "initial_eps_high times a provider's eps_threshold is too small"
-)
+
+
+class FreshEpsilonUnderflow(DomainError):
+    """A fresh epsilon rounded to 0: ``key`` times some member's threshold is too small.
+
+    Escalation multiplies a positive epsilon by at least 1, so a zero
+    epsilon can only be a fresh draw whose upper end rounds away. ``key``
+    names the setting that fed the policy's ``initial_eps_high``.
+    """
+
+    def __init__(self, key: str = "initial_eps_high") -> None:
+        super().__init__(
+            f"{key}: a fresh epsilon underflowed to 0; "
+            f"{key} times a provider's eps_threshold is too small"
+        )
 
 
 class PolicyKind(Enum):
@@ -229,7 +238,8 @@ def _round_rule(
     chunk = min(policy.points_per_round, _INT64_MAX)  # no budget is larger
     hi = policy.initial_eps_high * threshold
     width = hi - policy.initial_eps_low * threshold
-    catalyzing = policy.kind is PolicyKind.CATALYZING
+    # without members there is nothing to escalate, and no minimum for its checks
+    catalyzing = policy.kind is PolicyKind.CATALYZING and n > 0
     delta = np.zeros(threshold.shape) if savings is None else savings
 
     def step(t, u, remaining, prev_eps):
@@ -242,7 +252,7 @@ def _round_rule(
             try:
                 escalated = next_round_epsilon(prev_eps, n_p, threshold)
             except DomainError:  # round 1's fresh draw was 0
-                raise DomainError(_FRESH_UNDERFLOW) from None
+                raise FreshEpsilonUnderflow() from None
             # a member who joins with no data left escalates unseen: it never reports again
             eps = np.where(joins, escalated, prev_eps)
         else:
@@ -280,7 +290,7 @@ def _close_year(
     eps_t = eps_grid[mask]
     if not (eps_t.min(initial=math.inf) > 0.0 and eps_t.max(initial=0.0) <= MAX_EPSILON):
         if eps_t.min() == 0.0:
-            raise DomainError(_FRESH_UNDERFLOW)
+            raise FreshEpsilonUnderflow()
         for eps in eps_t.tolist():  # a NaN makes min and max NaN, which fails too
             validate_epsilon(eps)
     # running sums down the rounds add each member's epsilons in report order
@@ -428,23 +438,36 @@ def run_collection_batch(
     mode: AggregationMode,
     rngs: Sequence[np.random.Generator],
     spec: AlphabetSpec | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+    penalties_from: int | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``run_collection_years`` for k runs of one federation size at once.
 
     Run r collects from ``federations[r]`` towards ``targets[r]`` with its
     own generator ``rngs[r]``; all follow ``policy``. Returns each run's
     ``rounds_used`` and ``achieved`` per year as two (years, k) arrays,
     equal to those of the ledgers ``run_collection_years`` gives for run r
-    alone, and leaves every generator in the state that run leaves it in.
-    No ledger is built.
+    alone, and its number of excluded members as a (k,) array. Every
+    generator is left in the state that run leaves it in. No ledger is
+    built.
 
     The runs step together through ``_round_rule`` and ``_close_year`` as
     (k, n) arrays, so every float is the one the single run computes; each
     run's aggregate is a left fold over its members, round by round, as in
-    ``Measure.add``. A run draws its round's 2n uniforms from its own
+    ``Measure.add``. A run draws its round's uniforms from its own
     generator only while it collects. Once its level reaches its target it
     draws nothing more: its uniforms stay at 1.0, so no member joins, it
     reports nothing and adds +0.0 to its totals.
+
+    With ``penalties_from``, every year from that one on ends with the
+    penalty of ``detect_free_riders`` and ``apply_penalty``: run r excludes
+    the members whose savings over the tolerance window reach
+    ``federations[r].delta_threshold``. An excluded member stays in the
+    arrays, masked: she has no budget, reports 0 points and holds her
+    threshold as her epsilon, so she adds +0.0 to every fold and passes
+    every check. Each round, a run draws 2 n_r uniforms for its n_r members
+    left, scattered into their slots in member order, as the reduced
+    federation of a single run would; a run left without members draws
+    nothing and achieves 0.0.
     """
     if years < 1:
         raise DomainError("need at least one collection year")
@@ -464,37 +487,50 @@ def run_collection_batch(
     ids = [f.member_ids for f in federations]
     d_p = np.array([f.d_p for f in federations], dtype=np.int64).reshape(k, n)
     threshold = np.array([f.eps_threshold for f in federations], dtype=float).reshape(k, n)
+    delta = np.array([[f.delta_threshold] for f in federations])
     catalyzing = policy.kind is PolicyKind.CATALYZING
     measure = Measure(mode, spec.k)
     rounds_used = np.full((years, k), max_rounds)
     achieved = np.zeros((years, k))
+    members = np.ones((k, n), dtype=bool)
+    excluded = np.zeros(k, dtype=np.int64)
+    # What the member mask implies, updated when a penalty changes it. Per
+    # run, ``slots`` holds the slots of its members' uniforms. A run without
+    # members sits its years out. kRR's level of no data is 0 / 0, so an
+    # empty run's totals start at NaN instead: NaN + 0.0 raises no warning,
+    # and NaN never reaches a target.
+    masked, budget, slots = False, d_p, None
+    staffed = members.any(axis=1)
+    staffed_runs = np.flatnonzero(staffed).tolist()
+    start = np.where(staffed, 0.0, np.nan)
     d_years: list[np.ndarray] = []
     eps_years: list[np.ndarray] = []
+    savings = None
 
     for m in range(years):
-        savings = None
-        if catalyzing and d_years:
-            past = slice(-window, None)
-            savings = _fold_savings(np.array(d_years[past]), np.array(eps_years[past]), threshold)
         step = _round_rule(policy, d_p, threshold, savings)
-        remaining = d_p.copy()
-        totals = [np.zeros(k)] * measure.width
-        u = np.empty((k, 2 * n))
-        live = np.ones(k, dtype=bool)
-        runs = list(range(k))  # the live runs
+        remaining = budget.copy()
+        totals = [start] * measure.width
+        u = np.ones((k, 2 * n))
+        live = staffed.copy()
+        runs = staffed_runs  # the live runs
         d_rows: list[np.ndarray] = []
         eps_rows: list[np.ndarray] = []
         eps = None
         for t in range(1, max_rounds + 1):
-            for r in runs:
-                rngs[r].random(out=u[r])
+            if masked:
+                for r in runs:
+                    u[r, slots[r]] = rngs[r].random(slots[r].size)
+            else:
+                for r in runs:
+                    rngs[r].random(out=u[r])
             d, eps = step(t, u, remaining, eps)
+            if masked:
+                eps = np.where(members, eps, threshold)
             remaining -= d
             measure.add(totals, d, eps)
             d_rows.append(d)
             eps_rows.append(eps)
-            if not n:
-                continue
             left = live & (np.array(measure.levels(totals)) >= target)
             if left.any():
                 rounds_used[m, left] = t
@@ -504,13 +540,27 @@ def run_collection_batch(
                 if not runs:
                     break
         reported, eps_level, _ = _close_year(
-            np.array(d_rows), np.array(eps_rows), remaining, d_p, ids, m + 1
+            np.array(d_rows), np.array(eps_rows), remaining, budget, ids, m + 1
         )
         d_years.append(reported)
         eps_years.append(eps_level)
-        if n:
-            achieved[m] = measure.levels(totals)
-    return rounds_used, achieved
+        achieved[m] = measure.levels(totals)
+        penalize = penalties_from is not None and m + 1 >= penalties_from
+        if penalize or (catalyzing and m + 1 < years):
+            past = slice(-window, None)
+            savings = _fold_savings(np.array(d_years[past]), np.array(eps_years[past]), threshold)
+        if penalize:
+            flagged = members & (savings >= delta)
+            if flagged.any():
+                members &= ~flagged
+                excluded += flagged.sum(axis=1)
+                masked, budget = True, np.where(members, d_p, 0)
+                slots = [row.nonzero()[0] for row in np.concatenate((members, members), axis=1)]
+                staffed = members.any(axis=1)
+                staffed_runs = np.flatnonzero(staffed).tolist()
+                start = np.where(staffed, 0.0, np.nan)
+    achieved[np.isnan(achieved)] = 0.0  # the years a run spent without members
+    return rounds_used, achieved, excluded
 
 
 def detect_free_riders(savings: np.ndarray, delta_threshold: float) -> np.ndarray:

@@ -25,12 +25,13 @@ import numpy as np
 
 from .config import ScenarioConfig, derive_seed, sample_thresholds
 from .dynamics import (
+    FreshEpsilonUnderflow,
     PolicyKind,
     apply_penalty,
     detect_free_riders,
     privacy_saving,  # noqa: F401  (unused here; the benchmark tracer wraps this binding)
     run_collection_batch,
-    run_collection_year,
+    run_collection_year,  # noqa: F401  (unused here; the benchmark tracer wraps this binding)
     run_collection_years,
     savings_snapshot,
 )
@@ -162,7 +163,7 @@ def experiment_rounds(config: ScenarioConfig, out_dir: str | Path) -> list[dict]
                 }
                 runs.append((federation, deal, record))
             for policy_kind in _POLICIES:
-                rounds_used, achieved = run_collection_batch(
+                rounds_used, achieved, _ = run_collection_batch(
                     [federation for federation, _, _ in runs],
                     [record["promised_eps"] for _, _, record in runs],
                     config.collection_policy(policy_kind),
@@ -217,7 +218,9 @@ def experiment_free_riders(config: ScenarioConfig, out_dir: str | Path) -> list[
     savings snapshot over the tolerance window. It drives the next
     year's catalyzing, and from the end of the first full window on it
     flags free riders, who are excluded; the reported count is the
-    number of excluded providers at the end of the run.
+    number of excluded providers at the end of the run. The replications
+    of a cell run as one batch per policy (``run_collection_batch``),
+    which excludes a member by masking her out.
     """
     out_dir = prepare_out_dir(out_dir)
     spec = AlphabetSpec(config.k)
@@ -227,52 +230,40 @@ def experiment_free_riders(config: ScenarioConfig, out_dir: str | Path) -> list[
 
     for n in config.freerider_sizes:
         for delta in config.delta_thresholds:
+            federations, run_seeds = [], []
             for rep in range(config.replications):
                 build_seed = derive_seed(config.master_seed, "freeriders-build", n, delta, rep)
                 run_seed = derive_seed(config.master_seed, "freeriders-run", n, delta, rep)
                 seeds[f"freeriders/n={n}/delta={delta}/rep={rep}"] = run_seed
-                base = build_federation(
-                    f"F{n}", n, config, np.random.default_rng(build_seed), delta_threshold=delta
+                federations.append(
+                    build_federation(
+                        f"F{n}", n, config, np.random.default_rng(build_seed), delta_threshold=delta
+                    )
                 )
-                for policy_kind in _POLICIES:
-                    policy = config.freerider_policy(policy_kind)
-                    rng = np.random.default_rng(run_seed)
-                    federation = base
-                    registry: dict = {}
-                    ledgers = []
-                    savings = None
-                    for year in range(1, config.freerider_years + 1):
-                        if not federation.active:
-                            break
-                        ledgers.append(
-                            run_collection_year(
-                                federation,
-                                open_target,
-                                policy,
-                                config.freerider_rounds_per_year,
-                                config.aggregation,
-                                rng,
-                                savings=savings,
-                                year=year,
-                                spec=spec,
-                            )
-                        )
-                        savings = savings_snapshot(
-                            ledgers[-config.tolerance_window :],
-                            federation.member_ids,
-                            federation.eps_threshold,
-                        )
-                        if year >= config.tolerance_window:
-                            flagged = detect_free_riders(savings, delta)
-                            federation, registry = apply_penalty(federation, flagged, registry)
-                            savings = savings[~flagged]  # aligned with the remaining members
+                run_seeds.append(run_seed)
+            for policy_kind in _POLICIES:
+                try:
+                    _, _, excluded = run_collection_batch(
+                        federations,
+                        [open_target] * len(federations),
+                        config.freerider_policy(policy_kind),
+                        years=config.freerider_years,
+                        max_rounds=config.freerider_rounds_per_year,
+                        mode=config.aggregation,
+                        rngs=[np.random.default_rng(seed) for seed in run_seeds],
+                        spec=spec,
+                        penalties_from=config.tolerance_window,
+                    )
+                except FreshEpsilonUnderflow:
+                    raise FreshEpsilonUnderflow("freerider_initial_eps_high") from None
+                for rep, count in enumerate(excluded.tolist()):
                     rows.append(
                         {
                             "n": n,
                             "delta_f": float(delta),
                             "policy": policy_kind.value,
                             "replication": rep,
-                            "free_rider_count": len(registry),  # one entry per exclusion
+                            "free_rider_count": count,
                         }
                     )
 

@@ -492,11 +492,13 @@ def _experiment_configs(draw):
     """Small experiment grids for ``exp-rounds`` and ``exp-freeriders``; targets
     down to 1e-12 price deals that buy nothing, targets up to 1e4 deals no
     federation can meet."""
-    sizes = st.lists(st.integers(1, 8), min_size=1, max_size=2)
+    # grid lists hold distinct values: a repeated one stops the run at load
+    sizes = st.lists(st.integers(1, 8), min_size=1, max_size=2, unique=True)
     positives = st.lists(
         st.builds(lambda m, e: m * 10.0**e, st.floats(1.0, 10.0), st.integers(-12, 3)),
         min_size=1,
         max_size=2,
+        unique=True,
     )
     return {
         "master_seed": draw(st.integers(0, 2**32 - 1)),

@@ -146,6 +146,11 @@ class TestConfigLoading:
                 "initial_eps_high: 5.0e-324\npolicy: non-catalyzing\n",
                 "initial_eps_high",
             ),
+            (
+                "exp-freeriders",
+                "freerider_initial_eps_high: 5.0e-324\n",
+                "freerider_initial_eps_high",
+            ),
             ("simulate", "k: 1152921504606846976\n", "k"),
             ("exp-freeriders", "freerider_sizes: [0]\n", "freerider_sizes"),
             ("exp-timing", "timing_sizes: [-1]\n", "timing_sizes"),
@@ -168,6 +173,11 @@ class TestConfigLoading:
             ("simulate", "thresholds: {stddev: 0.0}\n", "thresholds.stddev"),
             ("simulate", "thresholds: {low: -1.0}\n", "thresholds.low"),
             ("simulate", "thresholds: {low: 9.0, high: 2.0}\n", "thresholds.high"),
+            ("exp-rounds", "federation_sizes: [25, 25]\n", "federation_sizes"),
+            ("exp-rounds", "targets: [125.0, 125]\n", "targets"),
+            ("exp-freeriders", "freerider_sizes: [4, 4]\n", "freerider_sizes"),
+            ("exp-freeriders", "delta_thresholds: [1.0, 2.0, 1.0]\n", "delta_thresholds"),
+            ("exp-timing", "timing_sizes: [5, 5]\n", "timing_sizes"),
         ],
         ids=[
             "zero-timing-repeats",
@@ -189,6 +199,7 @@ class TestConfigLoading:
             "negative-k1",
             "fresh-epsilon-underflow",
             "fresh-epsilon-underflow-non-catalyzing",
+            "fresh-freerider-epsilon-underflow",
             "alphabet-beyond-2**32",
             "zero-freerider-size",
             "negative-timing-size",
@@ -211,6 +222,11 @@ class TestConfigLoading:
             "zero-threshold-stddev",
             "negative-threshold-low",
             "threshold-low-above-high",
+            "repeated-federation-size",
+            "repeated-target",
+            "repeated-freerider-size",
+            "repeated-delta-threshold",
+            "repeated-timing-size",
         ],
     )
     def test_cli_rejects_with_one_line(self, command, text, key, tmp_path, capsys):

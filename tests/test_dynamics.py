@@ -556,8 +556,9 @@ class TestBatchMatchesSingleRuns:
             with pytest.raises(DomainError, match=re.escape(str(exc))):
                 batch()
             return
-        rounds_used, achieved = batch()
+        rounds_used, achieved, excluded = batch()
         assert rounds_used.shape == achieved.shape == (years, len(runs))
+        assert excluded.tolist() == [0] * len(runs)  # no penalties asked for
         for r, ledgers in enumerate(runs):
             assert rounds_used[:, r].tolist() == [ledger.rounds_used for ledger in ledgers]
             assert [x.hex() for x in achieved[:, r].tolist()] == [
@@ -573,11 +574,25 @@ class TestBatchMatchesSingleRuns:
         ledger = run_collection_year(
             _federation(members), math.inf, policy, 1, mode, np.random.default_rng(0), spec=spec
         )
-        _, achieved = run_collection_batch(
+        _, achieved, _ = run_collection_batch(
             [_federation(members)], [math.inf], policy, 1, 1, mode, [np.random.default_rng(0)], spec
         )
         assert ledger.achieved.hex() == achieved[0, 0].hex()
         assert 1.0 < ledger.achieved < 2.0
+
+    @pytest.mark.parametrize("mode", list(AggregationMode), ids=lambda m: m.value)
+    def test_empty_federations_run_every_round_and_achieve_nothing(self, mode):
+        policy = CollectionPolicy(PolicyKind.CATALYZING)
+        rngs = [np.random.default_rng(0), np.random.default_rng(1)]
+        states = [rng.bit_generator.state for rng in rngs]
+        rounds_used, achieved, excluded = run_collection_batch(
+            [_federation([])] * 2, [1.0, 1.0], policy, 3, 4, mode, rngs, penalties_from=1
+        )
+        (ledger,) = run_collection_years(_federation([]), 1.0, policy, 1, 4, mode, np.random.default_rng(0))
+        assert rounds_used.tolist() == [[ledger.rounds_used] * 2] * 3 == [[4, 4]] * 3
+        assert achieved.tolist() == [[ledger.achieved] * 2] * 3 == [[0.0, 0.0]] * 3
+        assert excluded.tolist() == [0, 0]
+        assert [rng.bit_generator.state for rng in rngs] == states
 
     def test_federations_must_share_their_size_and_window(self):
         members = [Provider("a", 5, 2.0), Provider("b", 5, 3.0)]
@@ -625,7 +640,9 @@ def _reference_free_riders(config, n, delta, rep, kind, events):
     """One free-rider row's count from the per-``Provider`` year loop.
 
     Savings are dicts by id, flags a set of ids, and a penalty filters the
-    member list. ``events`` collects which exclusions happened.
+    member list. ``events`` collects which exclusions happened, and
+    ``(delta, kind, fate)`` for a run that emptied before its last year
+    or collected in it.
     """
     members = _reference_members(
         config, n, derive_seed(config.master_seed, "freeriders-build", n, delta, rep)
@@ -635,7 +652,10 @@ def _reference_free_riders(config, n, delta, rep, kind, events):
     ledgers, registry, savings = [], set(), {}
     for year in range(1, config.freerider_years + 1):
         if not members:
+            events.add((delta, kind, "emptied early"))
             break
+        if year == config.freerider_years:
+            events.add((delta, kind, "collected to the end"))
         ledgers.append(
             _reference_year(
                 config, members, math.inf, config.freerider_policy(kind),
@@ -677,23 +697,43 @@ def _reference_simulate_penalties(config, promised):
     return savings, flagged
 
 
+_FREERIDER_UNDERFLOW = (
+    "freerider_initial_eps_high: a fresh epsilon underflowed to 0; "
+    "freerider_initial_eps_high times a provider's eps_threshold is too small"
+)
+
+
 def _check_against_reference(config, tmp_path):
     """Free-rider rows and ``simulate``'s penalties against the reference loop;
     returns the exclusion events the reference saw."""
     events = set()
-    rows = experiments.experiment_free_riders(config, tmp_path / "fr")
     (n,) = config.freerider_sizes
-    expected = sorted(
-        (n, float(delta).hex(), kind.value, rep, _reference_free_riders(config, n, delta, rep, kind, events))
-        for delta in config.delta_thresholds
-        for rep in range(config.replications)
-        for kind in PolicyKind
-    )
-    got = sorted(
-        (r["n"], r["delta_f"].hex(), r["policy"], r["replication"], r["free_rider_count"])
-        for r in rows
-    )
-    assert got == expected
+    try:
+        expected = sorted(
+            (n, float(delta).hex(), kind.value, rep, _reference_free_riders(config, n, delta, rep, kind, events))
+            for delta in config.delta_thresholds
+            for rep in range(config.replications)
+            for kind in PolicyKind
+        )
+    except DomainError:  # a fresh epsilon that underflows to 0
+        with pytest.raises(DomainError, match=f"^{re.escape(_FREERIDER_UNDERFLOW)}$"):
+            experiments.experiment_free_riders(config, tmp_path / "fr")
+        events.add("a fresh epsilon underflowed")
+    else:
+        rows = experiments.experiment_free_riders(config, tmp_path / "fr")
+        got = sorted(
+            (r["n"], r["delta_f"].hex(), r["policy"], r["replication"], r["free_rider_count"])
+            for r in rows
+        )
+        assert got == expected
+    fates = {event for event in events if isinstance(event, tuple)}
+    events -= fates
+    if any(
+        (delta, kind, "collected to the end") in fates
+        for delta, kind, fate in fates
+        if fate == "emptied early"
+    ):
+        events.add("a batch emptied one run early and collected another to the end")
 
     experiments.simulate(config, tmp_path / "sim")
     deal = json.loads((tmp_path / "sim" / "deal.json").read_text())
@@ -727,11 +767,25 @@ def _penalty_configs(draw):
         delta_thresholds=tuple(
             draw(st.lists(st.floats(0.05, 4.0), min_size=1, max_size=2, unique=True))
         ),
-        replications=draw(st.integers(1, 2)),
+        replications=draw(st.integers(1, 4)),
         tolerance_window=draw(st.integers(1, 3)),
         freerider_years=draw(st.integers(1, 6)),
         freerider_rounds_per_year=draw(st.integers(1, 4)),
     )
+
+
+# One replication loses both members before its last year, the other collects to the end.
+_EMPTYING = replace(
+    _PENALTY_BASE,
+    master_seed=0,
+    data_points=1,
+    freerider_sizes=(2,),
+    delta_thresholds=(3.0,),
+    replications=2,
+    tolerance_window=1,
+    freerider_years=5,
+)
+_UNDERFLOWING = replace(_PENALTY_BASE, freerider_sizes=(4,), replications=2, freerider_initial_eps_high=5e-324)
 
 
 class TestColumnarPenaltiesMatchProviderLoop:
@@ -739,8 +793,26 @@ class TestColumnarPenaltiesMatchProviderLoop:
 
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(config=_penalty_configs())
+    @example(config=_EMPTYING)
+    @example(config=replace(_EMPTYING, aggregation=AggregationMode.KRR_COMPOSITION, k=5))
+    @example(config=_UNDERFLOWING)
     def test_identical_rows_and_savings(self, config, tmp_path_factory):
         _check_against_reference(config, tmp_path_factory.mktemp("penalties"))
+
+    @pytest.mark.parametrize(
+        "config, event",
+        [
+            (_EMPTYING, "a batch emptied one run early and collected another to the end"),
+            (
+                replace(_EMPTYING, aggregation=AggregationMode.KRR_COMPOSITION, k=5),
+                "a batch emptied one run early and collected another to the end",
+            ),
+            (_UNDERFLOWING, "a fresh epsilon underflowed"),
+        ],
+        ids=["emptied-beside-collecting", "emptied-beside-collecting-krr", "fresh-epsilon-underflow"],
+    )
+    def test_explicit_examples_reach_their_case(self, config, event, tmp_path):
+        assert event in _check_against_reference(config, tmp_path)
 
     def test_covers_exclusions_mid_run_and_of_the_representative(self, tmp_path):
         config = replace(
@@ -757,6 +829,7 @@ class TestColumnarPenaltiesMatchProviderLoop:
             "some members excluded",
             "a reduced federation ran another year",
             "representative excluded",
+            "a batch emptied one run early and collected another to the end",
         }
 
 
