@@ -10,13 +10,14 @@ output independent of execution order.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import io
-import itertools
 import json
 import math
 import statistics
 import time
+import types
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -27,6 +28,7 @@ from .config import ScenarioConfig, derive_seed, sample_thresholds
 from .dynamics import (
     FreshEpsilonUnderflow,
     PolicyKind,
+    YearLedger,
     apply_penalty,
     detect_free_riders,
     privacy_saving,  # noqa: F401  (unused here; the benchmark tracer wraps this binding)
@@ -57,6 +59,12 @@ _POLICIES = (PolicyKind.CATALYZING, PolicyKind.NON_CATALYZING)
 TIMING_MIN_SECONDS = 0.05
 
 
+@functools.cache
+def _member_ids(n: int) -> tuple[str, ...]:
+    """The ids of an n-member population, ``p000`` on; built once per size."""
+    return tuple(f"p{i:03d}" for i in range(n))
+
+
 def build_federation(
     fed_id: str,
     n: int,
@@ -67,7 +75,7 @@ def build_federation(
     """Sample provider thresholds and assemble a federation."""
     return Federation(
         id=fed_id,
-        member_ids=tuple(f"p{i:03d}" for i in range(n)),
+        member_ids=_member_ids(n),
         d_p=(config.data_points,) * n,
         eps_threshold=tuple(sample_thresholds(config.thresholds, n, rng).tolist()),
         delta_threshold=delta_threshold if delta_threshold is not None else config.delta_thresholds[0],
@@ -97,6 +105,38 @@ def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> s
     writer.writerow(header)
     writer.writerows(rows)
     return write_output(path, buffer.getvalue().encode())
+
+
+def _csv_fields(values: Iterable) -> list[str]:
+    """Each value as ``csv.writer`` writes it ahead of another field of a row,
+    followed by the delimiter. A lone empty field would be written ``""``."""
+    lines: list[str] = []  # the writer writes each row with one call
+    csv.writer(types.SimpleNamespace(write=lines.append)).writerows((value, "") for value in values)
+    return [line[:-2] for line in lines]  # "field," without the "\r\n"
+
+
+TRACE_HEADER = "year,round,provider,d_t,eps_t,cumulative\r\n"
+
+
+def _write_trace(path: Path, ledgers: Sequence[YearLedger]) -> str:
+    """Write one CSV row per report of ``ledgers``, under ``TRACE_HEADER``;
+    return its SHA-256.
+
+    The bytes are those ``_write_csv`` writes for the rows (year, round,
+    provider id, d_t, eps_t, cumulative): ``csv.writer`` writes an int
+    with ``str`` and a float with ``repr``. Provider ids go through
+    ``csv.writer`` itself (``_csv_fields``), once per ledger.
+    """
+    pieces = [TRACE_HEADER]
+    for ledger in ledgers:
+        year, provider = f"{ledger.year},", _csv_fields(ledger.provider_ids)
+        pieces += [
+            f"{year}{round_},{provider[i]}{d_t},{eps_t!r},{cumulative!r}\r\n"
+            for round_, i, d_t, eps_t, cumulative in zip(
+                ledger.round, ledger.provider, ledger.d_t, ledger.eps_t, ledger.cumulative
+            )
+        ]
+    return write_output(path, "".join(pieces).encode())
 
 
 def _write_records(path: Path, header: Sequence[str], records: Iterable[Mapping]) -> str:
@@ -289,7 +329,7 @@ def timing_game(config: ScenarioConfig, n: int) -> ThresholdGame:
     rng = np.random.default_rng(derive_seed(config.master_seed, "timing", n))
     thresholds = sample_thresholds(config.thresholds, n, rng)
     players = tuple(
-        (f"p{i:03d}", (ReportBatch(1, float(eps)),)) for i, eps in enumerate(thresholds)
+        (pid, (ReportBatch(1, float(eps)),)) for pid, eps in zip(_member_ids(n), thresholds)
     )
     total = float(np.sum(thresholds))
     return ThresholdGame(
@@ -406,24 +446,8 @@ def simulate(config: ScenarioConfig, out_dir: str | Path) -> dict:
     reduced, registry = apply_penalty(federation, flagged, {})
     flagged_ids = sorted(registry)  # a fresh registry holds exactly the flagged members
 
-    trace_rows = (
-        row
-        for ledger in ledgers
-        for row in zip(
-            itertools.repeat(ledger.year),
-            ledger.round,
-            map(ledger.provider_ids.__getitem__, ledger.provider),
-            ledger.d_t,
-            ledger.eps_t,
-            ledger.cumulative,
-        )
-    )
     outputs = {
-        "trace.csv": _write_csv(
-            out_dir / "trace.csv",
-            ("year", "round", "provider", "d_t", "eps_t", "cumulative"),
-            trace_rows,
-        ),
+        "trace.csv": _write_trace(out_dir / "trace.csv", ledgers),
         "ledgers.json": write_json(
             out_dir / "ledgers.json",
             [

@@ -6,6 +6,7 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Mapping
 
@@ -73,9 +74,75 @@ def write_output(path: Path, data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+_FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _render_json(value, pieces: list[str], newline: str) -> None:
+    """Append the JSON text of ``value`` to ``pieces``, indented by two spaces.
+
+    ``newline`` is a line break followed by the indent of the line that
+    ``value`` starts on. Every scalar is spelled as ``json`` spells it:
+    strings through its C escaper, floats and ints by their base type's
+    ``repr``, NaN and the infinities as ``NaN``, ``Infinity`` and
+    ``-Infinity``. Floats, the most common values, are tested first.
+    """
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        pieces.append(_FLOAT_WORDS.get(text, text))
+    elif isinstance(value, str):
+        pieces.append(encode_basestring_ascii(value))
+    elif value is True:
+        pieces.append("true")
+    elif value is False:
+        pieces.append("false")
+    elif value is None:
+        pieces.append("null")
+    elif isinstance(value, int):
+        pieces.append(int.__repr__(value))
+    elif isinstance(value, dict):
+        if not value:
+            pieces.append("{}")
+            return
+        inner = newline + "  "
+        separator = "{" + inner
+        for key, item in sorted(value.items()):
+            if not isinstance(key, str):
+                raise TypeError(f"JSON object keys must be str, not {type(key).__name__}")
+            pieces.append(separator)
+            pieces.append(encode_basestring_ascii(key))
+            pieces.append(": ")
+            _render_json(item, pieces, inner)
+            separator = "," + inner
+        pieces.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            pieces.append("[]")
+            return
+        inner = newline + "  "
+        separator = "[" + inner
+        for item in value:
+            pieces.append(separator)
+            _render_json(item, pieces, inner)
+            separator = "," + inner
+        pieces.append(newline + "]")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def write_json(path: Path, payload) -> str:
-    """Write ``payload`` as key-sorted, indented JSON plus a newline; return its SHA-256."""
-    return write_output(path, (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode())
+    """Write ``payload`` as key-sorted JSON indented by two spaces, plus a newline;
+    return its SHA-256.
+
+    The bytes are those of ``json.dumps(payload, indent=2, sort_keys=True) + "\n"``,
+    which Python renders with its pure-Python encoder whenever it indents.
+    This renderer appends every piece to one list and joins once. It takes
+    str, int, float, bool, None, dict with str keys, list and tuple; any
+    other type, or a key that is not a str, raises ``TypeError``.
+    """
+    pieces: list[str] = []
+    _render_json(payload, pieces, "\n")
+    pieces.append("\n")
+    return write_output(path, "".join(pieces).encode())
 
 
 @dataclass(frozen=True)

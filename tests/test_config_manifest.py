@@ -1,11 +1,13 @@
 import hashlib
+import itertools
+import json
 import math
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from enum import Enum
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedmarket.cli import main
@@ -17,8 +19,9 @@ from fedmarket.config import (
     load_config,
     sample_thresholds,
 )
+from fedmarket.dynamics import YearLedger
 from fedmarket.errors import ConfigError, OutputError
-from fedmarket.experiments import _write_csv, simulate
+from fedmarket.experiments import _write_csv, _write_trace, simulate
 from fedmarket.manifest import (
     config_digest,
     file_digest,
@@ -381,3 +384,155 @@ class TestManifest:
         (tmp_path / "blocker").write_text("")
         with pytest.raises(OutputError, match="^cannot write "):
             write_manifest(tmp_path / "blocker" / "manifest.json", ScenarioConfig(), {}, {})
+
+
+# Text that exercises every escape: quotes, backslashes, control characters,
+# DEL, lone surrogates and non-ASCII, besides whatever hypothesis draws.
+_JSON_TEXT = st.text(
+    st.characters(exclude_categories=())
+    | st.sampled_from('"\\\x00\x08\x1f\x7f\ud800\udfffé☃\U0001f600')
+)
+_JSON_FLOATS = (
+    st.floats()
+    | st.floats().map(np.float64)
+    | st.sampled_from([-0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, 2.2e-308, 1e16, 1e-300])
+)
+_JSON_INTS = st.integers() | st.sampled_from([0, -1, 2**63, 2**64, 2**64 + 1, -(2**70)])
+_JSON_PAYLOADS = st.recursive(
+    st.none() | st.booleans() | _JSON_INTS | _JSON_FLOATS | _JSON_TEXT,
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(_JSON_TEXT, children, max_size=4),
+    max_leaves=24,
+)
+
+
+@pytest.fixture(scope="class")
+def class_dir(tmp_path_factory):
+    """One directory for every example of a property test; each example writes over the last."""
+    return tmp_path_factory.mktemp("writers")
+
+
+class TestWriteJson:
+    """``write_json`` writes the bytes of ``json.dumps(indent=2, sort_keys=True)``."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(payload=_JSON_PAYLOADS)
+    @example(payload=[[], {}, (), {"b": [], "a": {}, "c": ((), [{}])}])
+    @example(payload=[-0.0, math.nan, math.inf, -math.inf, 5e-324, 1e16, np.float64(0.1)])
+    @example(payload=[True, False, None, 0, -7, 2**64 + 1])
+    @example(payload={"é\"\\\n\ud800": "☃\x00"})
+    def test_bytes_match_the_indented_json_encoder(self, payload, class_dir):
+        path = class_dir / "data.json"
+        expected = (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
+        assert write_json(path, payload) == hashlib.sha256(expected).hexdigest()
+        assert path.read_bytes() == expected
+
+    @pytest.mark.parametrize(
+        "payload",
+        ({1, 2}, b"x", np.int64(3), [np.int64(3)], {1: "a"}, {"a": {None: 1}}, {("a",): 1}, object()),
+        ids=["set", "bytes", "np.int64", "nested-np.int64", "int-key", "none-key", "tuple-key", "object"],
+    )
+    def test_other_types_and_keys_raise_type_error(self, payload, tmp_path):
+        with pytest.raises(TypeError):
+            write_json(tmp_path / "data.json", payload)
+        assert not (tmp_path / "data.json").exists()  # rendered in full before writing
+
+
+def _reference_trace(path, ledgers):
+    """The trace rows written through ``csv.writer``, as ``simulate`` did
+    before it formatted them itself; kept as the reference."""
+    rows = (
+        row
+        for ledger in ledgers
+        for row in zip(
+            itertools.repeat(ledger.year),
+            ledger.round,
+            map(ledger.provider_ids.__getitem__, ledger.provider),
+            ledger.d_t,
+            ledger.eps_t,
+            ledger.cumulative,
+        )
+    )
+    return _write_csv(path, ("year", "round", "provider", "d_t", "eps_t", "cumulative"), rows)
+
+
+_TRACE_IDS = st.lists(
+    st.just("")
+    | st.text(st.sampled_from(',"\r\n \'é☃\U0001f600p0') | st.characters(exclude_categories=("Cs",))),
+    max_size=5,
+    unique=True,
+)
+_TRACE_FLOATS = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e-300, 5e-324])
+
+
+@st.composite
+def _trace_ledgers(draw):
+    """One to four years of a federation, with random report columns."""
+    ids = tuple(draw(_TRACE_IDS))
+    ledgers = []
+    for year in range(1, draw(st.integers(1, 4)) + 1):
+        reports = draw(st.integers(0, 8)) if ids else 0
+
+        def column(values):
+            return tuple(draw(st.lists(values, min_size=reports, max_size=reports)))
+
+        ledgers.append(
+            YearLedger(
+                year=year,
+                target=draw(_TRACE_FLOATS),
+                rounds_used=reports,
+                achieved=draw(_TRACE_FLOATS),
+                reached=draw(st.booleans()),
+                provider_ids=ids,
+                d_total=(0,) * len(ids),
+                eps_level=(0.0,) * len(ids),
+                provider=column(st.integers(0, max(len(ids) - 1, 0))),
+                round=column(st.integers(1, 10**6)),
+                d_t=column(st.integers(0, 10**9)),
+                eps_t=column(_TRACE_FLOATS),
+                cumulative=column(_TRACE_FLOATS),
+            )
+        )
+    return ledgers
+
+
+def _two_years(ids):
+    """Two years in which every member reports twice, with awkward floats."""
+    n = len(ids)
+    ledger = YearLedger(
+        year=1,
+        target=1.0,
+        rounds_used=2,
+        achieved=0.5,
+        reached=False,
+        provider_ids=ids,
+        d_total=(1,) * n,
+        eps_level=(0.1,) * n,
+        provider=tuple(range(n)) * 2,
+        round=(1,) * n + (2,) * n,
+        d_t=(1,) * 2 * n,
+        eps_t=(math.nan, math.inf, -0.0, 1e-300, -math.inf, 0.1)[: 2 * n],
+        cumulative=(1e-300, -0.0, math.nan, math.inf, 2.5, -1.0)[: 2 * n],
+    )
+    return [ledger, replace(ledger, year=2)]
+
+
+class TestWriteTrace:
+    """``_write_trace`` writes what ``csv.writer`` writes for the same rows."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(ledgers=_trace_ledgers())
+    @example(ledgers=_two_years(("",)))
+    @example(ledgers=_two_years(("", "a,b")))
+    @example(ledgers=_two_years(('say "hi"', "\r\n", "é")))
+    def test_bytes_match_the_csv_writer(self, ledgers, class_dir):
+        trace, reference = class_dir / "trace.csv", class_dir / "reference.csv"
+        assert _write_trace(trace, ledgers) == _reference_trace(reference, ledgers)
+        assert trace.read_bytes() == reference.read_bytes()
+
+    def test_a_run_without_reports_writes_the_header_alone(self, tmp_path):
+        empty = [YearLedger(1, 1.0, 0, 0.0, False, ("p000",), (0,), (0.0,), (), (), (), (), ())]
+        trace, reference = tmp_path / "trace.csv", tmp_path / "reference.csv"
+        assert _write_trace(trace, empty) == _reference_trace(reference, empty)
+        assert trace.read_bytes() == b"year,round,provider,d_t,eps_t,cumulative\r\n"
