@@ -43,11 +43,14 @@ pruned evaluator's colex frontier extension produce the identical float),
 winning flags are decided by the measure's one predicate, and both return
 the same integer matrix.
 
-The sampler holds each batch of orderings position-major and folds
-prefix sums one position at a time across the batch. Its counts are
-exact integers with a single late division, so its shares do not depend
-on the batch size; ``shapley_sampled`` says why each share is the float
-an ordering-major running sum and float accumulator give.
+The sampler ranks each row of uniforms by sorting packed integer keys,
+the uniform's 53 bits over the player index, so ties go to the lower
+index, as in a stable ``argsort``. It holds each batch of orderings
+position-major and folds prefix sums one position at a time across the
+batch. Its counts are exact integers with a single late division, so its
+shares do not depend on the batch size; ``shapley_sampled`` says why each
+share is the float an ordering-major running sum and float accumulator
+give.
 """
 
 from __future__ import annotations
@@ -83,12 +86,16 @@ _ENUMERATION_FACTOR = 3
 # largest chunk tallied as a single row of masks (see ``_exact_counts``).
 _LOW_BITS = 20
 _FLAT_BITS = 10
-# Orderings drawn per step of the sampler. The draws come in row order,
-# so this sets speed and memory only, never the shares. Measured on the
-# split-games large games (n = 25, 50, 100) and n = 24 settle splits,
-# 2048 and 4096 tie for speed and 1024 and 8192 are up to 10% slower;
-# 2048 needs half the scratch memory of 4096.
-_SAMPLE_BATCH = 2048
+# Positions (orderings times players) drawn per step of the sampler, which
+# takes max(1, _SAMPLE_POSITIONS // n) orderings at a time. The draws come
+# in row order, so this sets speed and memory only, never the shares. Each
+# (n, m) array of a batch takes at most 512 kB for any n <= 2^16, so
+# several fit in a 2 MB L2 cache. Measured on the split-games large games
+# (CPU time per 100k-sample call, fastest of 7, 2-vCPU VM): 2^16 positions
+# took 29 / 62 / 178 ms at n = 25 / 50 / 100, against 31 / 67 / 206 ms for
+# 2^15, 40 / 78 / 225 ms for 2^17 and 31 / 67 / 233 ms for a fixed 2048
+# orderings.
+_SAMPLE_POSITIONS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -433,6 +440,31 @@ def shapley_pruned(game: ThresholdGame) -> ShapleyResult:
     return ShapleyResult(shares=_shares(game, marginals), method="pruned")
 
 
+def _orderings(u: np.ndarray) -> np.ndarray:
+    """The orderings that rank each row of ``u``, position-major: shape (n, m).
+
+    ``order[j, p]`` is the player at position j of ordering p, equal to
+    ``np.argsort(u, axis=1, kind="stable").T``: ascending uniforms, ties
+    broken by player index. ``Generator.random`` returns k / 2^53 with an
+    integer k < 2^53 under each of numpy's bit generators, so with
+    b = (n - 1).bit_length() the scaled draw u * 2^(53 + b) is exactly
+    k << b. The player index goes into the low b bits, one integer sort per
+    row ranks the keys, and masking the high bits off leaves the players.
+    Past n = 1024 the key would need more than 63 bits, and the stable
+    ``argsort`` of ``u`` is taken directly.
+    """
+    n = u.shape[1]
+    b = (n - 1).bit_length()
+    if 53 + b > 63:
+        return np.ascontiguousarray(np.argsort(u, axis=1, kind="stable").T)
+    keys = np.empty(u.shape, dtype=np.int64)
+    np.multiply(u, 2.0 ** (53 + b), out=keys, casting="unsafe")  # one pass, no float temporary
+    keys |= np.arange(n)
+    keys.sort(axis=1)
+    keys &= (1 << b) - 1
+    return np.ascontiguousarray(keys.T)
+
+
 def shapley_sampled(
     game: ThresholdGame,
     samples: int,
@@ -445,9 +477,14 @@ def shapley_sampled(
     makes the prefix win, +1 to ``down`` of one whose step makes it lose.
     Player i's share is prize * (up[i] - down[i]) / samples.
 
-    A batch of m orderings is one ``rng.random((m, n))`` draw ranked by
-    ``argsort`` along each row, then held position-major as ``order``,
-    shape (n, m). Each statistic's prefix sums are built in place with
+    A batch of m = max(1, _SAMPLE_POSITIONS // n) orderings is one
+    ``rng.random((m, n))`` draw. Each row is ranked in ascending order of
+    its uniforms, ties broken by player index: the ordering is
+    ``np.argsort(u, axis=1, kind="stable")``, built by ``_orderings`` and
+    held position-major as ``order``, shape (n, m). A tie needs two equal
+    53-bit uniforms in one row, about once in 2e7 calls of 100k samples at
+    n = 100; the index rule makes it independent of which sort kernel
+    numpy picks. Each statistic's prefix sums are built in place with
     one ``np.add`` per position across the batch: the running sum of
     every ordering is a left fold in ordering order, so each prefix is
     the same float that a per-ordering cumulative sum gives.
@@ -469,12 +506,12 @@ def shapley_sampled(
 
     up = np.zeros(n, dtype=np.int64)  # +1 marginals per player
     down = np.zeros(n, dtype=np.int64)  # -1 marginals per player (kRR only)
+    batch = max(1, _SAMPLE_POSITIONS // n)
     remaining = samples
     while remaining > 0:
-        m = min(remaining, _SAMPLE_BATCH)
+        m = min(remaining, batch)
         remaining -= m
-        # order[j, p] is the player at position j of ordering p
-        order = np.ascontiguousarray(np.argsort(rng.random((m, n)), axis=1).T)
+        order = _orderings(rng.random((m, n)))
         prefix = [np.take(row, order) for row in stats]
         for c in prefix:
             for j in range(1, n):

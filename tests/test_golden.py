@@ -30,6 +30,19 @@ federation_sizes: [10]
 budget: 500.0
 """
 
+# The default federation (n = 25) at a budget it delivers: a paying deal
+# too large to enumerate, so the sampler splits the whole 7000 payout.
+PAYING_SAMPLED = """
+budget: 7000.0
+"""
+
+# Under kRR the default federation delivers a budget of 1000 and the
+# sampler splits it; low-epsilon steps make the win flag fall, so some
+# shares are negative.
+PAYING_SAMPLED_KRR = """
+budget: 1000.0
+"""
+
 # At delta = 0.01 the penalty empties all but one federation, which
 # exercises the inactive-federation break; at delta = 50 nobody is flagged.
 FREERIDER_EDGES = """
@@ -49,6 +62,8 @@ CASES = {
     "simulate-small-additive": ("simulate", SMALL_PAYING, []),
     "simulate-small-krr": ("simulate", SMALL_PAYING, ["--mode", "krr"]),
     "simulate-small-example": ("simulate", SMALL_PAYING, ["--mode", "example"]),
+    "simulate-paying-sampled": ("simulate", PAYING_SAMPLED, []),
+    "simulate-paying-sampled-krr": ("simulate", PAYING_SAMPLED_KRR, ["--mode", "krr"]),
 }
 
 GOLDEN = {'exp-freeriders-edges': {'freeriders.csv': 'b69a883d60a1f58c9cb0a64d912004d8fb6f0981765436805edb3ee83ae7a830',
@@ -70,6 +85,18 @@ GOLDEN = {'exp-freeriders-edges': {'freeriders.csv': 'b69a883d60a1f58c9cb0a64d91
                       'penalties.json': '7deaae6a3b26521a4e2febc6ae11feafdd72b86a94ea4f009b37f623a305a3c9',
                       'shares.json': '0d62916daac6748eb2a4cb124eac404218b29afe399b7a27da0dfd690b2ed2c3',
                       'trace.csv': '03849faa97e6936584c3adc6732d1d53473add327351fa76756763210a7d0bc6'},
+ 'simulate-paying-sampled': {'deal.json': '4c9c041bc29e810dbfdfad81cbca8e765e2a332c11053b7445141d6d22e3a7c2',
+                             'ledgers.json': '4cffc86fa8941ff74b57e22a288cf9d995ca67d7f629bdcc81c5a12baef7a9ff',
+                             'manifest.json': '01f66a799c003a43ebcdc04481d258e6c4436b8690e16b008890dea6d4255243',
+                             'penalties.json': '49fd1c7f29abc3bc40ed91840e6fdc3d24967934f90d199d0d812fea61084f60',
+                             'shares.json': 'd17ddfd7fba4a2b3af23de9c5001918ebab67e3edc6a99fa7b54db0255596e20',
+                             'trace.csv': '05d6c78ec7e7c81863b5c0784f7c8f95811d75c2311339e3d215f684dff69180'},
+ 'simulate-paying-sampled-krr': {'deal.json': '4e408a83d34a073ed56dc2236a511e72d22fe724b1bd33c08efc43167c168a4f',
+                                 'ledgers.json': '2e693cec20e2a14ce9efdeb7950bf39a900832e2664e4b7a0bbd1ca1e6376786',
+                                 'manifest.json': 'a40cd2619022b1564480365f5dbf3a9b053906ebcbf60d29293516a26c648027',
+                                 'penalties.json': 'a3b989f9063d124f22f66f6e9129b77802d13354ce0bb31535572189d820009b',
+                                 'shares.json': '51b391d87c21128186657bc559b4ace50bd13d0038384cb0d1c62235e5988e76',
+                                 'trace.csv': '14c7cbf8b867eebdc81c73cfff3a948f17843dd11bca5fa6884804b2ae31d2ba'},
  'simulate-small-additive': {'deal.json': '10e72fdef9d00cac7350e16fc7d03bce5e8518d96750d10579183a195cd09565',
                              'ledgers.json': 'f2dd2a2181ec0d1ccdfee82e8dbea3d9b5748ba8dcaaca1a7b311482affed6fb',
                              'manifest.json': '5001e4c97a822ffedee80202108756baf8ae6aa102b9db774121ff1fba4c6af5',

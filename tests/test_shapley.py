@@ -331,6 +331,8 @@ def _reference_sampled(game, samples, rng):
 
     Kept as the bit-for-bit reference for ``shapley_sampled``, with its own
     batch size, so the comparison also shows that batching moves no share.
+    Its stable ``argsort`` is the specification of the tie rule: equal
+    uniforms in a row rank in player order.
     """
     n = game.n
     measure = game.measure
@@ -340,7 +342,7 @@ def _reference_sampled(game, samples, rng):
     while remaining > 0:
         m = min(remaining, 8192)
         remaining -= m
-        perms = np.argsort(rng.random((m, n)), axis=1)
+        perms = np.argsort(rng.random((m, n)), axis=1, kind="stable")
         win = measure.wins([np.cumsum(row[perms], axis=1) for row in stats], game.target)
         flags = win.astype(np.int8)
         marg = flags.copy()
@@ -366,16 +368,10 @@ DILUTED_KRR = ((1, 6.0), (20, 0.05), (2, 3.0))
 
 
 class TestSampledMatchesReference:
-    SAMPLE_COUNTS = (
-        1,
-        shapley._SAMPLE_BATCH - 1,
-        shapley._SAMPLE_BATCH,
-        shapley._SAMPLE_BATCH + 1,
-        20_000,
-    )
-
-    def _assert_same(self, game, seed=7):
-        for samples in self.SAMPLE_COUNTS:
+    def _assert_same(self, game, seed=7, largest=20_000):
+        # the last batch one ordering short, exactly full, and one ordering long
+        batch = max(1, shapley._SAMPLE_POSITIONS // game.n)
+        for samples in (1, batch - 1, batch, batch + 1, largest):
             result = shapley_sampled(game, samples, np.random.default_rng(seed))
             expected = _reference_sampled(game, samples, np.random.default_rng(seed))
             assert result.sample_count == samples
@@ -393,6 +389,14 @@ class TestSampledMatchesReference:
         )
         self._assert_same(game)
 
+    @pytest.mark.parametrize("mode", ALL_MODES, ids=lambda m: m.value)
+    def test_past_the_widest_packed_key(self, mode):
+        # n = 1025 ranks by the stable argsort itself, 63 orderings a batch
+        game = random_threshold_game(
+            np.random.default_rng(1025), mode, max_players=1025, min_players=1025
+        )
+        self._assert_same(game, largest=150)
+
     def test_krr_game_with_negative_marginals(self):
         game = _krr_game(DILUTED_KRR, 4.0, 30.0)
         assert characteristic({"p0"}, game) == 30.0
@@ -408,6 +412,47 @@ class TestSampledMatchesReference:
         game = _additive_game((1.0, 0.5, 0.3, 2.0), 4.0, 60.0)
         result = self._assert_same(game)
         assert all(v.hex() == (0.0).hex() for v in result.shares.values())
+
+
+BIT_GENERATORS = (np.random.PCG64, np.random.MT19937, np.random.Philox, np.random.SFC64)
+
+
+class TestOrderings:
+    """``_orderings`` ranks rows exactly as ``np.argsort(u, axis=1, kind="stable")``."""
+
+    @staticmethod
+    def _assert_stable_argsort(u):
+        order = shapley._orderings(u)
+        assert order.flags.c_contiguous
+        np.testing.assert_array_equal(order, np.argsort(u, axis=1, kind="stable").T)
+
+    @pytest.mark.parametrize("n", (1, 2, 8, 1024, 1025))
+    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda g: g.__name__)
+    def test_random_rows(self, bit_generator, n):
+        u = np.random.Generator(bit_generator(n)).random((max(1, 4096 // n), n))
+        scaled = u * 2.0**53
+        assert np.array_equal(scaled, np.floor(scaled))  # every draw is k / 2^53
+        self._assert_stable_argsort(u)
+
+    def test_ties_go_to_the_lower_index(self):
+        u = np.array([[0.5, 0.25, 0.5, 0.25, 0.0, 0.5]])
+        np.testing.assert_array_equal(shapley._orderings(u)[:, 0], [4, 1, 3, 0, 2, 5])
+
+    @pytest.mark.parametrize("n", (1, 2, 8, 1024, 1025))
+    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda g: g.__name__)
+    def test_rows_with_ties(self, bit_generator, n):
+        rng = np.random.Generator(bit_generator(7 + n))
+        ulp = 2.0**-53
+        top = 1.0 - ulp  # the largest draw: all 53 bits set
+        rows = [
+            np.zeros(n),
+            np.full(n, top),
+            rng.integers(0, 3, n) * ulp,  # the smallest draws, many equal
+            top - rng.integers(0, 3, n) * ulp,  # the largest draws, many equal
+            rng.choice([0.0, 0.5, top], n),
+            np.where(rng.random(n) < 0.5, rng.random(n), 0.25),
+        ]
+        self._assert_stable_argsort(np.array(rows))
 
 
 def _reference_exact_counts(game):
