@@ -140,15 +140,14 @@ class PenaltyState:
             raise DomainError("an excluded provider must carry at least one demerit")
 
 
-def _fold_savings(d: np.ndarray, eps: np.ndarray, threshold: np.ndarray) -> np.ndarray:
-    """Savings from a window's (year, ...) grids of points reported and epsilons spent.
+def _saving_terms(d: np.ndarray, eps: np.ndarray, threshold: np.ndarray) -> np.ndarray:
+    """Savings terms from points reported ``d`` and epsilons spent ``eps``.
 
-    A term is d(m) * (eps_T - eps(m)), or +0.0 in a year without reports,
-    and each saving is a left fold of its terms from +0.0, in year order.
-    ``threshold`` holds eps_T in the shape of one year.
+    A term is d(m) * (eps_T - eps(m)), or +0.0 in a year without reports;
+    ``threshold`` holds eps_T and broadcasts against ``d``. A saving is the
+    left fold of a window's terms from +0.0, in year order.
     """
-    terms = np.where(d > 0, d * (threshold - eps), 0.0)
-    return sum(terms, np.zeros(terms.shape[1:]))
+    return np.where(d > 0, d * (threshold - eps), 0.0)
 
 
 def savings_snapshot(
@@ -177,7 +176,7 @@ def savings_snapshot(
         d[year, cols] = ledger.d_total
         eps[year, cols] = ledger.eps_level
     threshold = np.append(np.asarray(eps_threshold, dtype=float), 0.0)
-    return _fold_savings(d, eps, threshold)[:n]
+    return sum(_saving_terms(d, eps, threshold), np.zeros(n + 1))[:n]
 
 
 def privacy_saving(ledgers: Sequence[YearLedger], provider: Provider) -> float:
@@ -331,7 +330,7 @@ def run_collection_year(
     pairwise sums; a non-reporting member adds +0.0, which changes no
     fold.
     """
-    if target <= 0:
+    if not target > 0:  # a NaN target fails too
         raise DomainError("collection target must be positive")
     if max_rounds < 1:
         raise DomainError("need at least one collection round")
@@ -456,7 +455,13 @@ def run_collection_batch(
     ``Measure.add``. A run draws its round's uniforms from its own
     generator only while it collects. Once its level reaches its target it
     draws nothing more: its uniforms stay at 1.0, so no member joins, it
-    reports nothing and adds +0.0 to its totals.
+    reports nothing and adds +0.0 to its totals. When no target is finite,
+    no run can leave: each run draws its whole year's uniforms with one
+    call, the same stream, the rounds skip the level and the exit test,
+    and each run's aggregate is folded once, when the year closes, in the
+    same order. Each year leaves one savings term per member
+    (``_saving_terms``, as in ``savings_snapshot``), and a saving is the
+    fold of the window's terms.
 
     With ``penalties_from``, every year from that one on ends with the
     penalty of ``detect_free_riders`` and ``apply_penalty``: run r excludes
@@ -481,7 +486,7 @@ def run_collection_batch(
     if any(len(f.member_ids) != n or f.tolerance_window != window for f in federations):
         raise DomainError("the federations of a batch must share their size and tolerance window")
     target = np.array(targets, dtype=float)
-    if (target <= 0).any():
+    if not (target > 0).all():  # a NaN target fails too
         raise DomainError("collection target must be positive")
     spec = spec or AlphabetSpec(2)
     ids = [f.member_ids for f in federations]
@@ -490,47 +495,62 @@ def run_collection_batch(
     delta = np.array([[f.delta_threshold] for f in federations])
     catalyzing = policy.kind is PolicyKind.CATALYZING
     measure = Measure(mode, spec.k)
+    can_leave = np.isfinite(target).any()  # some run can reach its target and stop collecting
     rounds_used = np.full((years, k), max_rounds)
     achieved = np.zeros((years, k))
     members = np.ones((k, n), dtype=bool)
     excluded = np.zeros(k, dtype=np.int64)
-    # What the member mask implies, updated when a penalty changes it. Per
-    # run, ``slots`` holds the slots of its members' uniforms. A run without
-    # members sits its years out. kRR's level of no data is 0 / 0, so an
-    # empty run's totals start at NaN instead: NaN + 0.0 raises no warning,
-    # and NaN never reaches a target.
-    masked, budget, slots = False, d_p, None
+    # What the member mask implies, updated when a penalty changes it:
+    # ``size`` holds each run's member count. A run without members sits its
+    # years out. kRR's level of no data is 0 / 0, so an empty run's totals
+    # start at NaN instead: NaN + 0.0 raises no warning, and NaN never
+    # reaches a target.
+    masked, budget, size = False, d_p, [n] * k
     staffed = members.any(axis=1)
     staffed_runs = np.flatnonzero(staffed).tolist()
     start = np.where(staffed, 0.0, np.nan)
-    d_years: list[np.ndarray] = []
-    eps_years: list[np.ndarray] = []
+    terms: list[np.ndarray] = []  # per year, the savings terms of every run's members
     savings = None
+    step = _round_rule(policy, d_p, threshold, savings)
+
+    def draw(runs: list[int], u: np.ndarray) -> None:
+        """Fill ``u[r]``, one round's or a year's (rounds, 2n) uniforms, for each run r of ``runs``.
+
+        A run draws its participation and then its epsilon uniforms for its
+        members only, scattered into their slots in member order.
+        """
+        if masked:
+            for r in runs:
+                rows = u[r].reshape(u.shape[1:-1] + (2, n))  # a view: u[r] is contiguous
+                rows[..., members[r]] = rngs[r].random(rows.shape[:-1] + (size[r],))
+        else:
+            for r in runs:
+                rngs[r].random(out=u[r])
 
     for m in range(years):
-        step = _round_rule(policy, d_p, threshold, savings)
         remaining = budget.copy()
         totals = [start] * measure.width
-        u = np.ones((k, 2 * n))
+        # the uniforms of one round, or of the whole year when no run can leave
+        u = np.ones((k, 1 if can_leave else max_rounds, 2 * n))
+        if not can_leave:
+            draw(staffed_runs, u)  # every run collects every round: its whole year at once
         live = staffed.copy()
         runs = staffed_runs  # the live runs
         d_rows: list[np.ndarray] = []
         eps_rows: list[np.ndarray] = []
         eps = None
         for t in range(1, max_rounds + 1):
-            if masked:
-                for r in runs:
-                    u[r, slots[r]] = rngs[r].random(slots[r].size)
-            else:
-                for r in runs:
-                    rngs[r].random(out=u[r])
-            d, eps = step(t, u, remaining, eps)
+            if can_leave:
+                draw(runs, u)
+            d, eps = step(t, u[:, 0 if can_leave else t - 1], remaining, eps)
             if masked:
                 eps = np.where(members, eps, threshold)
             remaining -= d
-            measure.add(totals, d, eps)
             d_rows.append(d)
             eps_rows.append(eps)
+            if not can_leave:  # the totals are folded once, when the year closes
+                continue
+            measure.add(totals, d, eps)
             left = live & (np.array(measure.levels(totals)) >= target)
             if left.any():
                 rounds_used[m, left] = t
@@ -539,23 +559,30 @@ def run_collection_batch(
                 runs = np.flatnonzero(live).tolist()
                 if not runs:
                     break
-        reported, eps_level, _ = _close_year(
-            np.array(d_rows), np.array(eps_rows), remaining, budget, ids, m + 1
-        )
-        d_years.append(reported)
-        eps_years.append(eps_level)
+        d_grid = np.array(d_rows)
+        eps_grid = np.array(eps_rows)
+        reported, eps_level, _ = _close_year(d_grid, eps_grid, remaining, budget, ids, m + 1)
+        if not can_leave:
+            # each run's members round by round, the order in which Measure.add folds them
+            for j, column in enumerate(measure.columns(d_grid, eps_grid)):
+                run_major = column.transpose(1, 0, 2).reshape(k, -1)
+                run_major = np.concatenate((start[:, None], run_major), axis=1)
+                totals[j] = np.add.accumulate(run_major, axis=1)[:, -1]
         achieved[m] = measure.levels(totals)
         penalize = penalties_from is not None and m + 1 >= penalties_from
+        if penalties_from is not None or (catalyzing and m + 1 < years):
+            terms.append(_saving_terms(reported, eps_level, threshold))
         if penalize or (catalyzing and m + 1 < years):
-            past = slice(-window, None)
-            savings = _fold_savings(np.array(d_years[past]), np.array(eps_years[past]), threshold)
+            savings = sum(terms[-window:], np.zeros((k, n)))
+            if catalyzing:  # only the catalyzing rule reads the savings
+                step = _round_rule(policy, d_p, threshold, savings)
         if penalize:
             flagged = members & (savings >= delta)
             if flagged.any():
                 members &= ~flagged
                 excluded += flagged.sum(axis=1)
                 masked, budget = True, np.where(members, d_p, 0)
-                slots = [row.nonzero()[0] for row in np.concatenate((members, members), axis=1)]
+                size = members.sum(axis=1).tolist()
                 staffed = members.any(axis=1)
                 staffed_runs = np.flatnonzero(staffed).tolist()
                 start = np.where(staffed, 0.0, np.nan)

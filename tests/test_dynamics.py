@@ -231,6 +231,14 @@ class TestRunCollectionYear:
             batches = [ReportBatch(r.d_t, r.eps_t) for r in ledger.reports]
             assert ledger.achieved == ledger.cumulative[-1] == aggregate(batches, mode, spec)
 
+    def test_nan_target_rejected(self):
+        fed = _federation(self._members())
+        with pytest.raises(DomainError, match="^collection target must be positive$"):
+            run_collection_year(
+                fed, math.nan, NONCAT, 3, AggregationMode.ADDITIVE_INFORMATION,
+                np.random.default_rng(0),
+            )
+
     def test_point_budget_beyond_int64_rejected(self):
         with pytest.raises(DomainError):
             _federation([Provider("p", 2**70, 5.0)])
@@ -594,6 +602,15 @@ class TestBatchMatchesSingleRuns:
         assert excluded.tolist() == [0, 0]
         assert [rng.bit_generator.state for rng in rngs] == states
 
+    def test_nan_target_rejected(self):
+        members = [Provider("a", 5, 2.0), Provider("b", 5, 3.0)]
+        rngs = [np.random.default_rng(0), np.random.default_rng(1)]
+        with pytest.raises(DomainError, match="^collection target must be positive$"):
+            run_collection_batch(
+                [_federation(members)] * 2, [math.inf, math.nan], NONCAT, 1, 3,
+                AggregationMode.ADDITIVE_INFORMATION, rngs,
+            )
+
     def test_federations_must_share_their_size_and_window(self):
         members = [Provider("a", 5, 2.0), Provider("b", 5, 3.0)]
         policy = CollectionPolicy(PolicyKind.CATALYZING)
@@ -676,6 +693,76 @@ def _reference_free_riders(config, n, delta, rep, kind, events):
                 representative = _strongest(remaining)
             members = remaining
     return len(registry)
+
+
+def _reference_penalized_run(members, target, policy, years, max_rounds, mode, spec, rng, window, delta, penalties_from):
+    """One run of a penalized batch from the per-``Provider`` year loop.
+
+    Every year from ``penalties_from`` on drops the members whose savings
+    over the window reach ``delta``; a run left without members runs its
+    remaining years empty. Returns (excluded count, rounds_used per year,
+    achieved per year, the year the run emptied before its last or None).
+    """
+    ledgers, savings, excluded, emptied = [], {}, 0, None
+    rounds_used, achieved = [], []
+    for year in range(1, years + 1):
+        _, _, d_total, eps_level, used, got = _scalar_year(
+            _federation(members), target, policy, max_rounds, mode, rng,
+            [savings.get(p.id, 0.0) for p in members], year, spec,
+        )
+        rounds_used.append(used)
+        achieved.append(got)
+        ledgers.append((tuple(p.id for p in members), d_total, eps_level))
+        savings = _reference_savings(ledgers[-window:], members)
+        if year >= penalties_from:
+            kept = [p for p in members if savings[p.id] < delta]
+            excluded += len(members) - len(kept)
+            if members and not kept and year < years:
+                emptied = year
+            members = kept
+    return excluded, rounds_used, achieved, emptied
+
+
+class TestPenalizedBatchMatchesProviderLoop:
+    """``run_collection_batch(..., penalties_from=)`` run by run against the per-``Provider`` loop."""
+
+    RUNS = (
+        ((10, 5.0), (6, 1.5), (8, 8.0), (5, 3.0)),
+        ((4, 2.0), (9, 0.5), (6, 3.0), (7, 6.0)),
+    )
+    DELTAS = (5.0, 12.0)  # the first run empties before its last year, the second shrinks
+
+    @pytest.mark.parametrize("fractions", [(math.inf, math.inf), (math.inf, 0.4)], ids=["open-open", "open-finite"])
+    @pytest.mark.parametrize("kind", list(PolicyKind), ids=lambda k: k.value)
+    @pytest.mark.parametrize("mode", list(AggregationMode), ids=lambda m: m.value)
+    def test_exclusions_years_and_generator_state(self, mode, kind, fractions):
+        spec, years, max_rounds, window, penalties_from = AlphabetSpec(4), 6, 4, 2, 2
+        policy = CollectionPolicy(kind, initial_eps_high=0.5, participation_prob=0.7, points_per_round=2)
+        federations, targets, expected = [], [], []
+        for r, (members, fraction, delta) in enumerate(zip(self.RUNS, fractions, self.DELTAS)):
+            providers = [Provider(f"p{i}", d, eps) for i, (d, eps) in enumerate(members)]
+            federations.append(_federation(providers, delta=delta, window=window))
+            targets.append(fraction * aggregate([ReportBatch(d, eps) for d, eps in members], mode, spec))
+            ref_rng = np.random.default_rng(r + 3)
+            expected.append(
+                _reference_penalized_run(
+                    providers, targets[-1], policy, years, max_rounds, mode, spec, ref_rng,
+                    window, delta, penalties_from,
+                )
+                + (ref_rng.bit_generator.state,)
+            )
+        rngs = [np.random.default_rng(r + 3) for r in range(len(federations))]
+        rounds_used, achieved, excluded = run_collection_batch(
+            federations, targets, policy, years, max_rounds, mode, rngs, spec,
+            penalties_from=penalties_from,
+        )
+        for r, (count, used, got, _, state) in enumerate(expected):
+            assert excluded[r] == count
+            assert rounds_used[:, r].tolist() == used
+            assert [x.hex() for x in achieved[:, r].tolist()] == [x.hex() for x in got]
+            assert rngs[r].bit_generator.state == state
+        assert expected[0][3] is not None  # the first run emptied mid-run
+        assert 0 < expected[1][0] < len(self.RUNS[1])  # the second lost some members
 
 
 def _reference_simulate_penalties(config, promised):

@@ -57,6 +57,9 @@ CASES = {
     "exp-rounds-one-cell": ("exp-rounds", ONE_CELL, []),
     "exp-freeriders-one-cell": ("exp-freeriders", ONE_CELL, []),
     "exp-freeriders-edges": ("exp-freeriders", FREERIDER_EDGES, []),
+    "exp-freeriders-edges-krr": ("exp-freeriders", FREERIDER_EDGES, ["--mode", "krr"]),
+    "exp-freeriders-one-cell-krr": ("exp-freeriders", ONE_CELL, ["--mode", "krr"]),
+    "exp-freeriders-one-cell-example": ("exp-freeriders", ONE_CELL, ["--mode", "example"]),
     "exp-rounds-one-cell-krr": ("exp-rounds", ONE_CELL, ["--mode", "krr"]),
     "exp-rounds-one-cell-example": ("exp-rounds", ONE_CELL, ["--mode", "example"]),
     "simulate-small-additive": ("simulate", SMALL_PAYING, []),
@@ -68,8 +71,14 @@ CASES = {
 
 GOLDEN = {'exp-freeriders-edges': {'freeriders.csv': 'b69a883d60a1f58c9cb0a64d912004d8fb6f0981765436805edb3ee83ae7a830',
                           'freeriders_manifest.json': '65108933d030a3a90a563e716cf5a5a8cfe86138a544ec42e4d7d22369dbcdaa'},
+ 'exp-freeriders-edges-krr': {'freeriders.csv': 'b69a883d60a1f58c9cb0a64d912004d8fb6f0981765436805edb3ee83ae7a830',
+                              'freeriders_manifest.json': '17d643dbfc34a6769a01e09924a89f612dae3fe6359bae0d1de962d46922a81c'},
  'exp-freeriders-one-cell': {'freeriders.csv': '270d3a2a11404c62354e0c8ddebf187e1052339c7e67f93c1dfba0d418177738',
                              'freeriders_manifest.json': '83aefc43d0e44cdb6577798636ea8cca7a3325b4184b52f06749f7e038e44345'},
+ 'exp-freeriders-one-cell-example': {'freeriders.csv': '270d3a2a11404c62354e0c8ddebf187e1052339c7e67f93c1dfba0d418177738',
+                                     'freeriders_manifest.json': '30ff546c3aa839c661ddb5b33650400dac056b8ec52163c3ce91b6a5172efc4f'},
+ 'exp-freeriders-one-cell-krr': {'freeriders.csv': '270d3a2a11404c62354e0c8ddebf187e1052339c7e67f93c1dfba0d418177738',
+                                 'freeriders_manifest.json': '6cbbdf3cac957d0392aadec0ec65a218cddcc71d7c8c6f75ddb5b231becf45f9'},
  'exp-rounds-one-cell': {'rounds.csv': '6097ed9a2a0af155250d01bfb4d5b68c386c4b94a02cb086c532a3029c181a65',
                          'rounds_deals.csv': 'db073e1d62e965a3509ffeb14041d0582348b18f92751028ec04cef75fc4f9e3',
                          'rounds_manifest.json': 'c549a12874248934146db55bb715705a60e7ebe5fd1ca55182e37934bbdc4ff4'},
