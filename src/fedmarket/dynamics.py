@@ -20,6 +20,7 @@ from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import compress, repeat
+from operator import ge
 
 import numpy as np
 
@@ -150,6 +151,14 @@ def _saving_terms(d: np.ndarray, eps: np.ndarray, threshold: np.ndarray) -> np.n
     return np.where(d > 0, d * (threshold - eps), 0.0)
 
 
+def _window_savings(terms: Sequence[np.ndarray], window: int, shape) -> np.ndarray:
+    """Savings over the last ``window`` entries of ``terms``, one array of ``shape`` per year.
+
+    The left fold from +0.0 in year order, the one rule every saving follows.
+    """
+    return sum(terms[-window:], np.zeros(shape))
+
+
 def savings_snapshot(
     ledgers: Sequence[YearLedger], member_ids: Sequence[str], eps_threshold: Sequence[float]
 ) -> np.ndarray:
@@ -176,7 +185,7 @@ def savings_snapshot(
         d[year, cols] = ledger.d_total
         eps[year, cols] = ledger.eps_level
     threshold = np.append(np.asarray(eps_threshold, dtype=float), 0.0)
-    return sum(_saving_terms(d, eps, threshold), np.zeros(n + 1))[:n]
+    return _window_savings(_saving_terms(d, eps, threshold), len(ledgers), n + 1)[:n]
 
 
 def privacy_saving(ledgers: Sequence[YearLedger], provider: Provider) -> float:
@@ -193,6 +202,11 @@ def catalyzing_parameter(
     """
     if np.minimum.reduce(d_m, axis=None) < 1:
         raise DomainError("catalyzing parameter needs at least one reported point")
+    return _catalyzing_factor(delta, d_m, eps_threshold)
+
+
+def _catalyzing_factor(delta, d_m, eps_threshold):
+    """``catalyzing_parameter`` without its check."""
     return np.fmax(1.0, delta / (d_m * eps_threshold))  # fmax: a NaN ratio gives 1, like max()
 
 
@@ -205,6 +219,11 @@ def next_round_epsilon(
     """
     if np.minimum.reduce(prev_eps, axis=None) <= 0:
         raise DomainError("previous round epsilon must be positive")
+    return _escalated_epsilon(prev_eps, n_p, eps_threshold)
+
+
+def _escalated_epsilon(prev_eps, n_p, eps_threshold):
+    """``next_round_epsilon`` without its check."""
     return np.minimum(n_p * prev_eps, eps_threshold)
 
 
@@ -228,17 +247,20 @@ def _round_rule(
     Everyone answers round 1; a later round is joined with the
     participation probability. A fresh draw lies in (low, high] * eps_T.
     Under the catalyzing policy, a member who joins a later round
-    escalates her previous epsilon instead, by the catalyzing factor of
-    her saving, capped at eps_T. Every float is one elementwise IEEE
-    ``*``, ``-``, ``/``, ``fmax`` (Python's ``max(1.0, x)``) or
-    ``minimum``, as in a per-report loop.
+    escalates her previous epsilon instead, by ``catalyzing_parameter`` of
+    her saving and with ``next_round_epsilon``'s cap at eps_T, through the
+    unchecked helpers they share. Their argument checks are left out:
+    every member reports in round 1, so each has a point from round 2 on,
+    and an epsilon that is not positive can only be a fresh draw of round
+    1 that rounded to 0, which ``_close_year`` reports. Every float is one
+    elementwise IEEE ``*``, ``-``, ``/``, ``fmax`` (Python's
+    ``max(1.0, x)``) or ``minimum``, as in a per-report loop.
     """
     n = d_p.shape[-1]
     chunk = min(policy.points_per_round, _INT64_MAX)  # no budget is larger
     hi = policy.initial_eps_high * threshold
     width = hi - policy.initial_eps_low * threshold
-    # without members there is nothing to escalate, and no minimum for its checks
-    catalyzing = policy.kind is PolicyKind.CATALYZING and n > 0
+    catalyzing = policy.kind is PolicyKind.CATALYZING
     delta = np.zeros(threshold.shape) if savings is None else savings
 
     def step(t, u, remaining, prev_eps):
@@ -247,11 +269,8 @@ def _round_rule(
             joins = u[..., :n] < policy.participation_prob
             d *= joins
         if t > 1 and catalyzing:
-            n_p = catalyzing_parameter(delta, d_p - remaining, threshold)
-            try:
-                escalated = next_round_epsilon(prev_eps, n_p, threshold)
-            except DomainError:  # round 1's fresh draw was 0
-                raise FreshEpsilonUnderflow() from None
+            n_p = _catalyzing_factor(delta, d_p - remaining, threshold)
+            escalated = _escalated_epsilon(prev_eps, n_p, threshold)
             # a member who joins with no data left escalates unseen: it never reports again
             eps = np.where(joins, escalated, prev_eps)
         else:
@@ -268,14 +287,15 @@ def _close_year(
     d_p: np.ndarray,
     ids: Sequence,
     year: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Check a year's (round, ..., member) grids of points and epsilons.
 
     ``remaining``, ``d_p`` and ``ids`` hold the members' points left,
     yearly budgets and ids in the shape of one round. Every count must be
     non-negative, every member's points must add up to her budget and
     every reported epsilon must lie in (0, ``MAX_EPSILON``]. Returns each
-    member's points reported and epsilon sum, and the mask of reports.
+    member's points reported and epsilon sum, the mask of reports and the
+    reported epsilons in row-major order.
     """
     if d_grid.min(initial=0) < 0:
         raise DomainError("round report cannot carry a negative point count")
@@ -288,13 +308,119 @@ def _close_year(
     mask = d_grid > 0
     eps_t = eps_grid[mask]
     if not (eps_t.min(initial=math.inf) > 0.0 and eps_t.max(initial=0.0) <= MAX_EPSILON):
-        if eps_t.min() == 0.0:
-            raise FreshEpsilonUnderflow()
         for eps in eps_t.tolist():  # a NaN makes min and max NaN, which fails too
+            if eps == 0.0:  # a fresh draw that rounded to 0; escalation keeps it there
+                raise FreshEpsilonUnderflow()
             validate_epsilon(eps)
     # running sums down the rounds add each member's epsilons in report order
     eps_level = np.add.accumulate(np.where(mask, eps_grid, 0.0), axis=0)[-1]
-    return reported, eps_level, mask
+    return reported, eps_level, mask, eps_t
+
+
+def _collect_year(
+    policy: CollectionPolicy,
+    measure: Measure,
+    target: list[float],
+    d_p: np.ndarray,
+    threshold: np.ndarray,
+    members: np.ndarray,
+    savings: np.ndarray | None,
+    max_rounds: int,
+    rngs: Sequence[np.random.Generator],
+    ids: Sequence,
+    year: int,
+) -> tuple[list[int], np.ndarray, np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
+    """One collection year of k runs of one federation size, as (k, n) arrays.
+
+    Run r collects from the members ``members[r]`` marks, with yearly
+    budgets ``d_p[r]``, thresholds ``threshold[r]`` and window savings
+    ``savings[r]`` (``_round_rule``), towards ``target[r]``, drawing from
+    ``rngs[r]``. Returns each run's ``rounds_used`` (a list), the running
+    sums of ``Measure.add`` after every (round, member) slot, as a
+    (statistic, k, 1 + rounds * n) array whose last entries are each run's
+    totals, the (round, k, n) grids of points and epsilons, and
+    ``_close_year``'s results.
+
+    Every round, each collecting run draws 2 n_r uniforms for its n_r
+    members, participation ones and then epsilon ones, scattered into
+    their slots in member order. A member outside ``members`` has no
+    budget, reports 0 points and holds her threshold as her epsilon, so she
+    adds +0.0 to every fold and passes every check. Each run's aggregate is
+    a left fold over its members, round by round, as in ``Measure.add``; a
+    run without members draws nothing and its totals start at NaN, because
+    kRR's level of no data is 0 / 0 (NaN + 0.0 raises no warning, and NaN
+    never reaches a target).
+
+    With a finite target, a run whose level reaches it stops in that round
+    and draws nothing more: its uniforms stay at 1.0, so no member joins,
+    it reports nothing and adds +0.0 to its totals. When no target is
+    finite, no run can leave: each run draws its whole year's uniforms with
+    one call, the same stream, the rounds skip the level and the exit test,
+    and each run's aggregate is folded once, when the year closes, in the
+    same order.
+    """
+    k, n = d_p.shape
+    masked = np.count_nonzero(members) < members.size
+    size = members.sum(axis=1).tolist() if masked else [n] * k
+    budget = np.where(members, d_p, 0) if masked else d_p
+    runs = list(compress(range(k), size))  # the runs still collecting
+    can_leave = any(map(math.isfinite, target))
+    step = _round_rule(policy, d_p, threshold, savings)
+
+    def draw(runs: list[int], u: np.ndarray) -> None:
+        """Fill ``u[r]``, one round's or a year's uniforms, for each run r of ``runs``."""
+        if masked:
+            for r in runs:
+                rows = u[r].reshape(u.shape[1:-1] + (2, n))  # a view: u[r] is contiguous
+                rows[..., members[r]] = rngs[r].random(rows.shape[:-1] + (size[r],))
+        else:
+            for r in runs:
+                rngs[r].random(out=u[r])
+
+    rounds_used = [max_rounds] * k
+    goal = list(target)
+    # the uniforms of one round, or of the whole year when no run can leave
+    u = np.ones((k, 2 * n) if can_leave else (k, max_rounds, 2 * n))
+    if not can_leave:
+        draw(runs, u)
+    remaining = budget.copy()
+    # per statistic and run, the running sums after each (round, member) slot of the
+    # year; runs may leave early, so a finite-target year grows it as rounds pass
+    fold = np.empty((measure.width, k, (min(max_rounds, 16) if can_leave else max_rounds) * n + 1))
+    fold[..., 0] = [0.0 if s else math.nan for s in size]
+    d_rows: list[np.ndarray] = []
+    eps_rows: list[np.ndarray] = []
+    eps = None
+    for t in range(1, max_rounds + 1):
+        if can_leave:
+            draw(runs, u)
+        d, eps = step(t, u if can_leave else u[:, t - 1], remaining, eps)
+        if masked:
+            eps = np.where(members, eps, threshold)
+        remaining -= d
+        d_rows.append(d)
+        eps_rows.append(eps)
+        if not can_leave:  # the totals are folded once, when the year closes
+            continue
+        if t * n >= fold.shape[-1]:  # room for twice the rounds
+            fold = np.concatenate((fold, np.empty_like(fold[..., 1:])), axis=-1)
+        measure.add(fold[..., (t - 1) * n : t * n + 1], d, eps)
+        reached = list(map(ge, measure.levels(fold[..., t * n]), goal))
+        if True in reached:
+            for r in compress(range(k), reached):
+                rounds_used[r] = t
+                goal[r] = math.inf  # a run leaves once
+            runs = [r for r in runs if not reached[r]]
+            if not runs:
+                break
+            u[reached] = 1.0  # no participation probability exceeds it
+    d_grid = np.array(d_rows)
+    eps_grid = np.array(eps_rows)
+    closed = _close_year(d_grid, eps_grid, remaining, budget, ids, year)
+    if not can_leave:  # each run's members round by round, as the rounds fold them
+        run_major = [grid.transpose(1, 0, 2).reshape(k, -1) for grid in (d_grid, eps_grid)]
+        measure.add(fold, *run_major)
+    return rounds_used, fold[..., : len(d_rows) * n + 1], d_grid, eps_grid, closed
 
 
 def run_collection_year(
@@ -311,17 +437,16 @@ def run_collection_year(
     """Simulate one collection year; failure to reach the target is recorded.
 
     ``savings`` carries each member's privacy saving over the tolerance
-    window of previous years, in member order (``savings_snapshot``; none
-    means 0.0 for all). It only matters under the catalyzing policy, where
-    it drives the escalation factor. Deterministic given the generator
-    state: every round draws ``n`` participation and then ``n`` epsilon
-    uniforms, whether or not anyone reports.
+    window of previous years, in member order (none means 0.0 for all). It
+    only matters under the catalyzing policy, where it drives the
+    escalation factor. Deterministic given the generator state: every round
+    draws ``n`` participation and then ``n`` epsilon uniforms, whether or
+    not anyone reports.
 
-    Each round is one step of ``_round_rule`` over all members: a row of
-    d_t (0 for a member who does not report) and a row of epsilons. Every
-    member holds data, so all report in round 1 and each has a previous
-    epsilon from round 2 on. The report columns are the rows' d_t > 0
-    entries in row-major (round, member) order.
+    The year is ``_collect_year`` for one run (k = 1). Every member holds
+    data, so all report in round 1 and each has a previous epsilon from
+    round 2 on. The report columns are the d_t > 0 entries of the
+    (round, member) grids in row-major order.
 
     Every float equals the one a per-report loop computes. The statistics
     come from ``Measure.columns`` (e^eps and the kRR logarithm by
@@ -334,42 +459,25 @@ def run_collection_year(
         raise DomainError("collection target must be positive")
     if max_rounds < 1:
         raise DomainError("need at least one collection round")
-    spec = spec or AlphabetSpec(2)
     ids = federation.member_ids
     n = len(ids)
     if savings is not None and policy.kind is PolicyKind.CATALYZING:
         savings = np.asarray(savings, dtype=float)
         if savings.shape != (n,):
             raise DomainError(f"savings hold {savings.size} entries for {n} members")
-
-    d_p = np.array(federation.d_p, dtype=np.int64)
-    step = _round_rule(policy, d_p, np.array(federation.eps_threshold, dtype=float), savings)
-    measure = Measure(mode, spec.k)
-    remaining = d_p.copy()
-    totals = [0.0] * measure.width
-    d_rows: list[np.ndarray] = []
-    eps_rows: list[np.ndarray] = []
-    eps = None
-    rounds_used = 0
-
-    for t in range(1, max_rounds + 1):
-        rounds_used = t
-        d, eps = step(t, rng.random(2 * n), remaining, eps)
-        remaining -= d
-        measure.add(totals, d, eps)
-        d_rows.append(d)
-        eps_rows.append(eps)
-        if n and measure.level(totals) >= target:  # n > 0: everyone reported in round 1
-            break
-
-    d_grid = np.array(d_rows)
-    eps_grid = np.array(eps_rows)
-    reported, eps_level, mask = _close_year(d_grid, eps_grid, remaining, d_p, ids, year)
-    round_idx, provider_idx = mask.nonzero()
+        savings = savings.reshape(1, n)
+    measure = Measure(mode, (spec or AlphabetSpec(2)).k)
+    d_p = np.array(federation.d_p, dtype=np.int64).reshape(1, n)
+    threshold = np.array(federation.eps_threshold, dtype=float).reshape(1, n)
+    members = np.ones((1, n), dtype=bool)
+    (rounds_used,), fold, d_grid, _, (reported, eps_level, mask, eps_t) = _collect_year(
+        policy, measure, [target], d_p, threshold, members, savings, max_rounds, [rng], [ids], year
+    )
+    round_idx, _, provider_idx = mask.nonzero()
     d_t = d_grid[mask]
-    eps_t = eps_grid[mask]
-    # kRR's count column adds up as floats, like the round's totals, not as wrapping int64
-    running = [np.add.accumulate(c, dtype=float) for c in measure.columns(d_t, eps_t)]
+    # the running sums after every (round, member) slot, read at the reports: a
+    # member without a report adds +0.0, which changes no sum
+    running = fold[:, 0, 1:][:, mask.ravel()]
     cumulative = measure.levels(running)
     achieved = cumulative[-1] if cumulative else 0.0
     return YearLedger(
@@ -379,8 +487,8 @@ def run_collection_year(
         achieved=achieved,
         reached=achieved >= target,
         provider_ids=ids,
-        d_total=tuple(reported.tolist()),
-        eps_level=tuple(eps_level.tolist()),
+        d_total=tuple(reported[0].tolist()),
+        eps_level=tuple(eps_level[0].tolist()),
         provider=tuple(provider_idx.tolist()),
         round=tuple((round_idx + 1).tolist()),
         d_t=tuple(d_t.tolist()),
@@ -401,30 +509,27 @@ def run_collection_years(
 ) -> list[YearLedger]:
     """Run consecutive years, rolling privacy savings over the tolerance window.
 
+    Each year leaves one savings term per member (``_saving_terms``), and a
+    saving is the fold of the window's terms, as in ``savings_snapshot``.
     Savings drive only the catalyzing escalation, and an empty window saves
-    nothing, so other years run without a snapshot.
+    nothing, so other years run without them.
     """
     if years < 1:
         raise DomainError("need at least one collection year")
+    catalyzing = policy.kind is PolicyKind.CATALYZING
+    threshold = np.array(federation.eps_threshold, dtype=float)
+    terms: list[np.ndarray] = []
     ledgers: list[YearLedger] = []
+    window = federation.tolerance_window
     for m in range(1, years + 1):
-        window = ledgers[-federation.tolerance_window :]
-        savings = None
-        if window and policy.kind is PolicyKind.CATALYZING:
-            savings = savings_snapshot(window, federation.member_ids, federation.eps_threshold)
-        ledgers.append(
-            run_collection_year(
-                federation,
-                target,
-                policy,
-                max_rounds,
-                mode,
-                rng,
-                savings=savings,
-                year=m,
-                spec=spec,
-            )
+        savings = _window_savings(terms, window, threshold.size) if terms else None
+        ledger = run_collection_year(
+            federation, target, policy, max_rounds, mode, rng, savings=savings, year=m, spec=spec
         )
+        ledgers.append(ledger)
+        if catalyzing and m < years:
+            d, eps = np.array(ledger.d_total), np.array(ledger.eps_level)
+            terms.append(_saving_terms(d, eps, threshold))
     return ledgers
 
 
@@ -449,29 +554,16 @@ def run_collection_batch(
     generator is left in the state that run leaves it in. No ledger is
     built.
 
-    The runs step together through ``_round_rule`` and ``_close_year`` as
-    (k, n) arrays, so every float is the one the single run computes; each
-    run's aggregate is a left fold over its members, round by round, as in
-    ``Measure.add``. A run draws its round's uniforms from its own
-    generator only while it collects. Once its level reaches its target it
-    draws nothing more: its uniforms stay at 1.0, so no member joins, it
-    reports nothing and adds +0.0 to its totals. When no target is finite,
-    no run can leave: each run draws its whole year's uniforms with one
-    call, the same stream, the rounds skip the level and the exit test,
-    and each run's aggregate is folded once, when the year closes, in the
-    same order. Each year leaves one savings term per member
-    (``_saving_terms``, as in ``savings_snapshot``), and a saving is the
-    fold of the window's terms.
+    Each year is one ``_collect_year`` over all runs, the step a single
+    run takes with k = 1. Each year leaves one savings term per member
+    (``_saving_terms``), and a saving is the fold of the window's terms.
 
     With ``penalties_from``, every year from that one on ends with the
     penalty of ``detect_free_riders`` and ``apply_penalty``: run r excludes
     the members whose savings over the tolerance window reach
     ``federations[r].delta_threshold``. An excluded member stays in the
-    arrays, masked: she has no budget, reports 0 points and holds her
-    threshold as her epsilon, so she adds +0.0 to every fold and passes
-    every check. Each round, a run draws 2 n_r uniforms for its n_r members
-    left, scattered into their slots in member order, as the reduced
-    federation of a single run would; a run left without members draws
+    arrays, masked out of the member mask, as the reduced federation of a
+    single run would draw and report; a run left without members draws
     nothing and achieves 0.0.
     """
     if years < 1:
@@ -485,114 +577,43 @@ def run_collection_batch(
     window = federations[0].tolerance_window
     if any(len(f.member_ids) != n or f.tolerance_window != window for f in federations):
         raise DomainError("the federations of a batch must share their size and tolerance window")
-    target = np.array(targets, dtype=float)
-    if not (target > 0).all():  # a NaN target fails too
+    target = [float(x) for x in targets]
+    if not all(x > 0 for x in target):  # a NaN target fails too
         raise DomainError("collection target must be positive")
-    spec = spec or AlphabetSpec(2)
+    measure = Measure(mode, (spec or AlphabetSpec(2)).k)
     ids = [f.member_ids for f in federations]
     d_p = np.array([f.d_p for f in federations], dtype=np.int64).reshape(k, n)
     threshold = np.array([f.eps_threshold for f in federations], dtype=float).reshape(k, n)
     delta = np.array([[f.delta_threshold] for f in federations])
     catalyzing = policy.kind is PolicyKind.CATALYZING
-    measure = Measure(mode, spec.k)
-    can_leave = np.isfinite(target).any()  # some run can reach its target and stop collecting
     rounds_used = np.full((years, k), max_rounds)
     achieved = np.zeros((years, k))
     members = np.ones((k, n), dtype=bool)
     excluded = np.zeros(k, dtype=np.int64)
-    # What the member mask implies, updated when a penalty changes it:
-    # ``size`` holds each run's member count. A run without members sits its
-    # years out. kRR's level of no data is 0 / 0, so an empty run's totals
-    # start at NaN instead: NaN + 0.0 raises no warning, and NaN never
-    # reaches a target.
-    masked, budget, size = False, d_p, [n] * k
-    staffed = members.any(axis=1)
-    staffed_runs = np.flatnonzero(staffed).tolist()
-    start = np.where(staffed, 0.0, np.nan)
     terms: list[np.ndarray] = []  # per year, the savings terms of every run's members
     savings = None
-    step = _round_rule(policy, d_p, threshold, savings)
-
-    def draw(runs: list[int], u: np.ndarray) -> None:
-        """Fill ``u[r]``, one round's or a year's (rounds, 2n) uniforms, for each run r of ``runs``.
-
-        A run draws its participation and then its epsilon uniforms for its
-        members only, scattered into their slots in member order.
-        """
-        if masked:
-            for r in runs:
-                rows = u[r].reshape(u.shape[1:-1] + (2, n))  # a view: u[r] is contiguous
-                rows[..., members[r]] = rngs[r].random(rows.shape[:-1] + (size[r],))
-        else:
-            for r in runs:
-                rngs[r].random(out=u[r])
-
     for m in range(years):
-        remaining = budget.copy()
-        totals = [start] * measure.width
-        # the uniforms of one round, or of the whole year when no run can leave
-        u = np.ones((k, 1 if can_leave else max_rounds, 2 * n))
-        if not can_leave:
-            draw(staffed_runs, u)  # every run collects every round: its whole year at once
-        live = staffed.copy()
-        runs = staffed_runs  # the live runs
-        d_rows: list[np.ndarray] = []
-        eps_rows: list[np.ndarray] = []
-        eps = None
-        for t in range(1, max_rounds + 1):
-            if can_leave:
-                draw(runs, u)
-            d, eps = step(t, u[:, 0 if can_leave else t - 1], remaining, eps)
-            if masked:
-                eps = np.where(members, eps, threshold)
-            remaining -= d
-            d_rows.append(d)
-            eps_rows.append(eps)
-            if not can_leave:  # the totals are folded once, when the year closes
-                continue
-            measure.add(totals, d, eps)
-            left = live & (np.array(measure.levels(totals)) >= target)
-            if left.any():
-                rounds_used[m, left] = t
-                u[left] = 1.0  # no participation probability exceeds it
-                live &= ~left
-                runs = np.flatnonzero(live).tolist()
-                if not runs:
-                    break
-        d_grid = np.array(d_rows)
-        eps_grid = np.array(eps_rows)
-        reported, eps_level, _ = _close_year(d_grid, eps_grid, remaining, budget, ids, m + 1)
-        if not can_leave:
-            # each run's members round by round, the order in which Measure.add folds them
-            for j, column in enumerate(measure.columns(d_grid, eps_grid)):
-                run_major = column.transpose(1, 0, 2).reshape(k, -1)
-                run_major = np.concatenate((start[:, None], run_major), axis=1)
-                totals[j] = np.add.accumulate(run_major, axis=1)[:, -1]
-        achieved[m] = measure.levels(totals)
+        rounds_used[m], fold, _, _, (reported, eps_level, _, _) = _collect_year(
+            policy, measure, target, d_p, threshold, members, savings, max_rounds, rngs, ids, m + 1
+        )
+        achieved[m] = measure.levels(fold[..., -1])
         penalize = penalties_from is not None and m + 1 >= penalties_from
         if penalties_from is not None or (catalyzing and m + 1 < years):
             terms.append(_saving_terms(reported, eps_level, threshold))
         if penalize or (catalyzing and m + 1 < years):
-            savings = sum(terms[-window:], np.zeros((k, n)))
-            if catalyzing:  # only the catalyzing rule reads the savings
-                step = _round_rule(policy, d_p, threshold, savings)
+            savings = _window_savings(terms, window, (k, n))
         if penalize:
             flagged = members & (savings >= delta)
             if flagged.any():
                 members &= ~flagged
                 excluded += flagged.sum(axis=1)
-                masked, budget = True, np.where(members, d_p, 0)
-                size = members.sum(axis=1).tolist()
-                staffed = members.any(axis=1)
-                staffed_runs = np.flatnonzero(staffed).tolist()
-                start = np.where(staffed, 0.0, np.nan)
     achieved[np.isnan(achieved)] = 0.0  # the years a run spent without members
     return rounds_used, achieved, excluded
 
 
 def detect_free_riders(savings: np.ndarray, delta_threshold: float) -> np.ndarray:
     """Mask of the members whose saving reaches the federation's tolerance (inclusive)."""
-    if delta_threshold <= 0:
+    if not delta_threshold > 0:  # a NaN fails too
         raise DomainError("free-rider threshold must be positive")
     return np.asarray(savings) >= delta_threshold
 

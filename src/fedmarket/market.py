@@ -103,10 +103,11 @@ class Federation:
             for _ in self.members:  # the first bad member's Provider says what is wrong
                 pass
         _check_int64_budgets(d_p)
-        if self.delta_threshold <= 0:
+        if not self.delta_threshold > 0:  # a NaN fails too
             raise DomainError("delta threshold must be positive")
-        if self.tolerance_window < 1:
-            raise DomainError("tolerance window must cover at least one year")
+        window = self.tolerance_window  # it slices the past years, so it counts whole ones
+        if not (isinstance(window, (int, np.integer)) and window >= 1):
+            raise DomainError("tolerance window must cover a whole number of years, at least one")
 
     @property
     def members(self) -> Sequence[Provider]:
@@ -137,7 +138,7 @@ class ConsumerOffer:
     valuation: ValuationContract
 
     def __post_init__(self) -> None:
-        if self.budget <= 0:
+        if not self.budget > 0:  # a NaN fails too
             raise DomainError("budget must be positive")
 
 
@@ -175,10 +176,10 @@ def federation_threshold(
     gives for one report batch per member, with no batch built.
     """
     measure = Measure(mode, spec.k)
-    totals = [0.0] * measure.width
+    fold = np.zeros((measure.width, len(federation.d_p) + 1))
     d_p = np.array(federation.d_p, dtype=np.int64)
-    measure.add(totals, d_p, np.array(federation.eps_threshold, dtype=float))
-    return measure.level(totals)
+    measure.add(fold, d_p, np.array(federation.eps_threshold, dtype=float))
+    return measure.level(fold[:, -1])
 
 
 def make_bid(

@@ -172,17 +172,21 @@ class Measure:
             raise DomainError(f"unknown aggregation mode {mode!r}")
         self.columns = columns
 
-    def add(self, totals: list, d: np.ndarray, eps: np.ndarray) -> None:
-        """Add the statistics of batches ``d``, ``eps`` into ``totals`` in place.
+    def add(self, fold: np.ndarray, d: np.ndarray, eps: np.ndarray) -> None:
+        """Fold the statistics of batches ``d``, ``eps`` into running sums, in place.
 
-        Batches run along the last axis: (n,) arrays add into scalar totals,
-        (k, n) arrays into (k,) arrays of totals, one per row. Each total is
-        a sequential fold, one batch after another, never a pairwise sum.
+        ``fold`` holds the statistic on axis 0 and, on its last axis, one
+        entry more than there are batches: (n,) arrays fold into a
+        (width, n + 1) array, (k, n) arrays into a (width, k, n + 1) array,
+        one fold per row. ``fold[..., 0]`` holds the sums so far; the sums
+        after each batch are written behind it, so ``fold[..., -1]`` ends
+        with the sums of all batches. Each sum is a sequential fold, one
+        batch after another, never a pairwise sum.
         """
         for j, column in enumerate(self.columns(d, eps)):
-            # the running total heads the batches; accumulate adds strictly in
-            # order, where np.sum would pair terms up
-            totals[j] = np.add.accumulate(np.concatenate(([totals[j]], column.T)))[-1]
+            fold[j, ..., 1:] = column  # as floats: kRR's counts add up as floats
+        # accumulate adds strictly in order, where np.sum would pair terms up
+        np.add.accumulate(fold, axis=-1, out=fold)
 
     def level(self, totals: Sequence[float]) -> float:
         """Information level of summed statistics.
@@ -197,16 +201,18 @@ class Measure:
             raise DomainError("combined epsilon is undefined when no batch carries data")
         return math.log(count / mass + 1 - self.k)
 
-    def levels(self, running: Sequence[np.ndarray]) -> list[float]:
-        """``level`` of each entry of running totals, one array per statistic.
+    def levels(self, running: np.ndarray | Sequence[np.ndarray]) -> list[float]:
+        """``level`` of each entry of running totals, one row per statistic.
 
-        Bit-identical to ``level`` entry by entry; the kRR logarithm is
-        ``math.log`` over a list. Every kRR entry needs a data point.
+        Bit-identical to ``level`` entry by entry: the kRR level is the same
+        float expression, evaluated on Python floats. Every kRR entry needs a
+        data point.
         """
+        rows = np.asarray(running).tolist()
         if self.width == 1:
-            return running[0].tolist()
-        count, mass = running
-        return list(map(math.log, (count / mass + 1 - self.k).tolist()))
+            return rows[0]
+        k = self.k
+        return [math.log(c / h + 1 - k) for c, h in zip(*rows)]
 
     def wins(self, totals, target: float):
         """Whether summed statistics reach ``target``.
@@ -235,13 +241,13 @@ def aggregate(batches: Iterable[ReportBatch], mode: AggregationMode, spec: Alpha
     """
     measure = Measure(mode, spec.k)
     kept = [b for b in batches if b.d > 0]
-    totals = [0.0] * measure.width
+    fold = np.zeros((measure.width, len(kept) + 1))
     measure.add(  # left to right, like a collection year
-        totals,
+        fold,
         np.array([b.d for b in kept], dtype=np.int64),
         np.array([b.epsilon for b in kept], dtype=float),
     )
-    return measure.level(totals)
+    return measure.level(fold[:, -1])
 
 
 def combined_epsilon(batches: Iterable[ReportBatch], spec: AlphabetSpec) -> float:

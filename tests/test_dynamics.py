@@ -13,6 +13,7 @@ from fedmarket import experiments
 from fedmarket.config import ScenarioConfig, derive_seed, sample_thresholds
 from fedmarket.dynamics import (
     CollectionPolicy,
+    FreshEpsilonUnderflow,
     PenaltyState,
     PolicyKind,
     RoundReport,
@@ -395,7 +396,7 @@ class TestColumnarYearMatchesScalarLoop:
 
     @pytest.mark.parametrize("kind", list(PolicyKind), ids=lambda k: k.value)
     @pytest.mark.parametrize("mode", list(AggregationMode), ids=lambda m: m.value)
-    # 6 x (24 generated + 9 explicit) = 198 examples in all
+    # 6 x (24 generated + 10 explicit) = 204 examples in all
     @settings(max_examples=24, deadline=None, derandomize=True)
     @given(case=_year_cases())
     @example(case=_edge(participation=0.0))
@@ -407,6 +408,8 @@ class TestColumnarYearMatchesScalarLoop:
     @example(case=_edge(target=math.inf))
     @example(case=_edge(savings=[0.0, 0.0, 0.0], target=math.inf))
     @example(case=_edge(savings=[1e6, 1e6, 1e6], target=math.inf))
+    # a finite target missed over more rounds than the year's fold first holds
+    @example(case=_edge(max_rounds=40, points_per_round=1, participation=0.5, target=1.3))
     def test_identical_ledger_and_generator_state(self, mode, kind, case):
         spec = AlphabetSpec(case["k"])
         members = [Provider(f"p{i}", d, eps) for i, (d, eps) in enumerate(case["members"])]
@@ -515,7 +518,13 @@ def _batch_edge(**overrides):
 
 
 class TestBatchMatchesSingleRuns:
-    """``run_collection_batch`` against ``run_collection_years`` run by run, bit for bit."""
+    """``run_collection_batch`` and ``run_collection_years`` against the per-report loop.
+
+    The two share their year step, so the reference is independent of
+    both: ``_scalar_year`` per run and year, with savings rolled over the
+    window as in ``_reference_penalized_run``. Both must match it bit for
+    bit, each from its own generators.
+    """
 
     @pytest.mark.parametrize("kind", list(PolicyKind), ids=lambda k: k.value)
     @pytest.mark.parametrize("mode", list(AggregationMode), ids=lambda m: m.value)
@@ -538,41 +547,54 @@ class TestBatchMatchesSingleRuns:
             participation_prob=case["participation"],
             points_per_round=case["points_per_round"],
         )
-        federations, targets = [], []
+        federations, targets, providers = [], [], []
         for members, fraction in zip(case["runs"], case["targets"]):
-            providers = [Provider(f"p{i}", d, eps) for i, (d, eps) in enumerate(members)]
-            federations.append(_federation(providers, window=case["window"]))
+            providers.append([Provider(f"p{i}", d, eps) for i, (d, eps) in enumerate(members)])
+            federations.append(_federation(providers[-1], window=case["window"]))
             capacity = aggregate([ReportBatch(d, eps) for d, eps in members], mode, spec)
             targets.append(fraction * capacity)
         years = case["warmup_years"] + 1
         ref_rngs = [np.random.default_rng(seed) for seed in case["seeds"]]
         rngs = [np.random.default_rng(seed) for seed in case["seeds"]]
+        single_rngs = [np.random.default_rng(seed) for seed in case["seeds"]]
 
         def batch():
             return run_collection_batch(
                 federations, targets, policy, years, case["max_rounds"], mode, rngs, spec=spec
             )
 
+        def single(r):
+            return run_collection_years(
+                federations[r], targets[r], policy, years, case["max_rounds"], mode,
+                single_rngs[r], spec=spec,
+            )
+
         try:
-            runs = [
-                run_collection_years(
-                    federation, target, policy, years, case["max_rounds"], mode, rng, spec=spec
+            runs = [  # penalties from a year after the last: none
+                _reference_penalized_run(
+                    members, target, policy, years, case["max_rounds"], mode, spec, rng,
+                    case["window"], math.inf, years + 1,
                 )
-                for federation, target, rng in zip(federations, targets, ref_rngs)
+                for members, target, rng in zip(providers, targets, ref_rngs)
             ]
-        except DomainError as exc:  # a fresh epsilon that underflows to 0
-            with pytest.raises(DomainError, match=re.escape(str(exc))):
+        except DomainError:  # a fresh epsilon that underflows to 0
+            with pytest.raises(FreshEpsilonUnderflow):
                 batch()
+            with pytest.raises(FreshEpsilonUnderflow):
+                for r in range(len(federations)):
+                    single(r)
             return
         rounds_used, achieved, excluded = batch()
         assert rounds_used.shape == achieved.shape == (years, len(runs))
         assert excluded.tolist() == [0] * len(runs)  # no penalties asked for
-        for r, ledgers in enumerate(runs):
-            assert rounds_used[:, r].tolist() == [ledger.rounds_used for ledger in ledgers]
-            assert [x.hex() for x in achieved[:, r].tolist()] == [
-                ledger.achieved.hex() for ledger in ledgers
-            ]
+        for r, (_, used, got, _) in enumerate(runs):
+            assert rounds_used[:, r].tolist() == used
+            assert [x.hex() for x in achieved[:, r].tolist()] == [x.hex() for x in got]
             assert rngs[r].bit_generator.state == ref_rngs[r].bit_generator.state
+            ledgers = single(r)
+            assert [ledger.rounds_used for ledger in ledgers] == used
+            assert [ledger.achieved.hex() for ledger in ledgers] == [x.hex() for x in got]
+            assert single_rngs[r].bit_generator.state == ref_rngs[r].bit_generator.state
 
     def test_counts_beyond_int64_add_up_as_floats(self):
         # two reports of 2**62 points: an int64 running count would wrap negative
@@ -940,6 +962,11 @@ class TestDetectFreeRiders:
     def test_positive_threshold_required(self):
         with pytest.raises(DomainError):
             detect_free_riders(np.array([]), 0.0)
+
+    def test_nan_threshold_rejected(self):
+        # NaN compares false both ways: a `<= 0` check lets it through, and it flags nobody
+        with pytest.raises(DomainError, match="^free-rider threshold must be positive$"):
+            detect_free_riders(np.array([5.0]), math.nan)
 
 
 def _flags(federation, *ids):

@@ -67,6 +67,13 @@ CASES = {
     "simulate-small-example": ("simulate", SMALL_PAYING, ["--mode", "example"]),
     "simulate-paying-sampled": ("simulate", PAYING_SAMPLED, []),
     "simulate-paying-sampled-krr": ("simulate", PAYING_SAMPLED_KRR, ["--mode", "krr"]),
+    # the non-catalyzing single run: fresh draws every round, and (paying) an early exit
+    "simulate-small-non-catalyzing": ("simulate", SMALL_PAYING, ["--policy", "non-catalyzing"]),
+    "simulate-paying-sampled-non-catalyzing": (
+        "simulate",
+        PAYING_SAMPLED,
+        ["--policy", "non-catalyzing"],
+    ),
 }
 
 GOLDEN = {'exp-freeriders-edges': {'freeriders.csv': 'b69a883d60a1f58c9cb0a64d912004d8fb6f0981765436805edb3ee83ae7a830',
@@ -106,6 +113,12 @@ GOLDEN = {'exp-freeriders-edges': {'freeriders.csv': 'b69a883d60a1f58c9cb0a64d91
                                  'penalties.json': 'a3b989f9063d124f22f66f6e9129b77802d13354ce0bb31535572189d820009b',
                                  'shares.json': '51b391d87c21128186657bc559b4ace50bd13d0038384cb0d1c62235e5988e76',
                                  'trace.csv': '14c7cbf8b867eebdc81c73cfff3a948f17843dd11bca5fa6884804b2ae31d2ba'},
+ 'simulate-paying-sampled-non-catalyzing': {'deal.json': '77737ca00a13eca63e2323abbf9cdcda66749d35ff1afba7b13e340ac266a2a4',
+                                            'ledgers.json': 'c57a0e8ee35c6078c66b7b7a44b72b310a1fce112f16089f9c08c4476b54a93b',
+                                            'manifest.json': '276c6b9f1c61c20c0a024994ca0cfc60f162e9c239863c293f3b80e75b80f865',
+                                            'penalties.json': 'b7999e22680691f8c9f43644824366178a3757ee07dea8d4ee0d9b5827c67e5e',
+                                            'shares.json': 'c4890d579b7e07d53f60d341233689b7c88f94b408c8ab53bcbbd6c2f8f46cef',
+                                            'trace.csv': '0eeb1f71fdf84a31310803736d86e8280541424212f04c1e48dd689ceb468ffc'},
  'simulate-small-additive': {'deal.json': '10e72fdef9d00cac7350e16fc7d03bce5e8518d96750d10579183a195cd09565',
                              'ledgers.json': 'f2dd2a2181ec0d1ccdfee82e8dbea3d9b5748ba8dcaaca1a7b311482affed6fb',
                              'manifest.json': '5001e4c97a822ffedee80202108756baf8ae6aa102b9db774121ff1fba4c6af5',
@@ -118,6 +131,12 @@ GOLDEN = {'exp-freeriders-edges': {'freeriders.csv': 'b69a883d60a1f58c9cb0a64d91
                             'penalties.json': 'f90bf681709def0cf8498597235ce2ead1271a61a380760890a0f5ef73fa0271',
                             'shares.json': 'd003c30dd7b77f48ba875dfbdcc9c10d1a53832d47494361717b1309b00842d9',
                             'trace.csv': 'ceb526a5f6caac166fb1c08147c722c91b7e244e548126f97697898c3cd2b881'},
+ 'simulate-small-non-catalyzing': {'deal.json': '10e72fdef9d00cac7350e16fc7d03bce5e8518d96750d10579183a195cd09565',
+                                   'ledgers.json': 'f2dd2a2181ec0d1ccdfee82e8dbea3d9b5748ba8dcaaca1a7b311482affed6fb',
+                                   'manifest.json': 'b6a17216aecc82768bed6628985581fff69d44580b7dd2e133050c9485192862',
+                                   'penalties.json': 'f90bf681709def0cf8498597235ce2ead1271a61a380760890a0f5ef73fa0271',
+                                   'shares.json': '2c3512483a0aeed456bf7015b2a9a03f718ca2d4dffb65be5c0e22d3c74795fc',
+                                   'trace.csv': 'b27f1978b2cd74f7b7288db770c3f20d5220b7e44769a45aa450557ccce07d51'},
  'simulate-small-krr': {'deal.json': 'da7340d581d2e8966a7daf6433aca1429ae27b11da713e3bb1bf0511eed99a03',
                         'ledgers.json': 'c512e1768fa1605cf1ac4dbe214908e4380b904a93beae9a47116876c196cbc2',
                         'manifest.json': '2e6e74ac096a1189d684ce917d4b10552252ae0285cc7f0776abbffccfd174dd',

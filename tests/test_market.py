@@ -234,6 +234,17 @@ class TestTypes:
                 Federation("F", ("a",), (1,), (eps,), 1.0, 3)
         assert Federation("F", ("a",), (2**63 - 1,), (700.0,), 1.0, 3).d_p == (2**63 - 1,)
 
+    def test_nan_delta_threshold_rejected(self):
+        with pytest.raises(DomainError, match="^delta threshold must be positive$"):
+            Federation("F", ("a",), (1,), (1.0,), math.nan, 3)
+
+    def test_fractional_tolerance_window_rejected(self):
+        # a window slices the past years, so a fractional one would crash the collection
+        for window in (1.5, math.nan, 0):
+            with pytest.raises(DomainError, match="^tolerance window must cover a whole number"):
+                Federation("F", ("a",), (1,), (1.0,), 1.0, window)
+        assert Federation("F", ("a",), (1,), (1.0,), 1.0, np.int64(2)).tolerance_window == 2
+
     def test_representative_and_active_are_read_off_the_members(self):
         fed = Federation("F", ("a", "b", "c", "d"), (5, 2, 10, 1), (2.0, 5.0, 1.0, 3.0), 1.0, 3)
         assert fed.representative == "a"  # a, b and c all have the limit 10.0
@@ -297,3 +308,7 @@ class TestTypes:
     def test_offer_validation(self):
         with pytest.raises(DomainError):
             ConsumerOffer(budget=0.0, valuation=UNIT_VALUATION)
+
+    def test_nan_budget_rejected(self):
+        with pytest.raises(DomainError, match="^budget must be positive$"):
+            ConsumerOffer(budget=math.nan, valuation=UNIT_VALUATION)

@@ -232,11 +232,11 @@ class TestMeasureColumns:
                 levels.append(measure.level(totals))
             columns = measure.columns(d, eps)
             assert [c.tolist() for c in columns] == [list(s) for s in zip(*rows)]
-            added = [0.0] * measure.width
-            measure.add(added, d, eps)
-            assert [x.hex() for x in added] == [float(x).hex() for x in totals]
-            running = [np.add.accumulate(c) for c in columns]
-            assert [x.hex() for x in measure.levels(running)] == [x.hex() for x in levels]
+            running = np.zeros((measure.width, d.size + 1))
+            measure.add(running, d, eps)
+            assert [x.hex() for x in running[:, -1]] == [float(x).hex() for x in totals]
+            for running in (running[:, 1:], [np.add.accumulate(c) for c in columns]):
+                assert [x.hex() for x in measure.levels(running)] == [x.hex() for x in levels]
 
 
     @pytest.mark.parametrize("mode", list(AggregationMode), ids=lambda m: m.value)
@@ -246,7 +246,8 @@ class TestMeasureColumns:
         d = rng.integers(0, 50, (4, 7))
         eps = rng.uniform(1e-3, 30.0, (4, 7))
         start = [rng.uniform(0.0, 10.0, 4) for _ in range(measure.width)]
-        added = list(start)
+        added = np.empty((measure.width, 4, 8))
+        added[..., 0] = start
         measure.add(added, d, eps)
         columns = measure.columns(d, eps)
         for r in range(4):
@@ -254,9 +255,10 @@ class TestMeasureColumns:
             assert [[float(x).hex() for x in c[r].tolist()] for c in columns] == [
                 [float(x).hex() for x in c.tolist()] for c in row_columns
             ]
-            row_totals = [float(t[r]) for t in start]
-            measure.add(row_totals, d[r], eps[r])
-            assert [float(t[r]).hex() for t in added] == [x.hex() for x in row_totals]
+            row = np.empty((measure.width, 8))
+            row[:, 0] = [float(t[r]) for t in start]
+            measure.add(row, d[r], eps[r])
+            assert [float(x).hex() for x in added[:, r, -1]] == [float(x).hex() for x in row[:, -1]]
 
 
 class TestTypes:
