@@ -49,7 +49,7 @@ from .market import (
     seal_deal,
     settle,
 )
-from .privacy import AggregationMode, AlphabetSpec, ReportBatch
+from .privacy import AggregationMode, AlphabetSpec
 from .shapley import ThresholdGame, shapley_exact, shapley_pruned, shapley_sampled
 from .valuation import ExponentialValuation
 
@@ -328,16 +328,14 @@ def timing_game(config: ScenarioConfig, n: int) -> ThresholdGame:
     """Random additive threshold game matching the experiment population."""
     rng = np.random.default_rng(derive_seed(config.master_seed, "timing", n))
     thresholds = sample_thresholds(config.thresholds, n, rng)
-    players = tuple(
-        (pid, (ReportBatch(1, float(eps)),)) for pid, eps in zip(_member_ids(n), thresholds)
-    )
+    reports = (_member_ids(n), range(n), (1,) * n, thresholds)
     total = float(np.sum(thresholds))
-    return ThresholdGame(
-        players=players,
-        mode=AggregationMode.ADDITIVE_INFORMATION,
-        target=config.timing_target_fraction * total,
-        prize=config.timing_prize,
-        spec=AlphabetSpec(config.k),
+    return ThresholdGame.from_reports(
+        *reports,
+        AggregationMode.ADDITIVE_INFORMATION,
+        config.timing_target_fraction * total,
+        config.timing_prize,
+        AlphabetSpec(config.k),
     )
 
 
@@ -422,16 +420,8 @@ def simulate(config: ScenarioConfig, out_dir: str | Path) -> dict:
     measured = ledgers[-1]
     payout = settle(deal, federation, measured.achieved)
 
-    batches: list[list[ReportBatch]] = [[] for _ in measured.provider_ids]
-    for i, d_t, eps_t in zip(measured.provider, measured.d_t, measured.eps_t):
-        batches[i].append(ReportBatch(d_t, eps_t))
-    game = ThresholdGame(
-        players=tuple(zip(measured.provider_ids, map(tuple, batches))),
-        mode=config.aggregation,
-        target=term.promised_eps,
-        prize=payout,
-        spec=spec,
-    )
+    reports = (measured.provider_ids, measured.provider, measured.d_t, measured.eps_t)
+    game = ThresholdGame.from_reports(*reports, config.aggregation, term.promised_eps, payout, spec)
     if game.n <= 22:
         result = shapley_pruned(game)
     else:

@@ -1,10 +1,16 @@
 """Threshold-game characteristic function and Shapley evaluators.
 
 A threshold game pays the full prize to any coalition whose aggregated
-information reaches the promised level, and nothing otherwise. Every
-evaluator reduces to one quantity, player i's net marginal count at prefix
-size s: the sum over |S| = s, i not in S, of v(S + i) - v(S), in units of
-the prize. The two enumerators return it as one int64 matrix
+information reaches the promised level, and nothing otherwise.
+``ThresholdGame`` holds its player ids and its reports as columns, built
+from a collection year's ledger by ``ThresholdGame.from_reports`` or from
+(id, batches) pairs by the class call. It computes every player's
+statistics once, at construction, into the read-only ``stats`` array that
+``characteristic`` and every evaluator read.
+
+Every evaluator reduces to one quantity, player i's net marginal count at
+prefix size s: the sum over |S| = s, i not in S, of v(S + i) - v(S), in
+units of the prize. The two enumerators return it as one int64 matrix
 ``marginals[i, s]``, which ``_shares`` turns into shares by weighting
 column s with s! (n - 1 - s)! in Python ints and dividing once by n!:
 
@@ -36,12 +42,12 @@ column s with s! (n - 1 - s)! in Python ints and dividing once by n!:
   once, by the sample count, as prize * (num / den) does above.
 
 Bit-for-bit agreement between the first two is engineered, not hoped
-for: every player's statistics come from ``privacy.Measure``, every
-coalition's aggregate is computed by folding player statistics in
-ascending player order (the exact evaluator's doubling scheme and the
-pruned evaluator's colex frontier extension produce the identical float),
-winning flags are decided by the measure's one predicate, and both return
-the same integer matrix.
+for: every player's statistics come from ``privacy.Measure``, once per
+game, every coalition's aggregate is computed by folding player
+statistics in ascending player order (the exact evaluator's doubling
+scheme and the pruned evaluator's colex frontier extension produce the
+identical float), winning flags are decided by the measure's one
+predicate, and both return the same integer matrix.
 
 The sampler ranks each row of uniforms by sorting packed integer keys,
 the uniform's 53 bits over the player index, so ties go to the lower
@@ -65,7 +71,7 @@ from typing import Iterable, Mapping, NamedTuple
 import numpy as np
 
 from .errors import CapacityError, DomainError
-from .privacy import AggregationMode, AlphabetSpec, Measure, ReportBatch
+from .privacy import MAX_EPSILON, AggregationMode, AlphabetSpec, Measure
 
 MAX_ENUMERATION_PLAYERS = 30
 # Cumulative frontier cap for the pruned evaluator on the monotone
@@ -98,37 +104,80 @@ _FLAT_BITS = 10
 _SAMPLE_POSITIONS = 1 << 16
 
 
-@dataclass(frozen=True)
 class ThresholdGame:
-    """Players with merged report batches, a target level, and a prize."""
+    """Players' reports, a target level and a prize, with each player's statistics.
 
-    players: tuple[tuple[str, tuple[ReportBatch, ...]], ...]
+    ``ids`` names the n players. ``reports`` holds every report as three
+    read-only columns, ``(player, d, eps)``: report r gives player
+    ``ids[player[r]]`` ``d[r]`` points under privacy parameter ``eps[r]``.
+    ``stats[j, i]`` is player i's j-th statistic, shape (width, n), read-only
+    and computed once, at construction: the reports with d > 0 are grouped
+    by a stable argsort of their player index, one ``Measure.columns`` call
+    gives every report's statistics, and a player's statistic is the
+    ``math.fsum`` of their terms. ``fsum`` is correctly rounded, so the
+    order of the reports does not change it, and a player without data
+    gets 0.0.
+
+    ``ThresholdGame(players, mode, target, prize, spec)`` takes one
+    (id, ``ReportBatch`` tuple) pair per player, as a game file lists them.
+    ``ThresholdGame.from_reports(ids, player, d, eps, mode, target, prize,
+    spec)`` takes the columns as a collection year's ledger holds them.
+    Both run the same checks and build the same statistics.
+    """
+
+    ids: tuple[str, ...]
+    reports: tuple[np.ndarray, np.ndarray, np.ndarray]  # player (intp), d (int64), eps (float)
     mode: AggregationMode
     target: float
     prize: float
     spec: AlphabetSpec
+    measure: Measure
+    stats: np.ndarray
 
-    def __post_init__(self) -> None:
-        if not self.players:
+    def __init__(self, players, mode, target, prize, spec) -> None:
+        batches = [(i, b.d, b.epsilon) for i, (_, bs) in enumerate(players) for b in bs]
+        player, d, eps = zip(*batches) if batches else ((), (), ())
+        self._build(tuple(pid for pid, _ in players), player, d, eps, mode, target, prize, spec)
+
+    @classmethod
+    def from_reports(cls, ids, player, d, eps, mode, target, prize, spec) -> ThresholdGame:
+        """The game whose report r gives player ``ids[player[r]]`` ``d[r]`` points under ``eps[r]``."""
+        game = cls.__new__(cls)
+        game._build(tuple(ids), player, d, eps, mode, target, prize, spec)
+        return game
+
+    def _build(self, ids, player, d, eps, mode, target, prize, spec) -> None:
+        if not ids:
             raise DomainError("a threshold game needs at least one player")
-        ids = [pid for pid, _ in self.players]
         if len(set(ids)) != len(ids):
             raise DomainError("player ids must be unique")
-        if not (self.target > 0 and math.isfinite(self.target)):
-            raise DomainError(f"target must be positive and finite, got {self.target}")
-        if not (self.prize >= 0 and math.isfinite(self.prize)):
-            raise DomainError(f"prize must be non-negative and finite, got {self.prize}")
+        if not (target > 0 and math.isfinite(target)):
+            raise DomainError(f"target must be positive and finite, got {target}")
+        if not (prize >= 0 and math.isfinite(prize)):
+            raise DomainError(f"prize must be non-negative and finite, got {prize}")
+        player, d, eps = np.array(player, np.intp), np.array(d, np.int64), np.array(eps, float)
+        if player.size and not (0 <= player.min() <= player.max() < len(ids) and d.min() >= 0):
+            raise DomainError(f"reports need d >= 0 and a player index below {len(ids)}")
+        if not np.all((d == 0) | ((eps > 0) & (eps <= MAX_EPSILON))):  # NaN fails both
+            raise DomainError(f"a report with data needs epsilon in (0, {MAX_EPSILON}]")
+        self.ids, self.mode, self.target, self.prize, self.spec = ids, mode, target, prize, spec
+        self.measure = Measure(mode, spec.k)
+
+        kept = np.flatnonzero(d > 0)
+        kept = kept[np.argsort(player[kept], kind="stable")]
+        spans = list(itertools.pairwise(np.searchsorted(player[kept], np.arange(len(ids) + 1))))
+        columns = [c.tolist() for c in self.measure.columns(d[kept], eps[kept])]
+        self.stats = np.array([[math.fsum(c[lo:hi]) for lo, hi in spans] for c in columns])
+        self.reports = (player, d, eps)
+        for array in (*self.reports, self.stats):
+            array.setflags(write=False)
 
     @property
     def n(self) -> int:
-        return len(self.players)
+        return len(self.ids)
 
     def player_ids(self) -> list[str]:
-        return [pid for pid, _ in self.players]
-
-    @property
-    def measure(self) -> Measure:
-        return Measure(self.mode, self.spec.k)
+        return list(self.ids)
 
 
 @dataclass(frozen=True)
@@ -141,34 +190,16 @@ class ShapleyResult:
         return math.fsum(self.shares.values())
 
 
-def _player_stats(game: ThresholdGame) -> np.ndarray:
-    """Per-player statistics, shape (width, n): ``math.fsum`` over each player's batches.
-
-    One ``Measure.columns`` call covers every batch with data, player by
-    player. A player with one batch takes its statistic as it is, which is
-    the float ``math.fsum`` of that one term gives.
-    """
-    kept = [[b for b in batches if b.d > 0] for _, batches in game.players]
-    spans = list(itertools.pairwise([0, *itertools.accumulate(map(len, kept))]))
-    d = np.array([b.d for batches in kept for b in batches], dtype=np.int64)
-    eps = np.array([b.epsilon for batches in kept for b in batches], dtype=float)
-    columns = [column.tolist() for column in game.measure.columns(d, eps)]
-    return np.array(
-        [[c[lo] if hi - lo == 1 else math.fsum(c[lo:hi]) for lo, hi in spans] for c in columns]
-    )
-
-
 def characteristic(subset: Iterable[str], game: ThresholdGame) -> float:
     """v(S): the prize if S's aggregate reaches the target, else 0."""
     ids = set(subset)
-    order = {pid: i for i, pid in enumerate(game.player_ids())}
+    order = {pid: i for i, pid in enumerate(game.ids)}
     unknown = ids - set(order)
     if unknown:
         raise DomainError(f"unknown players in subset: {sorted(unknown)}")
-    stats = _player_stats(game)
-    totals = np.zeros(stats.shape[0])
+    totals = np.zeros(game.measure.width)
     for i in sorted(order[pid] for pid in ids):  # ascending fold, matching the enumeration order
-        totals = totals + stats[:, i]
+        totals = totals + game.stats[:, i]
     return game.prize if game.measure.wins(totals, game.target) else 0.0
 
 
@@ -187,7 +218,7 @@ def _shares(game: ThresholdGame, marginals: np.ndarray) -> dict[str, float]:
     den = math.factorial(n)
     return {
         pid: game.prize * (sum(map(operator.mul, weights, row)) / den)
-        for (pid, _), row in zip(game.players, marginals[:, columns].tolist())
+        for pid, row in zip(game.ids, marginals[:, columns].tolist())
     }
 
 
@@ -264,8 +295,8 @@ def _chunk_counts(win: np.ndarray) -> np.ndarray:
     return sizes.reshape(a + c + 1, a + c + 1).astype(np.int64)
 
 
-def _exact_counts(game: ThresholdGame, stats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Winning-coalition counts per size, total and per player, from ``_player_stats``.
+def _exact_counts(game: ThresholdGame) -> tuple[np.ndarray, np.ndarray]:
+    """Winning-coalition counts per size, total and per player, from the game's ``stats``.
 
     Returns (wins_by_size)[r] and (wins_with_player)[i, r], both exact
     integer tallies over the full 2^n enumeration.
@@ -289,7 +320,7 @@ def _exact_counts(game: ThresholdGame, stats: np.ndarray) -> tuple[np.ndarray, n
     low = min(n, _LOW_BITS)
     c = 0 if low <= _FLAT_BITS else low // 2
     a = low - c
-    measure = game.measure
+    measure, stats = game.measure, game.stats
 
     low_totals = np.zeros((measure.width, 1 << c, 1 << a))
     cols = low_totals[:, 0]
@@ -320,25 +351,25 @@ def _exact_counts(game: ThresholdGame, stats: np.ndarray) -> tuple[np.ndarray, n
     return wins_by_size, wins_with_player
 
 
-def _enumerated_marginals(game: ThresholdGame, stats: np.ndarray) -> np.ndarray:
+def _enumerated_marginals(game: ThresholdGame) -> np.ndarray:
     """Net marginal counts from the full enumeration's winning-coalition counts.
 
     Over |S| = s, i not in S, v(S + i) sums to the W_{s+1}(i) winners of
     size s + 1 with i, and v(S) to the W_s - W_s(i) winners of size s
     without i.
     """
-    wins_by_size, wins_with_player = _exact_counts(game, stats)
+    wins_by_size, wins_with_player = _exact_counts(game)
     return wins_with_player[:, 1:] - (wins_by_size[:-1] - wins_with_player[:, :-1])
 
 
 def shapley_exact(game: ThresholdGame) -> ShapleyResult:
     """Shapley shares by full enumeration of all 2^n coalitions."""
     _guard_enumeration(game.n, "shapley_exact")
-    marginals = _enumerated_marginals(game, _player_stats(game))
+    marginals = _enumerated_marginals(game)
     return ShapleyResult(shares=_shares(game, marginals), method="exact")
 
 
-def _pruned_marginals(game: ThresholdGame, stats: np.ndarray) -> np.ndarray:
+def _pruned_marginals(game: ThresholdGame) -> np.ndarray:
     """Net marginal counts from the losing coalitions alone, for a monotone measure.
 
     Losing coalitions are grown layer by layer by colex extension: a
@@ -358,7 +389,7 @@ def _pruned_marginals(game: ThresholdGame, stats: np.ndarray) -> np.ndarray:
     """
     n = game.n
     measure = game.measure
-    values = stats[0]  # a monotone measure carries one statistic
+    values = game.stats[0]  # a monotone measure carries one statistic
     target = game.target
     players = np.arange(n, dtype=np.int64)
     bits = np.int64(1) << players
@@ -429,14 +460,13 @@ def shapley_pruned(game: ThresholdGame) -> ShapleyResult:
     before the choice existed.
     """
     _guard_enumeration(game.n, "shapley_pruned")
-    stats = _player_stats(game)
     full = 1 << game.n
     if game.mode is AggregationMode.KRR_COMPOSITION or (
-        full <= MAX_FRONTIER and _ENUMERATION_FACTOR * _losing_bound(stats[0], game.target) >= full
+        full <= MAX_FRONTIER and _ENUMERATION_FACTOR * _losing_bound(game.stats[0], game.target) >= full
     ):
-        marginals = _enumerated_marginals(game, stats)
+        marginals = _enumerated_marginals(game)
     else:
-        marginals = _pruned_marginals(game, stats)
+        marginals = _pruned_marginals(game)
     return ShapleyResult(shares=_shares(game, marginals), method="pruned")
 
 
@@ -502,7 +532,6 @@ def shapley_sampled(
         raise DomainError(f"sample count must be at least 1, got {samples}")
     n = game.n
     measure = game.measure
-    stats = _player_stats(game)
 
     up = np.zeros(n, dtype=np.int64)  # +1 marginals per player
     down = np.zeros(n, dtype=np.int64)  # -1 marginals per player (kRR only)
@@ -512,7 +541,7 @@ def shapley_sampled(
         m = min(remaining, batch)
         remaining -= m
         order = _orderings(rng.random((m, n)))
-        prefix = [np.take(row, order) for row in stats]
+        prefix = [np.take(row, order) for row in game.stats]
         for c in prefix:
             for j in range(1, n):
                 np.add(c[j - 1], c[j], out=c[j])
@@ -525,6 +554,6 @@ def shapley_sampled(
 
     shares = {
         pid: game.prize * ((u - d) / samples)
-        for (pid, _), u, d in zip(game.players, up.tolist(), down.tolist())
+        for pid, u, d in zip(game.ids, up.tolist(), down.tolist())
     }
     return ShapleyResult(shares=shares, method="sampled", sample_count=samples)

@@ -51,7 +51,11 @@ def oracle_aggregate(batches, mode, k):
 
 
 def oracle_characteristic(subset_ids, game: ThresholdGame) -> float:
-    batches = [b for pid, bs in game.players if pid in subset_ids for b in bs]
+    batches = [
+        ReportBatch(int(d), float(eps))
+        for i, d, eps in zip(*game.reports)
+        if game.ids[i] in subset_ids
+    ]
     agg = oracle_aggregate(batches, game.mode, game.spec.k)
     if agg is None:
         return 0.0

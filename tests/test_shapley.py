@@ -6,6 +6,7 @@ import pytest
 
 from conftest import (
     ALL_MODES,
+    oracle_aggregate,
     oracle_characteristic,
     oracle_shapley_permutations,
     oracle_shapley_subsets,
@@ -198,43 +199,95 @@ class TestPruned:
             shapley_pruned(game)
 
 
+def _random_pairs(rng, n):
+    """``n`` players with 0-3 batches each: some without data, some of 2^53 points or more."""
+    sizes = (0, 1, 2, 3, 4, 2**53 + 1, 2**62 + 3)
+    return tuple(
+        (
+            f"p{i}",
+            tuple(
+                ReportBatch(int(rng.choice(sizes)), float(rng.uniform(0.1, 8.0)))
+                for _ in range(int(rng.integers(0, 4)))
+            ),
+        )
+        for i in range(n)
+    )
+
+
+def _column_form(pairs, mode, target, prize, spec, rng):
+    """The game of ``pairs`` built by ``from_reports``, its reports in shuffled order."""
+    rows = [(i, b.d, b.epsilon) for i, (_, batches) in enumerate(pairs) for b in batches]
+    rows = [rows[r] for r in rng.permutation(len(rows))]
+    player, d, eps = (list(column) for column in zip(*rows)) if rows else ([], [], [])
+    ids = [pid for pid, _ in pairs]
+    return ThresholdGame.from_reports(ids, player, d, eps, mode, target, prize, spec)
+
+
 class TestPlayerStats:
+    """Both constructors give each player the ``math.fsum`` of their reports' statistics."""
+
+    @staticmethod
+    def _hex(rows):
+        return [[float(x).hex() for x in row] for row in rows]
+
     @pytest.mark.parametrize("mode", ALL_MODES, ids=lambda m: m.value)
     def test_fsum_of_scalar_statistics(self, mode):
-        # criterion-01 games have 1-3 batches per player, some without data
         rng = np.random.default_rng(909)
-        games = [random_threshold_game(rng, mode, max_players=14) for _ in range(200)]
-        huge = (
-            ("a", (ReportBatch(2**62 + 1, 0.3),)),
-            ("b", (ReportBatch(2**53 + 1, 2.0), ReportBatch(3, 0.5))),
-        )
-        games.append(ThresholdGame(huge, mode, 1.0, 1.0, AlphabetSpec(3)))
-        for game in games:
+        for _ in range(200):
+            pairs = _random_pairs(rng, int(rng.integers(1, 15)))
+            spec = AlphabetSpec(int(rng.integers(2, 17)))
             expected = [
                 [
-                    math.fsum(scalar_stats(mode, game.spec.k, b.d, b.epsilon)[j] for b in batches if b.d > 0)
-                    for _, batches in game.players
+                    math.fsum(scalar_stats(mode, spec.k, b.d, b.epsilon)[j] for b in batches if b.d > 0)
+                    for _, batches in pairs
                 ]
-                for j in range(game.measure.width)
+                for j in range(2 if mode is AggregationMode.KRR_COMPOSITION else 1)
             ]
-            got = shapley._player_stats(game)
-            assert got.dtype == np.float64
-            assert [[x.hex() for x in row] for row in got.tolist()] == [
-                [x.hex() for x in row] for row in expected
-            ]
+            pair_form = ThresholdGame(pairs, mode, 1.0, 1.0, spec)
+            column_form = _column_form(pairs, mode, 1.0, 1.0, spec, rng)
+            assert column_form.ids == pair_form.ids == tuple(pid for pid, _ in pairs)
+            for game in (pair_form, column_form):
+                assert game.stats.dtype == np.float64
+                assert not game.stats.flags.writeable
+                assert self._hex(game.stats.tolist()) == self._hex(expected)
+
+    @pytest.mark.parametrize("mode", ALL_MODES, ids=lambda m: m.value)
+    def test_both_forms_split_alike(self, mode):
+        rng = np.random.default_rng(910)
+        paying = 0
+        for _ in range(40):
+            pairs = _random_pairs(rng, int(rng.integers(1, 11)))
+            spec = AlphabetSpec(int(rng.integers(2, 17)))
+            grand = oracle_aggregate([b for _, batches in pairs for b in batches], mode, spec.k)
+            target = max(1e-6, grand * float(rng.uniform(0.2, 1.2))) if grand else 1.0
+            prize = float(rng.uniform(1.0, 100.0))
+            games = (
+                ThresholdGame(pairs, mode, target, prize, spec),
+                _column_form(pairs, mode, target, prize, spec, rng),
+            )
+            for split in (
+                shapley_exact,
+                shapley_pruned,
+                lambda game: shapley_sampled(game, 500, np.random.default_rng(3)),
+            ):
+                by_pairs, by_columns = (split(game).shares for game in games)
+                assert list(by_pairs) == list(by_columns)
+                assert [v.hex() for v in by_pairs.values()] == [v.hex() for v in by_columns.values()]
+            paying += any(by_pairs.values())
+        assert paying >= 10
 
 
 def _monotone_game(rng, mode, n, fraction):
     """A criterion-01 game with ``n`` players and its target at ``fraction`` of the grand total."""
     game = random_threshold_game(rng, mode, max_players=n, min_players=n)
-    total = math.fsum(shapley._player_stats(game)[0])
+    total = math.fsum(game.stats[0])
     target = fraction * total if total > 0 else 1.0
-    return ThresholdGame(game.players, mode, target, game.prize, game.spec)
+    return ThresholdGame.from_reports(game.ids, *game.reports, mode, target, game.prize, game.spec)
 
 
 def _takes_enumeration(game):
     full = 1 << game.n
-    bound = shapley._losing_bound(shapley._player_stats(game)[0], game.target)
+    bound = shapley._losing_bound(game.stats[0], game.target)
     return full <= shapley.MAX_FRONTIER and shapley._ENUMERATION_FACTOR * bound >= full
 
 
@@ -247,10 +300,9 @@ class TestPrunedCostCheck:
         sides = set()
         for _ in range(300):
             game = _monotone_game(rng, mode, int(rng.integers(1, 15)), float(rng.uniform(0.05, 1.2)))
-            stats = shapley._player_stats(game)
-            pruned = shapley._pruned_marginals(game, stats)
+            pruned = shapley._pruned_marginals(game)
             assert pruned.dtype == np.int64
-            assert np.array_equal(pruned, shapley._enumerated_marginals(game, stats))
+            assert np.array_equal(pruned, shapley._enumerated_marginals(game))
             sides.add(_takes_enumeration(game))
         assert sides == {True, False}
 
@@ -259,9 +311,9 @@ class TestPrunedCostCheck:
         for name in ("_enumerated_marginals", "_pruned_marginals"):
             original = getattr(shapley, name)
 
-            def spy(game, stats, name=name, original=original):
+            def spy(game, name=name, original=original):
                 taken.append(name)
-                return original(game, stats)
+                return original(game)
 
             monkeypatch.setattr(shapley, name, spy)
         return taken
@@ -336,20 +388,19 @@ def _reference_sampled(game, samples, rng):
     """
     n = game.n
     measure = game.measure
-    stats = shapley._player_stats(game)
     acc = np.zeros(n)
     remaining = samples
     while remaining > 0:
         m = min(remaining, 8192)
         remaining -= m
         perms = np.argsort(rng.random((m, n)), axis=1, kind="stable")
-        win = measure.wins([np.cumsum(row[perms], axis=1) for row in stats], game.target)
+        win = measure.wins([np.cumsum(row[perms], axis=1) for row in game.stats], game.target)
         flags = win.astype(np.int8)
         marg = flags.copy()
         marg[:, 1:] -= flags[:, :-1]
         rows, cols = np.nonzero(marg)
         np.add.at(acc, perms[rows, cols], marg[rows, cols])
-    return {pid: game.prize * (float(acc[i]) / samples) for i, (pid, _) in enumerate(game.players)}
+    return {pid: game.prize * (float(acc[i]) / samples) for i, pid in enumerate(game.ids)}
 
 
 def _krr_game(players, target, prize):
@@ -464,8 +515,7 @@ def _reference_exact_counts(game):
     """
     n = game.n
     low = min(n, shapley._LOW_BITS)
-    measure = game.measure
-    stats = shapley._player_stats(game)
+    measure, stats = game.measure, game.stats
     low_totals = np.zeros((measure.width, 1 << low))
     low_pop = np.zeros(1 << low, dtype=np.int64)
     for i in range(low):
@@ -492,7 +542,7 @@ def _reference_exact_counts(game):
 
 class TestExactCountsMatchReference:
     def _assert_same(self, game):
-        wins_by_size, wins_with_player = shapley._exact_counts(game, shapley._player_stats(game))
+        wins_by_size, wins_with_player = shapley._exact_counts(game)
         expected_by_size, expected_with_player = _reference_exact_counts(game)
         assert wins_by_size.dtype == wins_with_player.dtype == np.int64
         assert np.array_equal(wins_by_size, expected_by_size)
@@ -543,7 +593,7 @@ class TestExactCountsMatchReference:
             tuple(players), AggregationMode.ADDITIVE_INFORMATION, 2.0, 10.0, AlphabetSpec(2)
         )
         wins_by_size, wins_with_player = self._assert_same(idle)
-        marginals = shapley._enumerated_marginals(idle, shapley._player_stats(idle))
+        marginals = shapley._enumerated_marginals(idle)
         assert not marginals[3].any()
         assert all(row.min() >= 0 and row.sum() > 0 for i, row in enumerate(marginals) if i != 3)
 
@@ -617,18 +667,18 @@ class TestMarginalMatrix:
         rng = np.random.default_rng(6061)
         for _ in range(12):
             game = random_threshold_game(rng, mode, max_players=6)
-            self._assert_matches_pairs(game, shapley._enumerated_marginals(game, shapley._player_stats(game)))
+            self._assert_matches_pairs(game, shapley._enumerated_marginals(game))
 
     @pytest.mark.parametrize("mode", MONOTONE_MODES, ids=lambda m: m.value)
     def test_pruned(self, mode):
         rng = np.random.default_rng(6062)
         for _ in range(12):
             game = random_threshold_game(rng, mode, max_players=6)
-            self._assert_matches_pairs(game, shapley._pruned_marginals(game, shapley._player_stats(game)))
+            self._assert_matches_pairs(game, shapley._pruned_marginals(game))
 
     def test_krr_game_with_a_negative_entry(self):
         game = _krr_game(DILUTED_KRR, 4.0, 30.0)
-        marginals = shapley._enumerated_marginals(game, shapley._player_stats(game))
+        marginals = shapley._enumerated_marginals(game)
         self._assert_matches_pairs(game, marginals)
         assert marginals[1, 1] < 0  # p1 joining {p0} dilutes it below the target
 
@@ -651,3 +701,41 @@ class TestGameValidation:
     def test_negative_prize_rejected(self):
         with pytest.raises(DomainError):
             _additive_game((1.0,), 1.0, -1.0)
+
+    @pytest.mark.parametrize(
+        "ids, player, d, eps, target, prize",
+        (
+            ((), [], [], [], 1.0, 1.0),
+            (("a", "a"), [0, 1], [1, 1], [1.0, 1.0], 1.0, 1.0),
+            (("a", "b"), [0, 1], [1, 1], [1.0, 1.0], 0.0, 1.0),
+            (("a", "b"), [0, 1], [1, 1], [1.0, 1.0], 1.0, -1.0),
+            (("a", "b"), [0, 2], [1, 1], [1.0, 1.0], 1.0, 1.0),
+            (("a", "b"), [-1, 0], [1, 1], [1.0, 1.0], 1.0, 1.0),
+            (("a", "b"), [0, 1], [1, -1], [1.0, 1.0], 1.0, 1.0),
+            (("a", "b"), [0, 1], [1, 1], [1.0, 0.0], 1.0, 1.0),
+            (("a", "b"), [0, 1], [1, 1], [1.0, 800.0], 1.0, 1.0),
+            (("a", "b"), [0, 1], [1, 1], [1.0, math.nan], 1.0, 1.0),
+        ),
+        ids=(
+            "no-players",
+            "duplicate-ids",
+            "zero-target",
+            "negative-prize",
+            "player-past-ids",
+            "negative-player",
+            "negative-d",
+            "zero-epsilon",
+            "epsilon-past-700",
+            "nan-epsilon",
+        ),
+    )
+    @pytest.mark.parametrize("mode", ALL_MODES, ids=lambda m: m.value)
+    def test_column_form_checks(self, mode, ids, player, d, eps, target, prize):
+        with pytest.raises(DomainError):
+            ThresholdGame.from_reports(ids, player, d, eps, mode, target, prize, AlphabetSpec(2))
+
+    @pytest.mark.parametrize("mode", ALL_MODES, ids=lambda m: m.value)
+    def test_column_form_ignores_the_epsilon_of_an_empty_report(self, mode):
+        spec = AlphabetSpec(2)
+        game = ThresholdGame.from_reports(("a", "b"), [0, 1], [1, 0], [1.0, 800.0], mode, 1.0, 1.0, spec)
+        assert game.stats[:, 1].tolist() == [0.0] * game.measure.width
