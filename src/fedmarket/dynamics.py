@@ -227,54 +227,88 @@ def _escalated_epsilon(prev_eps, n_p, eps_threshold):
     return np.minimum(n_p * prev_eps, eps_threshold)
 
 
+def _policy_fields(policy: CollectionPolicy) -> tuple[int, float, float, float, bool]:
+    """What the round rule reads of ``policy``: (points per round, participation
+    probability, low and high epsilon fractions, whether it catalyzes)."""
+    return (
+        min(policy.points_per_round, _INT64_MAX),  # no budget is larger
+        policy.participation_prob,
+        policy.initial_eps_low,
+        policy.initial_eps_high,
+        policy.kind is PolicyKind.CATALYZING,
+    )
+
+
+def _policy_columns(policies: Sequence[CollectionPolicy]) -> tuple:
+    """``_policy_fields`` over the runs' ``policies``: each field is its plain
+    value when every run shares it, else a (k, 1) column that broadcasts
+    against (k, n) member arrays."""
+    first = policies[0]
+    if policies.count(first) == len(policies):  # one policy for every run: no column
+        return _policy_fields(first)
+    return tuple(
+        column[0] if column.count(column[0]) == len(column) else np.array(column).reshape(-1, 1)
+        for column in zip(*map(_policy_fields, policies))
+    )
+
+
 def _round_rule(
-    policy: CollectionPolicy,
+    policies: Sequence[CollectionPolicy],
     d_p: np.ndarray,
     threshold: np.ndarray,
     savings: np.ndarray | None,
 ) -> Callable[[int, np.ndarray, np.ndarray, np.ndarray | None], tuple[np.ndarray, np.ndarray]]:
-    """The collection rule of a round, over member arrays of shape (n,) or (k, n).
+    """The collection rule of a round, over member arrays of shape (k, n).
 
-    ``d_p`` and ``threshold`` are the members' yearly budgets (int64) and
-    thresholds, ``savings`` their savings over the tolerance window (none
-    means 0.0 for all). The rule ``step(t, u, remaining, prev_eps)`` gives
-    the points ``d`` each member reports in round ``t`` (0 if she does not
-    report) and the epsilon ``eps`` she holds after it. ``u`` holds the
-    round's uniforms, per row n participation and then n epsilon ones;
-    ``remaining`` the points left before the round and ``prev_eps`` the
-    epsilons of round t - 1.
+    Run r follows ``policies[r]``. ``d_p`` and ``threshold`` are the
+    members' yearly budgets (int64) and thresholds, ``savings`` their
+    savings over the tolerance window (none means 0.0 for all). The rule
+    ``step(t, u, remaining, prev_eps)`` gives the points ``d`` each member
+    reports in round ``t`` (0 if she does not report) and the epsilon
+    ``eps`` she holds after it. ``u`` holds the round's uniforms, per row n
+    participation and then n epsilon ones; ``remaining`` the points left
+    before the round and ``prev_eps`` the epsilons of round t - 1. Each
+    policy field is a plain value when every run shares it and a (k, 1)
+    column otherwise (``_policy_columns``), so a batch of one policy builds
+    no column.
 
     Everyone answers round 1; a later round is joined with the
     participation probability. A fresh draw lies in (low, high] * eps_T.
-    Under the catalyzing policy, a member who joins a later round
-    escalates her previous epsilon instead, by ``catalyzing_parameter`` of
-    her saving and with ``next_round_epsilon``'s cap at eps_T, through the
-    unchecked helpers they share. Their argument checks are left out:
-    every member reports in round 1, so each has a point from round 2 on,
-    and an epsilon that is not positive can only be a fresh draw of round
-    1 that rounded to 0, which ``_close_year`` reports. Every float is one
-    elementwise IEEE ``*``, ``-``, ``/``, ``fmax`` (Python's
-    ``max(1.0, x)``) or ``minimum``, as in a per-report loop.
+    In a catalyzing run, a member who joins a later round escalates her
+    previous epsilon instead, by ``catalyzing_parameter`` of her saving
+    and with ``next_round_epsilon``'s cap at eps_T, through the unchecked
+    helpers they share. Their argument checks are left out: every member
+    reports in round 1, so each has a point from round 2 on, and an
+    epsilon that is not positive can only be a fresh draw of round 1 that
+    rounded to 0, which ``_close_year`` reports. Without savings the
+    escalation is skipped: its factor is max(1, 0 / x) = 1, and the
+    previous epsilon, at most ``initial_eps_high`` * eps_T <= eps_T, is
+    below the cap, so every member holds it. Every float is one elementwise
+    IEEE ``*``, ``-``, ``/``, ``fmax`` (Python's ``max(1.0, x)``) or
+    ``minimum``, as in a per-report loop; rows of the other policy are
+    chosen with ``np.where``.
     """
     n = d_p.shape[-1]
-    chunk = min(policy.points_per_round, _INT64_MAX)  # no budget is larger
-    hi = policy.initial_eps_high * threshold
-    width = hi - policy.initial_eps_low * threshold
-    catalyzing = policy.kind is PolicyKind.CATALYZING
-    delta = np.zeros(threshold.shape) if savings is None else savings
+    chunk, participation, low, high, catalyzing = _policy_columns(policies)
+    hi = high * threshold
+    width = hi - low * threshold
 
     def step(t, u, remaining, prev_eps):
         d = np.minimum(remaining, chunk)
-        if t > 1:
-            joins = u[..., :n] < policy.participation_prob
-            d *= joins
-        if t > 1 and catalyzing:
-            n_p = _catalyzing_factor(delta, d_p - remaining, threshold)
-            escalated = _escalated_epsilon(prev_eps, n_p, threshold)
-            # a member who joins with no data left escalates unseen: it never reports again
-            eps = np.where(joins, escalated, prev_eps)
-        else:
+        if t == 1 or catalyzing is not True:
             eps = hi - u[..., n:] * width  # in (low, high] * threshold
+        if t > 1:
+            joins = u[..., :n] < participation
+            d *= joins
+        if t > 1 and catalyzing is not False:
+            if savings is None:
+                held = prev_eps
+            else:
+                n_p = _catalyzing_factor(savings, d_p - remaining, threshold)
+                escalated = _escalated_epsilon(prev_eps, n_p, threshold)
+                # a member who joins with no data left escalates unseen: it never reports again
+                held = np.where(joins, escalated, prev_eps)
+            eps = held if catalyzing is True else np.where(catalyzing, held, eps)
         return d, eps
 
     return step
@@ -318,7 +352,7 @@ def _close_year(
 
 
 def _collect_year(
-    policy: CollectionPolicy,
+    policies: Sequence[CollectionPolicy],
     measure: Measure,
     target: list[float],
     d_p: np.ndarray,
@@ -332,14 +366,14 @@ def _collect_year(
 ) -> tuple[list[int], np.ndarray, np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
     """One collection year of k runs of one federation size, as (k, n) arrays.
 
-    Run r collects from the members ``members[r]`` marks, with yearly
-    budgets ``d_p[r]``, thresholds ``threshold[r]`` and window savings
-    ``savings[r]`` (``_round_rule``), towards ``target[r]``, drawing from
-    ``rngs[r]``. Returns each run's ``rounds_used`` (a list), the running
-    sums of ``Measure.add`` after every (round, member) slot, as a
-    (statistic, k, 1 + rounds * n) array whose last entries are each run's
-    totals, the (round, k, n) grids of points and epsilons, and
-    ``_close_year``'s results.
+    Run r follows ``policies[r]`` and collects from the members
+    ``members[r]`` marks, with yearly budgets ``d_p[r]``, thresholds
+    ``threshold[r]`` and window savings ``savings[r]`` (``_round_rule``),
+    towards ``target[r]``, drawing from ``rngs[r]``. Returns each run's
+    ``rounds_used`` (a list), the running sums of ``Measure.add`` after
+    every (round, member) slot, as a (statistic, k, 1 + rounds * n) array
+    whose last entries are each run's totals, the (round, k, n) grids of
+    points and epsilons, and ``_close_year``'s results.
 
     Every round, each collecting run draws 2 n_r uniforms for its n_r
     members, participation ones and then epsilon ones, scattered into
@@ -365,7 +399,7 @@ def _collect_year(
     budget = np.where(members, d_p, 0) if masked else d_p
     runs = list(compress(range(k), size))  # the runs still collecting
     can_leave = any(map(math.isfinite, target))
-    step = _round_rule(policy, d_p, threshold, savings)
+    step = _round_rule(policies, d_p, threshold, savings)
 
     def draw(runs: list[int], u: np.ndarray) -> None:
         """Fill ``u[r]``, one round's or a year's uniforms, for each run r of ``runs``."""
@@ -471,7 +505,7 @@ def run_collection_year(
     threshold = np.array(federation.eps_threshold, dtype=float).reshape(1, n)
     members = np.ones((1, n), dtype=bool)
     (rounds_used,), fold, d_grid, _, (reported, eps_level, mask, eps_t) = _collect_year(
-        policy, measure, [target], d_p, threshold, members, savings, max_rounds, [rng], [ids], year
+        [policy], measure, [target], d_p, threshold, members, savings, max_rounds, [rng], [ids], year
     )
     round_idx, _, provider_idx = mask.nonzero()
     d_t = d_grid[mask]
@@ -536,7 +570,7 @@ def run_collection_years(
 def run_collection_batch(
     federations: Sequence[Federation],
     targets: Sequence[float],
-    policy: CollectionPolicy,
+    policies: Sequence[CollectionPolicy],
     years: int,
     max_rounds: int,
     mode: AggregationMode,
@@ -546,8 +580,9 @@ def run_collection_batch(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``run_collection_years`` for k runs of one federation size at once.
 
-    Run r collects from ``federations[r]`` towards ``targets[r]`` with its
-    own generator ``rngs[r]``; all follow ``policy``. Returns each run's
+    Run r collects from ``federations[r]`` towards ``targets[r]`` under
+    ``policies[r]``, with its own generator ``rngs[r]``, so the runs of
+    both policies can share one batch. Returns each run's
     ``rounds_used`` and ``achieved`` per year as two (years, k) arrays,
     equal to those of the ledgers ``run_collection_years`` gives for run r
     alone, and its number of excluded members as a (k,) array. Every
@@ -557,6 +592,8 @@ def run_collection_batch(
     Each year is one ``_collect_year`` over all runs, the step a single
     run takes with k = 1. Each year leaves one savings term per member
     (``_saving_terms``), and a saving is the fold of the window's terms.
+    Savings are kept when some run is catalyzing or penalties are on; the
+    non-catalyzing runs' collection ignores them.
 
     With ``penalties_from``, every year from that one on ends with the
     penalty of ``detect_free_riders`` and ``apply_penalty``: run r excludes
@@ -571,8 +608,10 @@ def run_collection_batch(
     if max_rounds < 1:
         raise DomainError("need at least one collection round")
     k = len(federations)
-    if not k or len(targets) != k or len(rngs) != k:
-        raise DomainError("a batch needs a federation, and one target and one generator for each")
+    if not k or len(targets) != k or len(policies) != k or len(rngs) != k:
+        raise DomainError(
+            "a batch needs a federation, and one target, one policy and one generator for each"
+        )
     n = len(federations[0].member_ids)
     window = federations[0].tolerance_window
     if any(len(f.member_ids) != n or f.tolerance_window != window for f in federations):
@@ -585,7 +624,7 @@ def run_collection_batch(
     d_p = np.array([f.d_p for f in federations], dtype=np.int64).reshape(k, n)
     threshold = np.array([f.eps_threshold for f in federations], dtype=float).reshape(k, n)
     delta = np.array([[f.delta_threshold] for f in federations])
-    catalyzing = policy.kind is PolicyKind.CATALYZING
+    catalyzing = any(policy.kind is PolicyKind.CATALYZING for policy in policies)
     rounds_used = np.full((years, k), max_rounds)
     achieved = np.zeros((years, k))
     members = np.ones((k, n), dtype=bool)
@@ -594,7 +633,7 @@ def run_collection_batch(
     savings = None
     for m in range(years):
         rounds_used[m], fold, _, _, (reported, eps_level, _, _) = _collect_year(
-            policy, measure, target, d_p, threshold, members, savings, max_rounds, rngs, ids, m + 1
+            policies, measure, target, d_p, threshold, members, savings, max_rounds, rngs, ids, m + 1
         )
         achieved[m] = measure.levels(fold[..., -1])
         penalize = penalties_from is not None and m + 1 >= penalties_from

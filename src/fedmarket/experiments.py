@@ -164,9 +164,14 @@ def experiment_rounds(config: ScenarioConfig, out_dir: str | Path) -> list[dict]
 
     Per replication one federation is sampled and its deal sealed with a
     budget priced exactly at the cell's target; both policies then run
-    the warmup years plus one measured year on identical draws. The
-    replications of a cell run as one batch per policy
-    (``run_collection_batch``), after every deal of the cell is sealed.
+    the warmup years plus one measured year on identical draws. After
+    every deal of the cell is sealed, the cell runs as one batch
+    (``run_collection_batch``) of 2 x replications runs, every
+    replication once per policy, policy-major, each run from a generator
+    of its own replication's seed. The batch checks all runs at the end
+    of each year, so when runs of both policies fail, the error of the
+    earliest failing year is raised; within a year, reports are checked
+    round by round, catalyzing runs first in each round.
     """
     out_dir = prepare_out_dir(out_dir)
     spec = AlphabetSpec(config.k)
@@ -202,37 +207,37 @@ def experiment_rounds(config: ScenarioConfig, out_dir: str | Path) -> list[dict]
                     "price": term.price,
                 }
                 runs.append((federation, deal, record))
-            for policy_kind in _POLICIES:
-                rounds_used, achieved, _ = run_collection_batch(
-                    [federation for federation, _, _ in runs],
-                    [record["promised_eps"] for _, _, record in runs],
-                    config.collection_policy(policy_kind),
-                    years=config.warmup_years + 1,
-                    max_rounds=config.max_rounds,
-                    mode=config.aggregation,
-                    rngs=[np.random.default_rng(record["seed"]) for _, _, record in runs],
-                    spec=spec,
+            batch = [(kind, *run) for kind in _POLICIES for run in runs]  # policy-major
+            rounds_used, achieved, _ = run_collection_batch(
+                [federation for _, federation, _, _ in batch],
+                [record["promised_eps"] for _, _, _, record in batch],
+                [config.collection_policy(kind) for kind, _, _, _ in batch],
+                years=config.warmup_years + 1,
+                max_rounds=config.max_rounds,
+                mode=config.aggregation,
+                rngs=[np.random.default_rng(record["seed"]) for _, _, _, record in batch],
+                spec=spec,
+            )
+            measured = zip(batch, rounds_used[-1].tolist(), achieved[-1].tolist())
+            for (policy_kind, federation, deal, record), used, got in measured:
+                rows.append(
+                    {
+                        "n": n,
+                        "target": float(target),
+                        "policy": policy_kind.value,
+                        "replication": record["replication"],
+                        "rounds_used": used,  # max_rounds for a run that fell short
+                        "achieved": got,
+                    }
                 )
-                measured = zip(runs, rounds_used[-1].tolist(), achieved[-1].tolist())
-                for (federation, deal, record), used, got in measured:
-                    rows.append(
-                        {
-                            "n": n,
-                            "target": float(target),
-                            "policy": policy_kind.value,
-                            "replication": record["replication"],
-                            "rounds_used": used,  # max_rounds for a run that fell short
-                            "achieved": got,
-                        }
-                    )
-                    deal_rows.append(
-                        {
-                            **record,
-                            "policy": policy_kind.value,
-                            "achieved_eps": got,
-                            "payout": settle(deal, federation, got),
-                        }
-                    )
+                deal_rows.append(
+                    {
+                        **record,
+                        "policy": policy_kind.value,
+                        "achieved_eps": got,
+                        "payout": settle(deal, federation, got),
+                    }
+                )
 
     rows.sort(key=lambda r: (r["n"], r["target"], r["policy"], r["replication"]))
     deal_rows.sort(key=lambda r: (r["cell"], r["policy"], r["replication"]))
@@ -258,9 +263,14 @@ def experiment_free_riders(config: ScenarioConfig, out_dir: str | Path) -> list[
     savings snapshot over the tolerance window. It drives the next
     year's catalyzing, and from the end of the first full window on it
     flags free riders, who are excluded; the reported count is the
-    number of excluded providers at the end of the run. The replications
-    of a cell run as one batch per policy (``run_collection_batch``),
-    which excludes a member by masking her out.
+    number of excluded providers at the end of the run. A cell runs as
+    one batch (``run_collection_batch``) of 2 x replications runs, every
+    replication once per policy, policy-major, each run from a generator
+    of its own replication's seed; the batch excludes a member by masking
+    her out. It checks all runs at the end of each year, so when runs of
+    both policies fail, the error of the earliest failing year is raised;
+    within a year, reports are checked round by round, catalyzing runs
+    first in each round.
     """
     out_dir = prepare_out_dir(out_dir)
     spec = AlphabetSpec(config.k)
@@ -281,31 +291,31 @@ def experiment_free_riders(config: ScenarioConfig, out_dir: str | Path) -> list[
                     )
                 )
                 run_seeds.append(run_seed)
-            for policy_kind in _POLICIES:
-                try:
-                    _, _, excluded = run_collection_batch(
-                        federations,
-                        [open_target] * len(federations),
-                        config.freerider_policy(policy_kind),
-                        years=config.freerider_years,
-                        max_rounds=config.freerider_rounds_per_year,
-                        mode=config.aggregation,
-                        rngs=[np.random.default_rng(seed) for seed in run_seeds],
-                        spec=spec,
-                        penalties_from=config.tolerance_window,
-                    )
-                except FreshEpsilonUnderflow:
-                    raise FreshEpsilonUnderflow("freerider_initial_eps_high") from None
-                for rep, count in enumerate(excluded.tolist()):
-                    rows.append(
-                        {
-                            "n": n,
-                            "delta_f": float(delta),
-                            "policy": policy_kind.value,
-                            "replication": rep,
-                            "free_rider_count": count,
-                        }
-                    )
+            batch = [(kind, rep) for kind in _POLICIES for rep in range(config.replications)]
+            try:
+                _, _, excluded = run_collection_batch(
+                    federations * len(_POLICIES),
+                    [open_target] * len(batch),
+                    [config.freerider_policy(kind) for kind, _ in batch],
+                    years=config.freerider_years,
+                    max_rounds=config.freerider_rounds_per_year,
+                    mode=config.aggregation,
+                    rngs=[np.random.default_rng(run_seeds[rep]) for _, rep in batch],
+                    spec=spec,
+                    penalties_from=config.tolerance_window,
+                )
+            except FreshEpsilonUnderflow:
+                raise FreshEpsilonUnderflow("freerider_initial_eps_high") from None
+            for (policy_kind, rep), count in zip(batch, excluded.tolist()):
+                rows.append(
+                    {
+                        "n": n,
+                        "delta_f": float(delta),
+                        "policy": policy_kind.value,
+                        "replication": rep,
+                        "free_rider_count": count,
+                    }
+                )
 
     rows.sort(key=lambda r: (r["n"], r["delta_f"], r["policy"], r["replication"]))
     outputs = {

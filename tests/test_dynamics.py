@@ -476,9 +476,19 @@ class TestColumnarYearMatchesScalarLoop:
 
 
 @st.composite
+def _policy_fields(draw):
+    low = draw(st.floats(0.0, 0.9))
+    return {
+        "low": low,
+        "high": draw(st.floats(low, 1.0, exclude_min=True)),
+        "participation": draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)),
+        "points_per_round": draw(st.integers(1, 15)),
+    }
+
+
+@st.composite
 def _batch_cases(draw):
     n = draw(st.integers(1, 8))
-    low = draw(st.floats(0.0, 0.9))
     runs = draw(st.integers(1, 4))
     return {
         "runs": [
@@ -486,10 +496,11 @@ def _batch_cases(draw):
             for _ in range(runs)
         ],
         "k": draw(st.integers(2, 16)),
-        "low": low,
-        "high": draw(st.floats(low, 1.0, exclude_min=True)),
-        "participation": draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)),
-        "points_per_round": draw(st.integers(1, 15)),
+        **draw(_policy_fields()),
+        # per run, the fields it follows instead of the shared ones (none: it shares them)
+        "own": [draw(st.just({}) | _policy_fields()) for _ in range(runs)],
+        # per run, whether it follows the other policy kind
+        "other_kind": [draw(st.booleans()) for _ in range(runs)],
         "max_rounds": draw(st.integers(1, 5)),
         "warmup_years": draw(st.integers(0, 3)),
         "window": draw(st.integers(1, 3)),
@@ -508,6 +519,8 @@ def _batch_edge(**overrides):
         "high": 0.6,
         "participation": 0.8,
         "points_per_round": 2,
+        "own": [{}, {}],
+        "other_kind": [False, True],
         "max_rounds": 5,
         "warmup_years": 3,
         "window": 2,
@@ -517,13 +530,26 @@ def _batch_edge(**overrides):
     return {**case, **overrides}
 
 
+def _batch_policies(kind, case):
+    """Each run's policy: ``kind`` or the other kind, with the shared or its own fields."""
+    fields = ("low", "high", "participation", "points_per_round")
+    return [
+        CollectionPolicy(
+            kind if not other else next(k for k in PolicyKind if k is not kind),
+            *({**case, **own}[field] for field in fields),
+        )
+        for own, other in zip(case["own"], case["other_kind"])
+    ]
+
+
 class TestBatchMatchesSingleRuns:
     """``run_collection_batch`` and ``run_collection_years`` against the per-report loop.
 
     The two share their year step, so the reference is independent of
     both: ``_scalar_year`` per run and year, with savings rolled over the
     window as in ``_reference_penalized_run``. Both must match it bit for
-    bit, each from its own generators.
+    bit, each from its own generators. Each run of a batch follows its own
+    policy: ``kind`` or the other one, with shared or its own fields.
     """
 
     @pytest.mark.parametrize("kind", list(PolicyKind), ids=lambda k: k.value)
@@ -535,18 +561,15 @@ class TestBatchMatchesSingleRuns:
     @example(case=_batch_edge(targets=[1e-6, math.inf]))  # one run leaves in round 1
     @example(case=_batch_edge(targets=[math.inf, math.inf], participation=1.0))
     @example(case=_batch_edge(runs=[[(10, 5.0), (3, 1.5), (7, 8.0)]] * 2, targets=[0.2, 0.5]))
+    @example(case=_batch_edge(other_kind=[False, False]))  # one policy for the whole batch
+    # the other fields differ by run as well as the kind
+    @example(case=_batch_edge(own=[{}, {"low": 0.2, "high": 0.9, "participation": 0.5, "points_per_round": 3}]))
     @example(case=_batch_edge(high=5e-324, targets=[1e-6, 0.7]))  # fresh epsilons underflow
     # low epsilons in few rounds leave savings that escalate the next years
     @example(case=_batch_edge(high=0.1, points_per_round=1, max_rounds=3, targets=[math.inf, 0.1]))
     def test_rounds_achieved_and_generator_state(self, mode, kind, case):
         spec = AlphabetSpec(case["k"])
-        policy = CollectionPolicy(
-            kind,
-            initial_eps_low=case["low"],
-            initial_eps_high=case["high"],
-            participation_prob=case["participation"],
-            points_per_round=case["points_per_round"],
-        )
+        policies = _batch_policies(kind, case)
         federations, targets, providers = [], [], []
         for members, fraction in zip(case["runs"], case["targets"]):
             providers.append([Provider(f"p{i}", d, eps) for i, (d, eps) in enumerate(members)])
@@ -560,12 +583,12 @@ class TestBatchMatchesSingleRuns:
 
         def batch():
             return run_collection_batch(
-                federations, targets, policy, years, case["max_rounds"], mode, rngs, spec=spec
+                federations, targets, policies, years, case["max_rounds"], mode, rngs, spec=spec
             )
 
         def single(r):
             return run_collection_years(
-                federations[r], targets[r], policy, years, case["max_rounds"], mode,
+                federations[r], targets[r], policies[r], years, case["max_rounds"], mode,
                 single_rngs[r], spec=spec,
             )
 
@@ -575,7 +598,7 @@ class TestBatchMatchesSingleRuns:
                     members, target, policy, years, case["max_rounds"], mode, spec, rng,
                     case["window"], math.inf, years + 1,
                 )
-                for members, target, rng in zip(providers, targets, ref_rngs)
+                for members, target, policy, rng in zip(providers, targets, policies, ref_rngs)
             ]
         except DomainError:  # a fresh epsilon that underflows to 0
             with pytest.raises(FreshEpsilonUnderflow):
@@ -605,7 +628,7 @@ class TestBatchMatchesSingleRuns:
             _federation(members), math.inf, policy, 1, mode, np.random.default_rng(0), spec=spec
         )
         _, achieved, _ = run_collection_batch(
-            [_federation(members)], [math.inf], policy, 1, 1, mode, [np.random.default_rng(0)], spec
+            [_federation(members)], [math.inf], [policy], 1, 1, mode, [np.random.default_rng(0)], spec
         )
         assert ledger.achieved.hex() == achieved[0, 0].hex()
         assert 1.0 < ledger.achieved < 2.0
@@ -616,7 +639,7 @@ class TestBatchMatchesSingleRuns:
         rngs = [np.random.default_rng(0), np.random.default_rng(1)]
         states = [rng.bit_generator.state for rng in rngs]
         rounds_used, achieved, excluded = run_collection_batch(
-            [_federation([])] * 2, [1.0, 1.0], policy, 3, 4, mode, rngs, penalties_from=1
+            [_federation([])] * 2, [1.0, 1.0], [policy] * 2, 3, 4, mode, rngs, penalties_from=1
         )
         (ledger,) = run_collection_years(_federation([]), 1.0, policy, 1, 4, mode, np.random.default_rng(0))
         assert rounds_used.tolist() == [[ledger.rounds_used] * 2] * 3 == [[4, 4]] * 3
@@ -629,9 +652,19 @@ class TestBatchMatchesSingleRuns:
         rngs = [np.random.default_rng(0), np.random.default_rng(1)]
         with pytest.raises(DomainError, match="^collection target must be positive$"):
             run_collection_batch(
-                [_federation(members)] * 2, [math.inf, math.nan], NONCAT, 1, 3,
+                [_federation(members)] * 2, [math.inf, math.nan], [NONCAT] * 2, 1, 3,
                 AggregationMode.ADDITIVE_INFORMATION, rngs,
             )
+
+    def test_one_policy_per_run(self):
+        members = [Provider("a", 5, 2.0), Provider("b", 5, 3.0)]
+        rngs = [np.random.default_rng(0), np.random.default_rng(1)]
+        for policies in ([], [CAT], [CAT, NONCAT, CAT]):
+            with pytest.raises(DomainError, match="one policy and one generator for each"):
+                run_collection_batch(
+                    [_federation(members)] * 2, [1.0, 1.0], policies, 1, 3,
+                    AggregationMode.ADDITIVE_INFORMATION, rngs,
+                )
 
     def test_federations_must_share_their_size_and_window(self):
         members = [Provider("a", 5, 2.0), Provider("b", 5, 3.0)]
@@ -640,7 +673,7 @@ class TestBatchMatchesSingleRuns:
         for other in (_federation(members[:1]), _federation(members, window=2)):
             with pytest.raises(DomainError, match="share their size and tolerance window"):
                 run_collection_batch(
-                    [_federation(members), other], [1.0, 1.0], policy, 1, 3, mode,
+                    [_federation(members), other], [1.0, 1.0], [policy] * 2, 1, 3, mode,
                     [np.random.default_rng(0), np.random.default_rng(1)],
                 )
 
@@ -755,27 +788,34 @@ class TestPenalizedBatchMatchesProviderLoop:
     DELTAS = (5.0, 12.0)  # the first run empties before its last year, the second shrinks
 
     @pytest.mark.parametrize("fractions", [(math.inf, math.inf), (math.inf, 0.4)], ids=["open-open", "open-finite"])
-    @pytest.mark.parametrize("kind", list(PolicyKind), ids=lambda k: k.value)
+    # one batch per kind, and one holding every run under both kinds, policy-major
+    @pytest.mark.parametrize(
+        "kinds",
+        [(PolicyKind.CATALYZING,), (PolicyKind.NON_CATALYZING,), tuple(PolicyKind)],
+        ids=["catalyzing", "non-catalyzing", "mixed"],
+    )
     @pytest.mark.parametrize("mode", list(AggregationMode), ids=lambda m: m.value)
-    def test_exclusions_years_and_generator_state(self, mode, kind, fractions):
+    def test_exclusions_years_and_generator_state(self, mode, kinds, fractions):
         spec, years, max_rounds, window, penalties_from = AlphabetSpec(4), 6, 4, 2, 2
-        policy = CollectionPolicy(kind, initial_eps_high=0.5, participation_prob=0.7, points_per_round=2)
-        federations, targets, expected = [], [], []
-        for r, (members, fraction, delta) in enumerate(zip(self.RUNS, fractions, self.DELTAS)):
-            providers = [Provider(f"p{i}", d, eps) for i, (d, eps) in enumerate(members)]
-            federations.append(_federation(providers, delta=delta, window=window))
-            targets.append(fraction * aggregate([ReportBatch(d, eps) for d, eps in members], mode, spec))
-            ref_rng = np.random.default_rng(r + 3)
-            expected.append(
-                _reference_penalized_run(
-                    providers, targets[-1], policy, years, max_rounds, mode, spec, ref_rng,
-                    window, delta, penalties_from,
+        federations, targets, policies, expected = [], [], [], []
+        for kind in kinds:
+            policy = CollectionPolicy(kind, initial_eps_high=0.5, participation_prob=0.7, points_per_round=2)
+            for r, (members, fraction, delta) in enumerate(zip(self.RUNS, fractions, self.DELTAS)):
+                providers = [Provider(f"p{i}", d, eps) for i, (d, eps) in enumerate(members)]
+                federations.append(_federation(providers, delta=delta, window=window))
+                targets.append(fraction * aggregate([ReportBatch(d, eps) for d, eps in members], mode, spec))
+                policies.append(policy)
+                ref_rng = np.random.default_rng(r + 3)
+                expected.append(
+                    _reference_penalized_run(
+                        providers, targets[-1], policy, years, max_rounds, mode, spec, ref_rng,
+                        window, delta, penalties_from,
+                    )
+                    + (ref_rng.bit_generator.state,)
                 )
-                + (ref_rng.bit_generator.state,)
-            )
-        rngs = [np.random.default_rng(r + 3) for r in range(len(federations))]
+        rngs = [np.random.default_rng(r % len(self.RUNS) + 3) for r in range(len(federations))]
         rounds_used, achieved, excluded = run_collection_batch(
-            federations, targets, policy, years, max_rounds, mode, rngs, spec,
+            federations, targets, policies, years, max_rounds, mode, rngs, spec,
             penalties_from=penalties_from,
         )
         for r, (count, used, got, _, state) in enumerate(expected):
@@ -783,8 +823,9 @@ class TestPenalizedBatchMatchesProviderLoop:
             assert rounds_used[:, r].tolist() == used
             assert [x.hex() for x in achieved[:, r].tolist()] == [x.hex() for x in got]
             assert rngs[r].bit_generator.state == state
-        assert expected[0][3] is not None  # the first run emptied mid-run
-        assert 0 < expected[1][0] < len(self.RUNS[1])  # the second lost some members
+        for first in range(0, len(expected), len(self.RUNS)):  # under each kind
+            assert expected[first][3] is not None  # the first run emptied mid-run
+            assert 0 < expected[first + 1][0] < len(self.RUNS[1])  # the second lost some members
 
 
 def _reference_simulate_penalties(config, promised):
