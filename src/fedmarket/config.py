@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import re
 import sys
 from dataclasses import dataclass, field, fields
 from enum import Enum, EnumMeta
@@ -269,13 +270,30 @@ def config_from_dict(data: dict) -> ScenarioConfig:
     return ScenarioConfig(**{key: _convert(key, _FIELD_TYPES[key], v) for key, v in data.items()})
 
 
+class _ConfigLoader(yaml.SafeLoader):
+    """``yaml.SafeLoader`` that also reads YAML 1.2's exponent floats.
+
+    YAML 1.1 reads ``1e6``, ``1.0e9``, ``.5e3`` and ``1E6`` as strings: its
+    float form needs a dot and a signed exponent. Resolved after every
+    YAML 1.1 form, these only turn strings into floats, so each scalar that
+    was a number before reads the same.
+    """
+
+
+_ConfigLoader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[eE][-+]?[0-9]+$"),
+    list("-+0123456789."),
+)
+
+
 def load_config(path: str | Path) -> ScenarioConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     with open(path) as handle:
         try:
-            data = yaml.safe_load(handle)
+            data = yaml.load(handle, Loader=_ConfigLoader)
         except (yaml.YAMLError, UnicodeDecodeError) as exc:
             detail = " ".join(str(exc).split())  # YAML messages span several lines
             raise ConfigError(f"cannot parse config file {path}: {detail}") from exc

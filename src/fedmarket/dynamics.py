@@ -21,6 +21,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import compress, repeat
 from operator import ge
+from typing import NamedTuple
 
 import numpy as np
 
@@ -256,21 +257,22 @@ def _round_rule(
     policies: Sequence[CollectionPolicy],
     d_p: np.ndarray,
     threshold: np.ndarray,
-    savings: np.ndarray | None,
-) -> Callable[[int, np.ndarray, np.ndarray, np.ndarray | None], tuple[np.ndarray, np.ndarray]]:
+) -> Callable[..., tuple[np.ndarray, np.ndarray]]:
     """The collection rule of a round, over member arrays of shape (k, n).
 
     Run r follows ``policies[r]``. ``d_p`` and ``threshold`` are the
-    members' yearly budgets (int64) and thresholds, ``savings`` their
-    savings over the tolerance window (none means 0.0 for all). The rule
-    ``step(t, u, remaining, prev_eps)`` gives the points ``d`` each member
-    reports in round ``t`` (0 if she does not report) and the epsilon
-    ``eps`` she holds after it. ``u`` holds the round's uniforms, per row n
-    participation and then n epsilon ones; ``remaining`` the points left
-    before the round and ``prev_eps`` the epsilons of round t - 1. Each
-    policy field is a plain value when every run shares it and a (k, 1)
-    column otherwise (``_policy_columns``), so a batch of one policy builds
-    no column.
+    members' yearly budgets (int64) and thresholds. A caller builds the
+    rule once for all its years: it holds the policy fields and the
+    fresh-draw interval, and only ``step``'s arguments change between
+    years. The rule ``step(t, u, remaining, prev_eps, savings)`` gives
+    the points ``d`` each member reports in round ``t`` (0 if she does
+    not report) and the epsilon ``eps`` she holds after it. ``u`` holds
+    the round's uniforms, per row n participation and then n epsilon
+    ones; ``remaining`` the points left before the round, ``prev_eps``
+    the epsilons of round t - 1 and ``savings`` the members' savings over
+    the tolerance window (none means 0.0 for all). Each policy field is a
+    plain value when every run shares it and a (k, 1) column otherwise
+    (``_policy_columns``), so a batch of one policy builds no column.
 
     Everyone answers round 1; a later round is joined with the
     participation probability. A fresh draw lies in (low, high] * eps_T.
@@ -293,7 +295,7 @@ def _round_rule(
     hi = high * threshold
     width = hi - low * threshold
 
-    def step(t, u, remaining, prev_eps):
+    def step(t, u, remaining, prev_eps, savings):
         d = np.minimum(remaining, chunk)
         if t == 1 or catalyzing is not True:
             eps = hi - u[..., n:] * width  # in (low, high] * threshold
@@ -351,13 +353,36 @@ def _close_year(
     return reported, eps_level, mask, eps_t
 
 
+class _Members(NamedTuple):
+    """What a collection year reads of a batch's (k, n) member mask.
+
+    ``mask`` marks each run's members, ``masked`` says whether it leaves
+    anyone out, ``size`` is each run's member count and ``budget`` the
+    yearly budgets, 0 outside the mask. A batch derives it once and again
+    only after a year that excluded members (``_members``).
+    """
+
+    mask: np.ndarray
+    masked: bool
+    size: list[int]
+    budget: np.ndarray
+
+
+def _members(mask: np.ndarray, d_p: np.ndarray) -> _Members:
+    """The ``_Members`` of ``mask`` over the runs' yearly budgets ``d_p``."""
+    k, n = d_p.shape
+    if np.count_nonzero(mask) == mask.size:
+        return _Members(mask, False, [n] * k, d_p)
+    return _Members(mask, True, mask.sum(axis=1).tolist(), np.where(mask, d_p, 0))
+
+
 def _collect_year(
-    policies: Sequence[CollectionPolicy],
+    step: Callable,
     measure: Measure,
     target: list[float],
-    d_p: np.ndarray,
+    can_leave: bool,
     threshold: np.ndarray,
-    members: np.ndarray,
+    members: _Members,
     savings: np.ndarray | None,
     max_rounds: int,
     rngs: Sequence[np.random.Generator],
@@ -366,18 +391,22 @@ def _collect_year(
 ) -> tuple[list[int], np.ndarray, np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
     """One collection year of k runs of one federation size, as (k, n) arrays.
 
-    Run r follows ``policies[r]`` and collects from the members
-    ``members[r]`` marks, with yearly budgets ``d_p[r]``, thresholds
-    ``threshold[r]`` and window savings ``savings[r]`` (``_round_rule``),
-    towards ``target[r]``, drawing from ``rngs[r]``. Returns each run's
-    ``rounds_used`` (a list), the running sums of ``Measure.add`` after
-    every (round, member) slot, as a (statistic, k, 1 + rounds * n) array
-    whose last entries are each run's totals, the (round, k, n) grids of
-    points and epsilons, and ``_close_year``'s results.
+    Run r collects by the round rule ``step`` (``_round_rule``) from the
+    members ``members.mask[r]`` marks, with yearly budgets
+    ``members.budget[r]``, thresholds ``threshold[r]`` and window savings
+    ``savings[r]``, towards ``target[r]``, drawing from ``rngs[r]``;
+    ``can_leave`` says whether some target is finite. The caller derives
+    the rule and ``can_leave`` once per call, and the member bookkeeping
+    (``_members``) once and again only after a year that excluded
+    members. Returns each run's ``rounds_used`` (a list), the
+    running sums of ``Measure.add`` after every (round, member) slot, as
+    a (statistic, k, 1 + rounds * n) array whose last entries are each
+    run's totals, the (round, k, n) grids of points and epsilons, and
+    ``_close_year``'s results.
 
     Every round, each collecting run draws 2 n_r uniforms for its n_r
     members, participation ones and then epsilon ones, scattered into
-    their slots in member order. A member outside ``members`` has no
+    their slots in member order. A member outside the mask has no
     budget, reports 0 points and holds her threshold as her epsilon, so she
     adds +0.0 to every fold and passes every check. Each run's aggregate is
     a left fold over its members, round by round, as in ``Measure.add``; a
@@ -393,20 +422,16 @@ def _collect_year(
     and each run's aggregate is folded once, when the year closes, in the
     same order.
     """
-    k, n = d_p.shape
-    masked = np.count_nonzero(members) < members.size
-    size = members.sum(axis=1).tolist() if masked else [n] * k
-    budget = np.where(members, d_p, 0) if masked else d_p
+    mask, masked, size, budget = members
+    k, n = budget.shape
     runs = list(compress(range(k), size))  # the runs still collecting
-    can_leave = any(map(math.isfinite, target))
-    step = _round_rule(policies, d_p, threshold, savings)
 
     def draw(runs: list[int], u: np.ndarray) -> None:
         """Fill ``u[r]``, one round's or a year's uniforms, for each run r of ``runs``."""
         if masked:
             for r in runs:
                 rows = u[r].reshape(u.shape[1:-1] + (2, n))  # a view: u[r] is contiguous
-                rows[..., members[r]] = rngs[r].random(rows.shape[:-1] + (size[r],))
+                rows[..., mask[r]] = rngs[r].random(rows.shape[:-1] + (size[r],))
         else:
             for r in runs:
                 rngs[r].random(out=u[r])
@@ -428,9 +453,9 @@ def _collect_year(
     for t in range(1, max_rounds + 1):
         if can_leave:
             draw(runs, u)
-        d, eps = step(t, u if can_leave else u[:, t - 1], remaining, eps)
+        d, eps = step(t, u if can_leave else u[:, t - 1], remaining, eps, savings)
         if masked:
-            eps = np.where(members, eps, threshold)
+            eps = np.where(mask, eps, threshold)
         remaining -= d
         d_rows.append(d)
         eps_rows.append(eps)
@@ -503,9 +528,11 @@ def run_collection_year(
     measure = Measure(mode, (spec or AlphabetSpec(2)).k)
     d_p = np.array(federation.d_p, dtype=np.int64).reshape(1, n)
     threshold = np.array(federation.eps_threshold, dtype=float).reshape(1, n)
-    members = np.ones((1, n), dtype=bool)
+    step = _round_rule([policy], d_p, threshold)
+    members = _members(np.ones((1, n), dtype=bool), d_p)
     (rounds_used,), fold, d_grid, _, (reported, eps_level, mask, eps_t) = _collect_year(
-        [policy], measure, [target], d_p, threshold, members, savings, max_rounds, [rng], [ids], year
+        step, measure, [target], math.isfinite(target), threshold, members, savings, max_rounds,
+        [rng], [ids], year,
     )
     round_idx, _, provider_idx = mask.nonzero()
     d_t = d_grid[mask]
@@ -627,13 +654,15 @@ def run_collection_batch(
     catalyzing = any(policy.kind is PolicyKind.CATALYZING for policy in policies)
     rounds_used = np.full((years, k), max_rounds)
     achieved = np.zeros((years, k))
-    members = np.ones((k, n), dtype=bool)
+    step = _round_rule(policies, d_p, threshold)
+    can_leave = any(map(math.isfinite, target))
+    members = _members(np.ones((k, n), dtype=bool), d_p)
     excluded = np.zeros(k, dtype=np.int64)
     terms: list[np.ndarray] = []  # per year, the savings terms of every run's members
     savings = None
     for m in range(years):
         rounds_used[m], fold, _, _, (reported, eps_level, _, _) = _collect_year(
-            policies, measure, target, d_p, threshold, members, savings, max_rounds, rngs, ids, m + 1
+            step, measure, target, can_leave, threshold, members, savings, max_rounds, rngs, ids, m + 1
         )
         achieved[m] = measure.levels(fold[..., -1])
         penalize = penalties_from is not None and m + 1 >= penalties_from
@@ -642,9 +671,9 @@ def run_collection_batch(
         if penalize or (catalyzing and m + 1 < years):
             savings = _window_savings(terms, window, (k, n))
         if penalize:
-            flagged = members & (savings >= delta)
+            flagged = members.mask & (savings >= delta)
             if flagged.any():
-                members &= ~flagged
+                members = _members(members.mask & ~flagged, d_p)
                 excluded += flagged.sum(axis=1)
     achieved[np.isnan(achieved)] = 0.0  # the years a run spent without members
     return rounds_used, achieved, excluded

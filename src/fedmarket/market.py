@@ -13,8 +13,7 @@ from .privacy import aggregate  # noqa: F401  (unused here; the benchmark tracer
 from .privacy import MAX_EPSILON, AggregationMode, AlphabetSpec, Measure, validate_epsilon
 from .valuation import ValuationContract
 
-BISECTION_TOL = 1e-9
-BISECTION_MAX_ITER = 200
+SCALING_GRID = 1 << 30  # w* is a whole multiple of 1 / SCALING_GRID
 
 
 @dataclass(frozen=True)
@@ -203,26 +202,55 @@ def scaled_cost(bids: Sequence[Bid], offer: ConsumerOffer, w: float) -> float:
     return sum(offer.valuation.invert(w * bid.eps_threshold_fed) for bid in bids)
 
 
+def _grid_bound(
+    valuation: ValuationContract, money: float, eps: float, rounding: Callable[[float], int], fallback: int
+) -> int:
+    """``rounding`` of f(money) / eps on the scaling grid, or ``fallback``
+    where f overflows, eps is 0 or the quotient is not finite."""
+    try:
+        x = valuation.evaluate(money) / eps * SCALING_GRID
+    except (OverflowError, ZeroDivisionError):  # expm1 beyond its range; no bid with privacy
+        return fallback
+    return rounding(x) if math.isfinite(x) else fallback
+
+
 def compute_scaling(bids: Sequence[Bid], offer: ConsumerOffer) -> float:
     """Largest w in [0, 1] whose scaled total price stays within budget.
 
-    The cost is monotone in w and zero at w = 0, so the maximum always
-    exists; it is located by bisection to absolute tolerance 1e-9.
+    w* is 1 when the full thresholds fit, else j / 2^30 for the largest
+    grid index j whose w keeps ``scaled_cost`` within the budget: the w a
+    bisection of [0, 1] to absolute tolerance 1e-9 returns (30 halvings,
+    every midpoint on the grid), because the cost is monotone in w and
+    zero at w = 0. The search bisects grid indices inside a bracket read
+    off the valuation f. With m bids and the largest threshold eps, the
+    ends are floor(f(B / m) / eps * 2^30), where every bid costs at most
+    B / m, and ceil(f(B) / eps * 2^30), where the bid of threshold eps
+    alone costs B. Both ends are checked against the budget; one that
+    fails its check, overflows or is not finite widens to 0 or 2^30.
     """
     if not bids:
         raise DomainError("cannot scale an empty bid set")
-    if scaled_cost(bids, offer, 1.0) <= offer.budget:
+
+    def fits(j: int) -> bool:
+        return scaled_cost(bids, offer, j / SCALING_GRID) <= offer.budget
+
+    if fits(SCALING_GRID):
         return 1.0
-    lo, hi = 0.0, 1.0  # lo always feasible, hi always infeasible
-    for _ in range(BISECTION_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        if scaled_cost(bids, offer, mid) <= offer.budget:
+    eps = max(bid.eps_threshold_fed for bid in bids)
+    lo, hi = 0, SCALING_GRID  # fits at w = 0, where nothing costs anything; not at w = 1
+    j = min(_grid_bound(offer.valuation, offer.budget / len(bids), eps, math.floor, 0), hi - 1)
+    if j > lo and fits(j):
+        lo = j
+    j = max(_grid_bound(offer.valuation, offer.budget, eps, math.ceil, hi), lo + 1)
+    if j < hi and not fits(j):
+        hi = j
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if fits(mid):
             lo = mid
         else:
             hi = mid
-        if hi - lo <= BISECTION_TOL:
-            break
-    return lo
+    return lo / SCALING_GRID
 
 
 def seal_deal(bids: Sequence[Bid], offer: ConsumerOffer, w_star: float) -> SealedDeal:

@@ -2,17 +2,20 @@ import hashlib
 import itertools
 import json
 import math
+import re
 from dataclasses import asdict, fields, replace
 from enum import Enum
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedmarket.cli import main
 from fedmarket.config import (
     ScenarioConfig,
+    _ConfigLoader,
     ThresholdDist,
     config_from_dict,
     derive_seed,
@@ -104,6 +107,50 @@ class TestConfigLoading:
         assert config.policy.value == "non-catalyzing"
         assert config.federation_sizes == (5, 10)
         assert config.thresholds.mean == 4.0
+
+    @pytest.mark.parametrize("text", ["1e6", "1.0e9", ".5e3", "1E6", "+2.5e3", "1.e4", "7e-1"])
+    def test_exponent_floats_load(self, text, tmp_path):
+        # YAML 1.1 reads these as strings; a config file reads them as YAML 1.2 floats
+        assert isinstance(yaml.safe_load(text), str)
+        path = tmp_path / "scenario.yaml"
+        path.write_text(f"budget: {text}\ntargets: [{text}]\n")
+        config = load_config(path)
+        assert config.budget == config.targets[0] == float(text)
+        assert config_digest(config) == config_digest(
+            config_from_dict({"budget": float(text), "targets": [float(text)]})
+        )
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(st.text(alphabet="0123456789+-.eE_:x", min_size=1, max_size=8))
+    @example("1.0e+9")
+    @example("0x1e5")
+    @example("1:30.5")
+    @example("1_000.5e+3")
+    def test_yaml_1_1_numbers_read_as_before(self, text):
+        """A scalar reads as YAML 1.1 reads it, unless that was a string in the
+        YAML 1.2 float form with an exponent, which reads as its float."""
+        try:
+            before = yaml.safe_load(text)
+        except yaml.YAMLError:
+            with pytest.raises(yaml.YAMLError):
+                yaml.load(text, Loader=_ConfigLoader)
+            return
+        after = yaml.load(text, Loader=_ConfigLoader)
+        if isinstance(before, str) and re.fullmatch(r"[-+]?([0-9]+(\.[0-9]*)?|\.[0-9]+)[eE][-+]?[0-9]+", text):
+            assert after == float(text) and type(after) is float
+        else:
+            assert (type(after), repr(after)) == (type(before), repr(before))
+
+    def test_configs_that_loaded_keep_their_digest(self, tmp_path):
+        config = config_from_dict({"budget": 1.0e9, "k1": 0.5, "targets": [1.5, 1_000.0]})
+        for text in (
+            yaml.safe_dump(ScenarioConfig().to_dict()),
+            yaml.safe_dump(config.to_dict()),
+            "budget: 1.0e+9\nk1: .5\ntargets: [1.5, 1_000.0]\n",
+        ):
+            path = tmp_path / "scenario.yaml"
+            path.write_text(text)
+            assert config_digest(load_config(path)) == config_digest(config_from_dict(yaml.safe_load(text)))
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):

@@ -96,7 +96,95 @@ class TestMakeBid:
         assert 0.0 <= bid.asking_price < 1e-8
 
 
+BISECTION_TOL = 1e-9
+BISECTION_MAX_ITER = 200
+
+
+def _reference_scaling(bids, offer):
+    """``compute_scaling`` as it bisected [0, 1] to absolute tolerance 1e-9 (30 halvings)."""
+    if not bids:
+        raise DomainError("cannot scale an empty bid set")
+    if scaled_cost(bids, offer, 1.0) <= offer.budget:
+        return 1.0
+    lo, hi = 0.0, 1.0  # lo always feasible, hi always infeasible
+    for _ in range(BISECTION_MAX_ITER):
+        mid = 0.5 * (lo + hi)
+        if scaled_cost(bids, offer, mid) <= offer.budget:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= BISECTION_TOL:
+            break
+    return lo
+
+
+def _random_deal(rng):
+    """Bids and an offer: one bid or 2-8, K1 in 1e-3..1e3 and K2 in 1e-4..10, and a
+    budget from a 10^-12 to a 2x share of the full price, so w* spans 0 to 1. One
+    deal in five is in the overflow range: K1 in 1e-310..1e-295, thresholds up to
+    1e10 and K2 * B / m in 650..850, where f(B / m) often overflows ``math.expm1``
+    and w * eps / K1 overflows to an infinite price below w = 1."""
+    m = 1 if rng.random() < 0.5 else int(rng.integers(2, 9))
+    overflow = rng.random() < 0.2
+    k2 = float(10 ** rng.uniform(-4, 1))
+    if overflow:
+        valuation = ExponentialValuation(float(10 ** rng.uniform(-310, -295)), k2)
+        eps = 10 ** rng.uniform(-3, 10, size=m)
+    else:
+        valuation = ExponentialValuation(float(10 ** rng.uniform(-3, 3)), k2)
+        eps = 10 ** rng.uniform(-3, 2, size=m)
+    bids = [Bid(f"F{i}", float(e), 0.0) for i, e in enumerate(eps)]
+    if overflow:
+        budget = m * float(rng.uniform(650.0, 850.0)) / k2
+    else:
+        full = scaled_cost(bids, ConsumerOffer(1.0, valuation), 1.0)
+        budget = full * float(10 ** rng.uniform(-12, 0.3))
+    return bids, ConsumerOffer(budget, valuation)
+
+
 class TestComputeScaling:
+    def test_matches_reference_bisection(self):
+        rng = np.random.default_rng(2303)
+        seen = {"w*=0": 0, "0<w*<1": 0, "w*=1": 0, "multi-bid": 0, "f(B / m) overflows": 0}
+        for _ in range(10_000):
+            bids, offer = _random_deal(rng)
+            w = compute_scaling(bids, offer)
+            assert w.hex() == _reference_scaling(bids, offer).hex(), (bids, offer)
+            seen["w*=0" if w == 0.0 else "w*=1" if w == 1.0 else "0<w*<1"] += 1
+            seen["multi-bid"] += len(bids) > 1
+            seen["f(B / m) overflows"] += offer.valuation.k2 * offer.budget / len(bids) > 710.0
+        assert min(seen.values()) >= 500, seen
+
+    def test_matches_reference_bisection_at_grid_prices(self):
+        # budgets at the price of a grid point and one float either side, where
+        # rounding can put a bracket end on the wrong side of w*
+        rng = np.random.default_rng(2304)
+        for _ in range(3000):
+            bids, offer = _random_deal(rng)
+            j = int(rng.integers(1, 1 << 30))
+            price = scaled_cost(bids, offer, j / (1 << 30))
+            for budget in (math.nextafter(price, 0.0), price, math.nextafter(price, math.inf)):
+                if 0.0 < budget < math.inf:
+                    deal = (bids, ConsumerOffer(budget, offer.valuation))
+                    assert compute_scaling(*deal).hex() == _reference_scaling(*deal).hex(), deal
+
+    @pytest.mark.parametrize(
+        "thresholds, expected",
+        [((1e10,), "0x1.2688b70000000p-6"), ((5.0, 1e-3), "0x0.0p+0")],
+        ids=["one-bid-priced-inf", "two-bids"],
+    )
+    def test_overflowing_forward_map(self, thresholds, expected):
+        # f(800) = 1e-300 * expm1(800) raises OverflowError; the bracket widens past it
+        valuation = ExponentialValuation(1e-300, 1.0)
+        with pytest.raises(OverflowError):
+            valuation.evaluate(800.0)
+        bids = [Bid(f"F{i}", eps, 0.0) for i, eps in enumerate(thresholds)]
+        offer = ConsumerOffer(800.0, valuation)
+        assert compute_scaling(bids, offer).hex() == expected
+        assert _reference_scaling(bids, offer).hex() == expected
+        if len(bids) == 1:
+            assert scaled_cost(bids, offer, 1.0) == math.inf
+
     def test_unconstrained_budget(self):
         bids = [Bid("F1", 2.0, 0.0), Bid("F2", 1.0, 0.0)]
         offer = ConsumerOffer(budget=100.0, valuation=UNIT_VALUATION)
