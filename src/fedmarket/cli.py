@@ -59,13 +59,35 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _game_number(mapping: dict, key: str, kind: str, default=None):
+def _game_value(mapping: dict, key: str, where: str, default=None):
+    """``mapping[key]`` (or ``default``); ``where`` is the path to ``mapping`` in the game file."""
+    if key in mapping:
+        return mapping[key]
+    if default is None:
+        raise ValueError(f"{where}{key} is missing")
+    return default
+
+
+def _game_number(mapping: dict, key: str, kind: str, where: str = "", default=None):
     """``mapping[key]`` (or ``default``), checked like a config value of type ``kind``."""
-    value = mapping[key] if default is None else mapping.get(key, default)
+    value = _game_value(mapping, key, where, default)
     noun, check = _TYPE_CHECKS[kind]
     if not check(value):
-        raise TypeError(f"{key} must be {noun}, got {value!r}")
+        raise TypeError(f"{where}{key} must be {noun}, got {value!r}")
     return float(value) if kind == "float" else value
+
+
+def _game_objects(mapping: dict, key: str, where: str = "") -> list[tuple[str, dict]]:
+    """``mapping[key]``, checked to be a list of JSON objects, each with its path."""
+    items = _game_value(mapping, key, where)
+    if not isinstance(items, list):
+        raise TypeError(f"{where}{key} must be a list, got {type(items).__name__}")
+    objects = []
+    for i, item in enumerate(items):
+        if not isinstance(item, dict):
+            raise TypeError(f"{where}{key}[{i}] must be an object, got {type(item).__name__}")
+        objects.append((f"{where}{key}[{i}].", item))
+    return objects
 
 
 def _cmd_shapley(args: argparse.Namespace) -> int:
@@ -77,13 +99,15 @@ def _cmd_shapley(args: argparse.Namespace) -> int:
         game = ThresholdGame(
             players=tuple(
                 (
-                    str(player["id"]),
+                    str(_game_value(player, "id", at)),
                     tuple(
-                        ReportBatch(_game_number(b, "d", "int"), _game_number(b, "eps", "float"))
-                        for b in player["batches"]
+                        ReportBatch(
+                            _game_number(b, "d", "int", where), _game_number(b, "eps", "float", where)
+                        )
+                        for where, b in _game_objects(player, "batches", at)
                     ),
                 )
-                for player in raw["players"]
+                for at, player in _game_objects(raw, "players")
             ),
             mode=AggregationMode(raw.get("mode", "additive")),
             target=_game_number(raw, "target", "float"),

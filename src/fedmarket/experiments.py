@@ -65,6 +65,16 @@ def _member_ids(n: int) -> tuple[str, ...]:
     return tuple(f"p{i:03d}" for i in range(n))
 
 
+def _generator(seq: np.random.SeedSequence) -> np.random.Generator:
+    """A generator of the stream ``np.random.default_rng(seed)`` gives, for
+    ``seq = np.random.SeedSequence(seed)``.
+
+    Building ``seq`` hashes the seed; every generator built from it starts
+    in the same state, so the runs of a replication share one hash.
+    """
+    return np.random.Generator(np.random.PCG64(seq))
+
+
 def build_federation(
     fed_id: str,
     n: int,
@@ -184,6 +194,7 @@ def experiment_rounds(config: ScenarioConfig, out_dir: str | Path) -> list[dict]
         for target in config.targets:
             cell = f"n={n}/target={target}"
             runs = []  # per replication: its federation, its deal, its deal row's fixed fields
+            sequences = []  # per replication: the seed sequence both of its runs draw from
             for rep in range(config.replications):
                 build_seed = derive_seed(config.master_seed, "rounds-build", n, target, rep)
                 run_seed = derive_seed(config.master_seed, "rounds-run", n, target, rep)
@@ -207,6 +218,7 @@ def experiment_rounds(config: ScenarioConfig, out_dir: str | Path) -> list[dict]
                     "price": term.price,
                 }
                 runs.append((federation, deal, record))
+                sequences.append(np.random.SeedSequence(run_seed))
             batch = [(kind, *run) for kind in _POLICIES for run in runs]  # policy-major
             rounds_used, achieved, _ = run_collection_batch(
                 [federation for _, federation, _, _ in batch],
@@ -215,7 +227,7 @@ def experiment_rounds(config: ScenarioConfig, out_dir: str | Path) -> list[dict]
                 years=config.warmup_years + 1,
                 max_rounds=config.max_rounds,
                 mode=config.aggregation,
-                rngs=[np.random.default_rng(record["seed"]) for _, _, _, record in batch],
+                rngs=[_generator(seq) for _ in _POLICIES for seq in sequences],
                 spec=spec,
             )
             measured = zip(batch, rounds_used[-1].tolist(), achieved[-1].tolist())
@@ -280,7 +292,7 @@ def experiment_free_riders(config: ScenarioConfig, out_dir: str | Path) -> list[
 
     for n in config.freerider_sizes:
         for delta in config.delta_thresholds:
-            federations, run_seeds = [], []
+            federations, sequences = [], []
             for rep in range(config.replications):
                 build_seed = derive_seed(config.master_seed, "freeriders-build", n, delta, rep)
                 run_seed = derive_seed(config.master_seed, "freeriders-run", n, delta, rep)
@@ -290,7 +302,7 @@ def experiment_free_riders(config: ScenarioConfig, out_dir: str | Path) -> list[
                         f"F{n}", n, config, np.random.default_rng(build_seed), delta_threshold=delta
                     )
                 )
-                run_seeds.append(run_seed)
+                sequences.append(np.random.SeedSequence(run_seed))
             batch = [(kind, rep) for kind in _POLICIES for rep in range(config.replications)]
             try:
                 _, _, excluded = run_collection_batch(
@@ -300,7 +312,7 @@ def experiment_free_riders(config: ScenarioConfig, out_dir: str | Path) -> list[
                     years=config.freerider_years,
                     max_rounds=config.freerider_rounds_per_year,
                     mode=config.aggregation,
-                    rngs=[np.random.default_rng(run_seeds[rep]) for _, rep in batch],
+                    rngs=[_generator(sequences[rep]) for _, rep in batch],
                     spec=spec,
                     penalties_from=config.tolerance_window,
                 )

@@ -12,7 +12,8 @@ Every evaluator reduces to one quantity, player i's net marginal count at
 prefix size s: the sum over |S| = s, i not in S, of v(S + i) - v(S), in
 units of the prize. The two enumerators return it as one int64 matrix
 ``marginals[i, s]``, which ``_shares`` turns into shares by weighting
-column s with s! (n - 1 - s)! in Python ints and dividing once by n!:
+column s with s! (n - 1 - s)! in Python ints and dividing once by n!
+(the weights are computed once per n):
 
 * ``shapley_exact`` enumerates every coalition (guarded at n <= 30)
   and counts the winning ones by size and by member, as power-index
@@ -29,7 +30,10 @@ column s with s! (n - 1 - s)! in Python ints and dividing once by n!:
   IEEE addition is monotone, so losing coalitions are downward closed
   even in floating point, and player i's marginal at size s is
   L_s - c_s(i) - c_{s+1}(i), where L_s losing coalitions have size s and
-  c_s(i) of them contain i. kRR composition is not monotone, so a kRR
+  c_s(i) of them contain i. A layer's c_s(i) come from histograms of the
+  bytes of its coalition masks, ceil(n / 8) ``bincount`` calls and one
+  integer product with a table of each byte's bits, not from a pass over
+  the layer per player. kRR composition is not monotone, so a kRR
   game takes the full enumeration's matrix instead. So does a monotone
   game with 2^n <= MAX_FRONTIER whose losing family, bounded from the
   sorted statistics, may hold a third of all 2^n coalitions, as when a
@@ -209,17 +213,23 @@ def _shares(game: ThresholdGame, marginals: np.ndarray) -> dict[str, float]:
     ``marginals[i, s]`` sums v(S + i) - v(S) over the coalitions S of size
     s without player i, in units of the prize. Each such S precedes i in
     s! (n - 1 - s)! of the n! orderings, so num weights column s by that.
-    Every weight and sum is a Python int; the one division per player is
-    correctly rounded, signed zeros included.
+    The weights and n! are built once per n (``_share_weights``). Every
+    weight and sum is a Python int, so a column of zeros adds exactly 0;
+    the one division per player is correctly rounded, signed zeros
+    included.
     """
-    n = game.n
-    columns = np.flatnonzero(marginals.any(axis=0)).tolist()
-    weights = [math.factorial(s) * math.factorial(n - 1 - s) for s in columns]
-    den = math.factorial(n)
+    weights, den = _share_weights(game.n)
     return {
         pid: game.prize * (sum(map(operator.mul, weights, row)) / den)
-        for pid, row in zip(game.ids, marginals[:, columns].tolist())
+        for pid, row in zip(game.ids, marginals.tolist())
     }
+
+
+@functools.cache
+def _share_weights(n: int) -> tuple[tuple[int, ...], int]:
+    """The weights s! (n - 1 - s)! for s = 0 .. n - 1, and n!."""
+    weights = tuple(math.factorial(s) * math.factorial(n - 1 - s) for s in range(n))
+    return weights, math.factorial(n)
 
 
 def _guard_enumeration(n: int, method: str) -> None:
@@ -326,11 +336,11 @@ def _exact_counts(game: ThresholdGame) -> tuple[np.ndarray, np.ndarray]:
     cols = low_totals[:, 0]
     for i in range(a):
         step = 1 << i
-        cols[:, step : 2 * step] = cols[:, :step] + stats[:, i : i + 1]
+        np.add(cols[:, :step], stats[:, i : i + 1], out=cols[:, step : 2 * step])
     cols[:] = cols[:, _masks(a).order]
     for i in range(c):
         step = 1 << i
-        low_totals[:, step : 2 * step] = low_totals[:, :step] + stats[:, a + i, None, None]
+        np.add(low_totals[:, :step], stats[:, a + i, None, None], out=low_totals[:, step : 2 * step])
 
     wins_by_size = np.zeros(n + 1, dtype=np.int64)
     wins_with_player = np.zeros((n, n + 1), dtype=np.int64)
@@ -369,6 +379,26 @@ def shapley_exact(game: ThresholdGame) -> ShapleyResult:
     return ShapleyResult(shares=_shares(game, marginals), method="exact")
 
 
+# _BYTE_BITS[v, j] is bit j of the byte v.
+_BYTE_BITS = np.arange(256)[:, None] >> np.arange(8) & 1
+_BYTE_BITS.setflags(write=False)
+
+
+def _bit_counts(masks: np.ndarray, n: int) -> np.ndarray:
+    """How many of the non-negative int64 ``masks`` have bit j set, for j < n.
+
+    The masks are read as little-endian bytes: byte b of a mask holds its
+    bits 8b .. 8b + 7. One ``bincount`` per byte histograms its 256
+    values, and one integer product with the (256, 8) bit table turns the
+    ceil(n / 8) histograms into the counts of their bits. Integer ``@``
+    runs in numpy's own loops, not BLAS, and every count is exact.
+    """
+    nbytes = -(-n // 8)
+    octets = masks.astype("<i8", copy=False).view(np.uint8).reshape(-1, 8)
+    hist = [np.bincount(octets[:, b], minlength=256) for b in range(nbytes)]
+    return (np.array(hist) @ _BYTE_BITS).ravel()[:n]
+
+
 def _pruned_marginals(game: ThresholdGame) -> np.ndarray:
     """Net marginal counts from the losing coalitions alone, for a monotone measure.
 
@@ -385,7 +415,8 @@ def _pruned_marginals(game: ThresholdGame) -> np.ndarray:
     them containing i, player i is pivotal (S loses, S + {i} wins) for
     L_s - c_s(i) - c_{s+1}(i) coalitions S of size s: the losing ones
     without i, less those whose S + {i} still loses. Once a layer is
-    empty, so are all larger ones, and the growth stops.
+    empty, so are all larger ones, and the growth stops. Each layer's
+    c_s(i) is one ``_bit_counts`` call over its masks.
     """
     n = game.n
     measure = game.measure
@@ -419,7 +450,7 @@ def _pruned_marginals(game: ThresholdGame) -> np.ndarray:
             raise CapacityError(
                 "pruned enumeration frontier exceeded capacity; use shapley_sampled"
             )
-        inside[s + 1] = [np.count_nonzero(masks & bit) for bit in bits]
+        inside[s + 1] = _bit_counts(masks, n)
 
     return (losing[:, None] - inside[:-1] - inside[1:]).T
 

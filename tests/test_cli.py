@@ -311,6 +311,65 @@ def test_shapley_rejects_bad_game_with_one_line(text, flags, tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def _edited_game(*path, value=None):
+    """The ``_game_text`` game with the entry at ``path`` set to ``value``, or removed if None."""
+    game = json.loads(_game_text())
+    container = game
+    for step in path[:-1]:
+        container = container[step]
+    if value is None:
+        del container[path[-1]]
+    else:
+        container[path[-1]] = value
+    return game
+
+
+@pytest.mark.parametrize(
+    "game, message",
+    [
+        (_edited_game("target"), "target is missing"),
+        (_edited_game("prize"), "prize is missing"),
+        (_edited_game("players"), "players is missing"),
+        (_edited_game("players", 0, "id"), "players[0].id is missing"),
+        (_edited_game("players", 0, "batches"), "players[0].batches is missing"),
+        (_edited_game("players", 0, "batches", 0, "eps"), "players[0].batches[0].eps is missing"),
+        (_edited_game("players", 0, "batches", 0, "d"), "players[0].batches[0].d is missing"),
+        (_edited_game("players", value="p1"), "players must be a list, got str"),
+        (_edited_game("players", value={"id": "p1"}), "players must be a list, got dict"),
+        (_edited_game("players", 0, "batches", value="d1"), "players[0].batches must be a list, got str"),
+        (_edited_game("players", 0, value="p1"), "players[0] must be an object, got str"),
+        (
+            _edited_game("players", 0, "batches", 0, value=[1, 1.0]),
+            "players[0].batches[0] must be an object, got list",
+        ),
+        (
+            _edited_game("players", 0, "batches", 0, "d", value=1.5),
+            "players[0].batches[0].d must be an integer, got 1.5",
+        ),
+    ],
+    ids=[
+        "no-target",
+        "no-prize",
+        "no-players",
+        "no-id",
+        "no-batches",
+        "no-eps",
+        "no-d",
+        "string-players",
+        "object-players",
+        "string-batches",
+        "string-player",
+        "list-batch",
+        "fractional-d-path",
+    ],
+)
+def test_shapley_names_the_bad_field(game, message, tmp_path, capsys):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(game))
+    assert main(["shapley", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: bad game file {path}: {message}\n"
+
+
 _ODD = st.sampled_from([None, True, False, "", "1", "krr", [], [1], {}, {"d": 1}])
 _ODD_NUMBERS = st.sampled_from([-1, -0.5, 0, 2.5, 10**400, math.nan, math.inf, -math.inf])
 

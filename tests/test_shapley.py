@@ -340,6 +340,18 @@ class TestPrunedCostCheck:
             shapley_pruned(game)
         assert taken == ["_pruned_marginals"] * len(games)
 
+    def test_large_timing_games_walk_the_frontier_bit_for_bit(self, monkeypatch):
+        # sparse games whose frontier masks reach the third byte (players 16-21)
+        games = [timing_game(ScenarioConfig(), n) for n in range(19, 23)]
+        exact = [shapley_exact(game).shares for game in games]
+        taken = self._spy(monkeypatch)
+        for game, shares in zip(games, exact):
+            pruned = shapley_pruned(game).shares
+            assert list(pruned) == list(shares)
+            assert [x.hex() for x in pruned.values()] == [x.hex() for x in shares.values()]
+            assert any(shares.values())
+        assert taken == ["_pruned_marginals"] * len(games)
+
 
 class TestSampled:
     def test_example_game_within_three_standard_errors(self):
@@ -681,6 +693,37 @@ class TestMarginalMatrix:
         marginals = shapley._enumerated_marginals(game)
         self._assert_matches_pairs(game, marginals)
         assert marginals[1, 1] < 0  # p1 joining {p0} dilutes it below the target
+
+
+class TestBitCounts:
+    """``_bit_counts`` against one ``count_nonzero`` per bit, as a layer's masks come."""
+
+    @staticmethod
+    def _per_bit(masks, n):
+        return [np.count_nonzero(masks & (np.int64(1) << j)) for j in range(n)]
+
+    @pytest.mark.parametrize("n", range(1, 31))
+    def test_random_masks(self, n):
+        rng = np.random.default_rng(2400 + n)
+        for size in (0, 1, 2, 255, 256, 4099):
+            masks = rng.integers(0, 1 << n, size, dtype=np.int64)
+            counts = shapley._bit_counts(masks, n)
+            assert counts.dtype == np.int64 and counts.shape == (n,)
+            assert counts.tolist() == self._per_bit(masks, n)
+
+    def test_high_bits(self):
+        rng = np.random.default_rng(2431)
+        masks = rng.integers(0, 1 << 30, 1000, dtype=np.int64) | (np.int64(1) << 29)
+        masks[::3] &= (1 << 24) - 1  # a third carry none of bits 24-29
+        counts = shapley._bit_counts(masks, 30)
+        assert counts.tolist() == self._per_bit(masks, 30)
+        assert counts[29] == 666 and all(0 < c < 666 for c in counts[24:29])
+
+    def test_empty_and_single_layers(self):
+        assert shapley._bit_counts(np.zeros(0, dtype=np.int64), 30).tolist() == [0] * 30
+        one = np.array([(1 << 29) | (1 << 24) | 0b101], dtype=np.int64)
+        expected = [1 if j in (0, 2, 24, 29) else 0 for j in range(30)]
+        assert shapley._bit_counts(one, 30).tolist() == expected
 
 
 class TestGameValidation:
