@@ -56,11 +56,15 @@ predicate, and both return the same integer matrix.
 The sampler ranks each row of uniforms by sorting packed integer keys,
 the uniform's 53 bits over the player index, so ties go to the lower
 index, as in a stable ``argsort``. It holds each batch of orderings
-position-major and folds prefix sums one position at a time across the
-batch. Its counts are exact integers with a single late division, so its
-shares do not depend on the batch size; ``shapley_sampled`` says why each
-share is the float an ordering-major running sum and float accumulator
-give.
+position-major, one row per position, and folds the prefix sums over
+consecutive row views, one ``np.add(prev, row, row)`` per position and
+statistic: a left fold in ordering order. That is (n - 1) numpy calls per
+statistic and batch, so the fold costs what a call costs, and each call
+gets ready views and a positional output, not two indexed views and a
+keyword ``out``. Its counts are exact integers with a single late
+division, so its shares do not depend on the batch size;
+``shapley_sampled`` says why each share is the float an ordering-major
+running sum and float accumulator give.
 """
 
 from __future__ import annotations
@@ -101,10 +105,11 @@ _FLAT_BITS = 10
 # in row order, so this sets speed and memory only, never the shares. Each
 # (n, m) array of a batch takes at most 512 kB for any n <= 2^16, so
 # several fit in a 2 MB L2 cache. Measured on the split-games large games
-# (CPU time per 100k-sample call, fastest of 7, 2-vCPU VM): 2^16 positions
-# took 29 / 62 / 178 ms at n = 25 / 50 / 100, against 31 / 67 / 206 ms for
-# 2^15, 40 / 78 / 225 ms for 2^17 and 31 / 67 / 233 ms for a fixed 2048
-# orderings.
+# (CPU time per 100k-sample call, fastest of 16 over two rounds, 2-vCPU
+# VM): 2^16 positions took 26 / 53 / 137 ms at n = 25 / 50 / 100, against
+# 24 / 49 / 138 ms for 2^15 and 32 / 61 / 164 ms for 2^17. Over the whole
+# split-games pool 2^15 and 2^17 read within a few percent of 2^16, either
+# way from round to round.
 _SAMPLE_POSITIONS = 1 << 16
 
 
@@ -526,6 +531,22 @@ def _orderings(u: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(keys.T)
 
 
+def _sample_count(samples) -> int:
+    """``samples`` as a Python int of at least 1, taken through ``operator.index``.
+
+    A float (NaN included), a ``bool`` or anything else that is not an
+    integer of at least 1 is a ``DomainError``; a numpy integer becomes a
+    Python int, so shares and ``sample_count`` are Python numbers.
+    """
+    try:
+        count = None if isinstance(samples, bool) else operator.index(samples)
+    except TypeError:
+        count = None
+    if count is None or count < 1:
+        raise DomainError(f"sample count must be an integer of at least 1, got {samples!r}")
+    return count
+
+
 def shapley_sampled(
     game: ThresholdGame,
     samples: int,
@@ -545,10 +566,16 @@ def shapley_sampled(
     held position-major as ``order``, shape (n, m). A tie needs two equal
     53-bit uniforms in one row, about once in 2e7 calls of 100k samples at
     n = 100; the index rule makes it independent of which sort kernel
-    numpy picks. Each statistic's prefix sums are built in place with
-    one ``np.add`` per position across the batch: the running sum of
-    every ordering is a left fold in ordering order, so each prefix is
-    the same float that a per-ordering cumulative sum gives.
+    numpy picks. Each statistic's prefix sums are built in place, in one
+    pass over the consecutive row views of its (n, m) block, with
+    ``np.add(prev, row, row)``: row j becomes row j - 1 plus row j across
+    the batch, so the running sum of every ordering is a left fold in
+    ordering order, and each prefix is the same float that a
+    per-ordering cumulative sum gives. Any other order of addition can
+    move a share: v(S) is this fold, not ``characteristic``'s ascending
+    one. The pass makes n - 1 ``np.add`` calls per statistic and batch,
+    about 30,000 per 100k samples at n = 100 kRR, so the views are made
+    once, by iterating the block, and the output is passed by position.
 
     Every change of the win flag along an ordering is credited to the
     player whose step makes it: a rise to ``up``, a fall to ``down``. Under
@@ -559,8 +586,7 @@ def shapley_sampled(
     zero share, is the float a per-ordering float accumulator of the
     same marginals gives, whatever the batch size.
     """
-    if samples < 1:
-        raise DomainError(f"sample count must be at least 1, got {samples}")
+    samples = _sample_count(samples)
     n = game.n
     measure = game.measure
 
@@ -574,8 +600,8 @@ def shapley_sampled(
         order = _orderings(rng.random((m, n)))
         prefix = [np.take(row, order) for row in game.stats]
         for c in prefix:
-            for j in range(1, n):
-                np.add(c[j - 1], c[j], out=c[j])
+            for prev, row in itertools.pairwise(c):
+                np.add(prev, row, row)
         win = measure.wins(prefix, game.target)
         rise = win.copy()
         rise[1:] &= ~win[:-1]

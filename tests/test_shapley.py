@@ -17,6 +17,7 @@ from fedmarket import shapley
 from fedmarket.config import ScenarioConfig
 from fedmarket.errors import CapacityError, DomainError
 from fedmarket.experiments import timing_game
+from fedmarket.manifest import write_json
 from fedmarket.privacy import AggregationMode, AlphabetSpec, ReportBatch
 from fedmarket.shapley import (
     ThresholdGame,
@@ -373,6 +374,26 @@ class TestSampled:
         with pytest.raises(DomainError):
             shapley_sampled(EXAMPLE_GAME, 0, np.random.default_rng(1))
 
+    @pytest.mark.parametrize(
+        "samples",
+        (float("nan"), 2.5, 5.0, True, False, -3, np.int64(0), "5", None),
+        ids=repr,
+    )
+    def test_sample_count_that_is_not_a_positive_integer_rejected(self, samples):
+        with pytest.raises(DomainError, match="sample count must be an integer of at least 1"):
+            shapley_sampled(EXAMPLE_GAME, samples, np.random.default_rng(1))
+
+    def test_numpy_integer_sample_count_gives_python_numbers(self, tmp_path):
+        result = shapley_sampled(EXAMPLE_GAME, np.int64(5), np.random.default_rng(3))
+        expected = shapley_sampled(EXAMPLE_GAME, 5, np.random.default_rng(3))
+        assert type(result.sample_count) is int and result.sample_count == 5
+        assert all(type(v) is float for v in result.shares.values())
+        assert [v.hex() for v in result.shares.values()] == [
+            v.hex() for v in expected.shares.values()
+        ]
+        payload = {"shares": result.shares, "samples": result.sample_count}
+        write_json(tmp_path / "shares.json", payload)
+
     def test_deterministic_given_seed(self):
         a = shapley_sampled(EXAMPLE_GAME, 5000, np.random.default_rng(123))
         b = shapley_sampled(EXAMPLE_GAME, 5000, np.random.default_rng(123))
@@ -475,6 +496,25 @@ class TestSampledMatchesReference:
         game = _additive_game((1.0, 0.5, 0.3, 2.0), 4.0, 60.0)
         result = self._assert_same(game)
         assert all(v.hex() == (0.0).hex() for v in result.shares.values())
+
+    def test_fold_in_ordering_order(self):
+        # 2^53 + 1 rounds back to 2^53, so the ascending fold big + a + b
+        # stays at 2^53 and loses, while a + b + big reaches 2^53 + 2 and
+        # wins: big is pivotal in the 2 of 6 orderings that put it last.
+        # Any fold other than a left fold in ordering order moves a share.
+        game = ThresholdGame(
+            tuple(
+                (pid, (ReportBatch(d, 1.0),)) for pid, d in (("big", 2**53), ("a", 1), ("b", 1))
+            ),
+            AggregationMode.ADDITIVE_INFORMATION,
+            2.0**53 + 2,
+            90.0,
+            AlphabetSpec(2),
+        )
+        assert characteristic(game.ids, game) == 0.0
+        result = self._assert_same(game)
+        assert result.shares["a"] == result.shares["b"] == 0.0
+        assert abs(result.shares["big"] - 30.0) <= 3 * 90.0 / (2 * math.sqrt(20_000))
 
 
 BIT_GENERATORS = (np.random.PCG64, np.random.MT19937, np.random.Philox, np.random.SFC64)
