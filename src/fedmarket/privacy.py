@@ -223,14 +223,20 @@ class Measure:
         For kRR, ln(D / H + 1 - k) >= target is rewritten as D >= theta * H
         with theta = e^target + k - 1: no transcendental per coalition, and
         one pure IEEE compare that every evaluator shares. An empty
-        coalition (D = 0) loses.
+        coalition (D = 0) loses. A pooled level never exceeds the largest
+        batch epsilon, at most ``MAX_EPSILON``, so where e^target overflows
+        (a target above about 709.78) theta is infinite and every coalition
+        loses. A finite theta times a finite mass is never NaN, so the
+        compare needs no ``errstate``.
         """
         if self.width == 1:
             return totals[0] >= target
         count, mass = totals
-        theta = math.exp(target) + (self.k - 1)
-        with np.errstate(invalid="ignore"):
-            return (count > 0) & (count >= theta * mass)
+        try:
+            theta = math.exp(target) + (self.k - 1)
+        except OverflowError:  # theta = inf: no coalition wins
+            return np.zeros(np.shape(count), dtype=bool)
+        return (count > 0) & (count >= theta * mass)
 
 
 def aggregate(batches: Iterable[ReportBatch], mode: AggregationMode, spec: AlphabetSpec) -> float:

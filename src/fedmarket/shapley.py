@@ -23,7 +23,9 @@ column s with s! (n - 1 - s)! in Python ints and dividing once by n!
   flags whose rows and columns are two halves of the low players; two
   histograms of a chunk (winners per row and column popcount, and per
   row popcount and column) and small cached bit tables give every
-  player's count per size, with no pass over the chunk per player,
+  player's count per size, with no pass over the chunk per player. A
+  game of at most 2^20 coalitions is one chunk, and its tallies are
+  returned as they are,
 * ``shapley_pruned`` enumerates only losing coalitions and must
   reproduce the exact shares bit for bit. Pruning needs a monotone
   measure (the additive ones): their statistics are non-negative and
@@ -32,13 +34,16 @@ column s with s! (n - 1 - s)! in Python ints and dividing once by n!
   L_s - c_s(i) - c_{s+1}(i), where L_s losing coalitions have size s and
   c_s(i) of them contain i. A layer's c_s(i) come from histograms of the
   bytes of its coalition masks, ceil(n / 8) ``bincount`` calls and one
-  integer product with a table of each byte's bits, not from a pass over
-  the layer per player. kRR composition is not monotone, so a kRR
-  game takes the full enumeration's matrix instead. So does a monotone
+  float64 product with a table of each byte's bits (exact, as every count
+  is below 2^53), not from a pass over the layer per player. kRR
+  composition is not monotone, so a kRR game takes the full
+  enumeration's matrix instead. So does a monotone
   game with 2^n <= MAX_FRONTIER whose losing family, bounded from the
   sorted statistics, may hold a third of all 2^n coalitions, as when a
   deal's target is most of the grand total: enumerating is cheaper
-  there. The choice moves no share, since both paths give one matrix,
+  there. The bound folds the sorted statistics as Python floats, the
+  same left fold as a ``cumsum``. The choice moves no share, since both
+  paths give one matrix,
 * ``shapley_sampled`` is the permutation-sampling estimator for
   federations too large to enumerate (Castro, Gomez & Tejada 2009). It
   samples the same marginals: one tally of every rise and fall of the
@@ -314,7 +319,9 @@ def _exact_counts(game: ThresholdGame) -> tuple[np.ndarray, np.ndarray]:
     """Winning-coalition counts per size, total and per player, from the game's ``stats``.
 
     Returns (wins_by_size)[r] and (wins_with_player)[i, r], both exact
-    integer tallies over the full 2^n enumeration.
+    integer tallies over the full 2^n enumeration. For n <= _LOW_BITS they
+    are the rows of the one chunk's ``_chunk_counts``, returned as they
+    are, with nothing to add up.
 
     The low players 0 .. low - 1 (low = min(n, _LOW_BITS)) span a chunk of
     2^low coalitions, held as a 2^c x 2^a matrix: the a column bits are
@@ -329,7 +336,8 @@ def _exact_counts(game: ThresholdGame) -> tuple[np.ndarray, np.ndarray]:
     chunk's win flags into per-size tallies of all winners and of each low
     player, shifted by the number of high players; each high player in the
     subset is credited the chunk's whole size histogram. Counts across
-    chunks add up in int64.
+    chunks add up in int64. Both doublings pass their output by position,
+    which costs less per numpy call than ``out=``.
     """
     n = game.n
     low = min(n, _LOW_BITS)
@@ -341,11 +349,14 @@ def _exact_counts(game: ThresholdGame) -> tuple[np.ndarray, np.ndarray]:
     cols = low_totals[:, 0]
     for i in range(a):
         step = 1 << i
-        np.add(cols[:, :step], stats[:, i : i + 1], out=cols[:, step : 2 * step])
+        np.add(cols[:, :step], stats[:, i : i + 1], cols[:, step : 2 * step])
     cols[:] = cols[:, _masks(a).order]
     for i in range(c):
         step = 1 << i
-        np.add(low_totals[:, :step], stats[:, a + i, None, None], out=low_totals[:, step : 2 * step])
+        np.add(low_totals[:, :step], stats[:, a + i, None, None], low_totals[:, step : 2 * step])
+    if n == low:  # one chunk: its tallies are the game's
+        counts = _chunk_counts(measure.wins(low_totals, game.target))
+        return counts[0], counts[1:]
 
     wins_by_size = np.zeros(n + 1, dtype=np.int64)
     wins_with_player = np.zeros((n, n + 1), dtype=np.int64)
@@ -384,8 +395,8 @@ def shapley_exact(game: ThresholdGame) -> ShapleyResult:
     return ShapleyResult(shares=_shares(game, marginals), method="exact")
 
 
-# _BYTE_BITS[v, j] is bit j of the byte v.
-_BYTE_BITS = np.arange(256)[:, None] >> np.arange(8) & 1
+# _BYTE_BITS[v, j] is bit j of the byte v, as a float.
+_BYTE_BITS = (np.arange(256)[:, None] >> np.arange(8) & 1).astype(float)
 _BYTE_BITS.setflags(write=False)
 
 
@@ -394,14 +405,18 @@ def _bit_counts(masks: np.ndarray, n: int) -> np.ndarray:
 
     The masks are read as little-endian bytes: byte b of a mask holds its
     bits 8b .. 8b + 7. One ``bincount`` per byte histograms its 256
-    values, and one integer product with the (256, 8) bit table turns the
-    ceil(n / 8) histograms into the counts of their bits. Integer ``@``
-    runs in numpy's own loops, not BLAS, and every count is exact.
+    values, and one float64 product with the (256, 8) bit table turns the
+    ceil(n / 8) histograms into the counts of their bits, converted back
+    to int64. Every count is at most the layer's size, far below 2^53, so
+    each product and sum is exact. The float product is a few
+    microseconds cheaper than an integer ``@``, which runs in numpy's own
+    loops; at most (4, 256) x (256, 8), it is too small for OpenBLAS to
+    split across threads.
     """
     nbytes = -(-n // 8)
     octets = masks.astype("<i8", copy=False).view(np.uint8).reshape(-1, 8)
-    hist = [np.bincount(octets[:, b], minlength=256) for b in range(nbytes)]
-    return (np.array(hist) @ _BYTE_BITS).ravel()[:n]
+    hist = np.array([np.bincount(octets[:, b], minlength=256) for b in range(nbytes)], dtype=float)
+    return (hist @ _BYTE_BITS).astype(np.int64).ravel()[:n]
 
 
 def _pruned_marginals(game: ThresholdGame) -> np.ndarray:
@@ -468,8 +483,12 @@ def _losing_bound(values: np.ndarray, target: float) -> int:
     target, so no coalition of more players can lose. The sum runs in sorted
     order, not in the canonical fold, and may differ from it by a rounding;
     the bound only chooses between two evaluators with the same result.
+    The sorted statistics are folded as Python floats, ``sorted`` and
+    ``itertools.accumulate``: the same left fold, of the same IEEE doubles,
+    as ``np.cumsum(np.sort(values))``, so s_max is the same, at a third of
+    the cost of those numpy calls on a small game.
     """
-    s_max = int(np.count_nonzero(np.cumsum(np.sort(values)) < target))
+    s_max = sum(total < target for total in itertools.accumulate(sorted(values.tolist())))
     return sum(math.comb(values.size, s) for s in range(s_max + 1))
 
 

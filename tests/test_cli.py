@@ -246,6 +246,27 @@ def test_shapley_subcommand(tmp_path, capsys):
     assert payload["shares"] == {"p1": 30.0, "p2": 30.0, "p3": 0.0}
 
 
+def test_shapley_krr_target_nobody_reaches_splits_to_zero(tmp_path, capsys):
+    # e^800 overflows a float; no pooled level exceeds MAX_EPSILON, so every share is 0
+    game = {
+        "mode": "krr",
+        "target": 800.0,
+        "prize": 100.0,
+        "k": 4,
+        "players": [
+            {"id": "a", "batches": [{"d": 3, "eps": 700.0}]},
+            {"id": "b", "batches": [{"d": 2, "eps": 1.5}]},
+            {"id": "c", "batches": []},
+        ],
+    }
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps(game))
+    for method in ("exact", "pruned", "sampled"):
+        assert main(["shapley", str(path), "--method", method, "--samples", "64"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["shares"] == {"a": 0.0, "b": 0.0, "c": 0.0}, method
+
+
 def _game_text(d=1, eps=1.0, k=2, target=1.0, prize=10.0):
     return json.dumps(
         {

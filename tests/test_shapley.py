@@ -66,6 +66,23 @@ class TestCharacteristic:
         with pytest.raises(DomainError):
             characteristic({"ghost"}, EXAMPLE_GAME)
 
+    @pytest.mark.parametrize("target", (709.79, 800.0, 1e300))
+    def test_krr_target_past_exp_overflow_is_unreachable(self, target):
+        # e^target overflows a float; a pooled level is at most the largest
+        # epsilon (700 here), so nobody wins and every share is +0.0
+        game = _krr_game(((3, 700.0), (2, 1.5), (1, 0.2)), target, 50.0)
+        ids = game.player_ids()
+        for r in range(len(ids) + 1):
+            for combo in itertools.combinations(ids, r):
+                assert characteristic(set(combo), game) == 0.0
+        results = (
+            shapley_exact(game),
+            shapley_pruned(game),
+            shapley_sampled(game, 100, np.random.default_rng(0)),
+        )
+        for result in results:
+            assert [v.hex() for v in result.shares.values()] == [(0.0).hex()] * len(ids)
+
     def test_matches_oracle_on_random_games(self, rng):
         for mode in ALL_MODES:
             for _ in range(50):
@@ -290,6 +307,41 @@ def _takes_enumeration(game):
     full = 1 << game.n
     bound = shapley._losing_bound(game.stats[0], game.target)
     return full <= shapley.MAX_FRONTIER and shapley._ENUMERATION_FACTOR * bound >= full
+
+
+class TestLosingBound:
+    """``_losing_bound`` against the numpy expression it replaced, kept here as the reference."""
+
+    @staticmethod
+    def _reference(values, target):
+        s_max = int(np.count_nonzero(np.cumsum(np.sort(values)) < target))
+        return sum(math.comb(values.size, s) for s in range(s_max + 1))
+
+    def test_matches_the_numpy_fold(self):
+        rng = np.random.default_rng(4242)
+        for n in range(1, 31):
+            statistics = [
+                rng.random(n) * rng.uniform(0.1, 50.0),  # random
+                rng.choice([0.1, 0.2, 0.3], n),  # tied, with sums that round
+                np.zeros(n),  # zero
+                np.where(rng.random(n) < 0.5, 0.0, rng.random(n)),  # zeros among others
+            ]
+            for values in statistics:
+                total = math.fsum(values)
+                for target in (1e-9, 0.1, 0.3, 0.6, 1.0, total / 3, total / 2, total, total + 1.0):
+                    assert shapley._losing_bound(values, target) == self._reference(values, target)
+
+    def test_rounding_sums_and_single_players(self):
+        # 0.1 + 0.2 rounds up past 0.3, so the boundary target decides s_max
+        for values, target in (
+            (np.array([0.1, 0.2, 0.3]), 0.30000000000000004),
+            (np.array([0.1, 0.2, 0.3]), 0.3),
+            (np.array([2.0**53, 1.0, 1.0]), 2.0**53 + 2),
+            (np.array([0.5]), 0.5),
+            (np.array([0.5]), 0.75),
+            (np.array([0.0]), 1.0),
+        ):
+            assert shapley._losing_bound(values, target) == self._reference(values, target)
 
 
 class TestPrunedCostCheck:
@@ -607,13 +659,14 @@ class TestExactCountsMatchReference:
         for n in range(1, 19):
             self._assert_same(random_threshold_game(rng, mode, max_players=n, min_players=n))
 
-    # chunks of 8 and 16 coalitions tallied as one row, and of 2^11 as a 32 x 64 matrix
+    # chunks of 8 and 16 coalitions tallied as one row, and of 2^11 as a 32 x 64 matrix;
+    # n == low_bits is one chunk, returned as it is, and n == low_bits + 1 two chunks
     @pytest.mark.parametrize("low_bits, sizes", ((3, range(5, 13)), (4, range(5, 13)), (11, (12, 13))))
     @pytest.mark.parametrize("mode", ALL_MODES, ids=lambda m: m.value)
     def test_many_chunks(self, mode, low_bits, sizes, monkeypatch):
         monkeypatch.setattr(shapley, "_LOW_BITS", low_bits)
         rng = np.random.default_rng(31 + low_bits)
-        for n in sizes:
+        for n in (low_bits, low_bits + 1, *sizes):
             for _ in range(2):
                 self._assert_same(random_threshold_game(rng, mode, max_players=n, min_players=n))
 
