@@ -114,7 +114,8 @@ def _cmd_shapley(args: argparse.Namespace) -> int:
             prize=_game_number(raw, "prize", "float"),
             spec=AlphabetSpec(_game_number(raw, "k", "int", default=2)),
         )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    # RecursionError: JSON nested deeper than the interpreter's recursion limit
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise ConfigError(f"bad game file {args.game}: {exc}") from exc
     if args.seed is not None and args.seed < 0:
         raise ConfigError(f"--seed must be non-negative, got {args.seed}")

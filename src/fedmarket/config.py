@@ -294,7 +294,8 @@ def load_config(path: str | Path) -> ScenarioConfig:
     with open(path) as handle:
         try:
             data = yaml.load(handle, Loader=_ConfigLoader)
-        except (yaml.YAMLError, UnicodeDecodeError) as exc:
+        # RecursionError: YAML nested deeper than the interpreter's recursion limit
+        except (yaml.YAMLError, UnicodeDecodeError, RecursionError) as exc:
             detail = " ".join(str(exc).split())  # YAML messages span several lines
             raise ConfigError(f"cannot parse config file {path}: {detail}") from exc
     if data is None:

@@ -376,6 +376,36 @@ def _members(mask: np.ndarray, d_p: np.ndarray) -> _Members:
     return _Members(mask, True, mask.sum(axis=1).tolist(), np.where(mask, d_p, 0))
 
 
+def _empty_fold(measure: Measure, size: list[int], slots: int) -> np.ndarray:
+    """Room for the running sums of ``slots`` (round, member) slots of runs of ``size`` members.
+
+    Each run's sums start at +0.0, or at NaN for a run without members,
+    because kRR's level of no data is 0 / 0 (NaN + 0.0 raises no warning,
+    and NaN never reaches a target).
+    """
+    fold = np.empty((measure.width, len(size), slots + 1))
+    fold[..., 0] = [0.0 if s else math.nan for s in size]
+    return fold
+
+
+def _year_fold(
+    measure: Measure, d_grid: np.ndarray, eps_grid: np.ndarray, members: _Members
+) -> np.ndarray:
+    """The running sums of a year that was not folded as it ran (an open target).
+
+    ``d_grid`` and ``eps_grid`` are ``_collect_year``'s (round, k, n) grids
+    and ``members`` the bookkeeping that year collected under. Each run's
+    members are folded round by round, the order in which a finite-target
+    year folds them, so every sum is the one its rounds would have given.
+    Returns the (statistic, k, 1 + rounds * n) array ``_collect_year``
+    returns for a finite target.
+    """
+    rounds, k, n = d_grid.shape
+    fold = _empty_fold(measure, members.size, rounds * n)
+    measure.add(fold, *(grid.transpose(1, 0, 2).reshape(k, -1) for grid in (d_grid, eps_grid)))
+    return fold
+
+
 def _collect_year(
     step: Callable,
     measure: Measure,
@@ -388,7 +418,7 @@ def _collect_year(
     rngs: Sequence[np.random.Generator],
     ids: Sequence,
     year: int,
-) -> tuple[list[int], np.ndarray, np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
+) -> tuple[list[int], np.ndarray | None, np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
     """One collection year of k runs of one federation size, as (k, n) arrays.
 
     Run r collects by the round rule ``step`` (``_round_rule``) from the
@@ -401,8 +431,8 @@ def _collect_year(
     members. Returns each run's ``rounds_used`` (a list), the
     running sums of ``Measure.add`` after every (round, member) slot, as
     a (statistic, k, 1 + rounds * n) array whose last entries are each
-    run's totals, the (round, k, n) grids of points and epsilons, and
-    ``_close_year``'s results.
+    run's totals, or None when no target is finite, the (round, k, n)
+    grids of points and epsilons, and ``_close_year``'s results.
 
     Every round, each collecting run draws 2 n_r uniforms for its n_r
     members, participation ones and then epsilon ones, scattered into
@@ -410,17 +440,17 @@ def _collect_year(
     budget, reports 0 points and holds her threshold as her epsilon, so she
     adds +0.0 to every fold and passes every check. Each run's aggregate is
     a left fold over its members, round by round, as in ``Measure.add``; a
-    run without members draws nothing and its totals start at NaN, because
-    kRR's level of no data is 0 / 0 (NaN + 0.0 raises no warning, and NaN
-    never reaches a target).
+    run without members draws nothing and its totals start at NaN
+    (``_empty_fold``).
 
-    With a finite target, a run whose level reaches it stops in that round
-    and draws nothing more: its uniforms stay at 1.0, so no member joins,
-    it reports nothing and adds +0.0 to its totals. When no target is
-    finite, no run can leave: each run draws its whole year's uniforms with
-    one call, the same stream, the rounds skip the level and the exit test,
-    and each run's aggregate is folded once, when the year closes, in the
-    same order.
+    With a finite target, the rounds fold only for their exit test: a run
+    whose level reaches the target stops in that round and draws nothing
+    more; its uniforms stay at 1.0, so no member joins, it reports nothing
+    and adds +0.0 to its totals. When no target is finite, no run can
+    leave: each run draws its whole year's uniforms with one call, the same
+    stream, the rounds skip the fold, the level and the exit test, and a
+    caller that needs the year's sums folds its grids with ``_year_fold``,
+    in the same order.
     """
     mask, masked, size, budget = members
     k, n = budget.shape
@@ -440,13 +470,14 @@ def _collect_year(
     goal = list(target)
     # the uniforms of one round, or of the whole year when no run can leave
     u = np.ones((k, 2 * n) if can_leave else (k, max_rounds, 2 * n))
-    if not can_leave:
+    if can_leave:
+        # per statistic and run, the running sums after each (round, member) slot;
+        # runs may leave early, so it grows as rounds pass
+        fold = _empty_fold(measure, size, min(max_rounds, 16) * n)
+    else:
         draw(runs, u)
+        fold = None
     remaining = budget.copy()
-    # per statistic and run, the running sums after each (round, member) slot of the
-    # year; runs may leave early, so a finite-target year grows it as rounds pass
-    fold = np.empty((measure.width, k, (min(max_rounds, 16) if can_leave else max_rounds) * n + 1))
-    fold[..., 0] = [0.0 if s else math.nan for s in size]
     d_rows: list[np.ndarray] = []
     eps_rows: list[np.ndarray] = []
     eps = None
@@ -459,7 +490,7 @@ def _collect_year(
         remaining -= d
         d_rows.append(d)
         eps_rows.append(eps)
-        if not can_leave:  # the totals are folded once, when the year closes
+        if not can_leave:  # nobody leaves, so nothing is folded
             continue
         if t * n >= fold.shape[-1]:  # room for twice the rounds
             fold = np.concatenate((fold, np.empty_like(fold[..., 1:])), axis=-1)
@@ -476,10 +507,9 @@ def _collect_year(
     d_grid = np.array(d_rows)
     eps_grid = np.array(eps_rows)
     closed = _close_year(d_grid, eps_grid, remaining, budget, ids, year)
-    if not can_leave:  # each run's members round by round, as the rounds fold them
-        run_major = [grid.transpose(1, 0, 2).reshape(k, -1) for grid in (d_grid, eps_grid)]
-        measure.add(fold, *run_major)
-    return rounds_used, fold[..., : len(d_rows) * n + 1], d_grid, eps_grid, closed
+    if can_leave:
+        fold = fold[..., : len(d_rows) * n + 1]
+    return rounds_used, fold, d_grid, eps_grid, closed
 
 
 def run_collection_year(
@@ -530,10 +560,12 @@ def run_collection_year(
     threshold = np.array(federation.eps_threshold, dtype=float).reshape(1, n)
     step = _round_rule([policy], d_p, threshold)
     members = _members(np.ones((1, n), dtype=bool), d_p)
-    (rounds_used,), fold, d_grid, _, (reported, eps_level, mask, eps_t) = _collect_year(
+    (rounds_used,), fold, d_grid, eps_grid, (reported, eps_level, mask, eps_t) = _collect_year(
         step, measure, [target], math.isfinite(target), threshold, members, savings, max_rounds,
         [rng], [ids], year,
     )
+    if fold is None:  # an open target: the ledger reads every running sum
+        fold = _year_fold(measure, d_grid, eps_grid, members)
     round_idx, _, provider_idx = mask.nonzero()
     d_t = d_grid[mask]
     # the running sums after every (round, member) slot, read at the reports: a
@@ -609,18 +641,20 @@ def run_collection_batch(
 
     Run r collects from ``federations[r]`` towards ``targets[r]`` under
     ``policies[r]``, with its own generator ``rngs[r]``, so the runs of
-    both policies can share one batch. Returns each run's
-    ``rounds_used`` and ``achieved`` per year as two (years, k) arrays,
-    equal to those of the ledgers ``run_collection_years`` gives for run r
-    alone, and its number of excluded members as a (k,) array. Every
-    generator is left in the state that run leaves it in. No ledger is
-    built.
+    both policies can share one batch. Returns each run's measured year,
+    the last: its ``rounds_used`` and ``achieved``, equal to those of the
+    last ledger ``run_collection_years`` gives for run r alone, and its
+    number of excluded members over all years, as three (k,) arrays.
+    Every generator is left in the state that run leaves it in. No ledger
+    is built.
 
     Each year is one ``_collect_year`` over all runs, the step a single
     run takes with k = 1. Each year leaves one savings term per member
     (``_saving_terms``), and a saving is the fold of the window's terms.
     Savings are kept when some run is catalyzing or penalties are on; the
-    non-catalyzing runs' collection ignores them.
+    non-catalyzing runs' collection ignores them. When no target is
+    finite, a year's aggregate is folded (``_year_fold``) and its level
+    taken only when it is the measured year; earlier years fold nothing.
 
     With ``penalties_from``, every year from that one on ends with the
     penalty of ``detect_free_riders`` and ``apply_penalty``: run r excludes
@@ -652,31 +686,31 @@ def run_collection_batch(
     threshold = np.array([f.eps_threshold for f in federations], dtype=float).reshape(k, n)
     delta = np.array([[f.delta_threshold] for f in federations])
     catalyzing = any(policy.kind is PolicyKind.CATALYZING for policy in policies)
-    rounds_used = np.full((years, k), max_rounds)
-    achieved = np.zeros((years, k))
     step = _round_rule(policies, d_p, threshold)
     can_leave = any(map(math.isfinite, target))
     members = _members(np.ones((k, n), dtype=bool), d_p)
     excluded = np.zeros(k, dtype=np.int64)
     terms: list[np.ndarray] = []  # per year, the savings terms of every run's members
     savings = None
-    for m in range(years):
-        rounds_used[m], fold, _, _, (reported, eps_level, _, _) = _collect_year(
-            step, measure, target, can_leave, threshold, members, savings, max_rounds, rngs, ids, m + 1
+    for m in range(1, years + 1):
+        rounds_used, fold, d_grid, eps_grid, (reported, eps_level, _, _) = _collect_year(
+            step, measure, target, can_leave, threshold, members, savings, max_rounds, rngs, ids, m
         )
-        achieved[m] = measure.levels(fold[..., -1])
-        penalize = penalties_from is not None and m + 1 >= penalties_from
-        if penalties_from is not None or (catalyzing and m + 1 < years):
+        if fold is None and m == years:  # the measured year, under the members it collected from
+            fold = _year_fold(measure, d_grid, eps_grid, members)
+        penalize = penalties_from is not None and m >= penalties_from
+        if penalties_from is not None or (catalyzing and m < years):
             terms.append(_saving_terms(reported, eps_level, threshold))
-        if penalize or (catalyzing and m + 1 < years):
+        if penalize or (catalyzing and m < years):
             savings = _window_savings(terms, window, (k, n))
         if penalize:
             flagged = members.mask & (savings >= delta)
             if flagged.any():
                 members = _members(members.mask & ~flagged, d_p)
                 excluded += flagged.sum(axis=1)
-    achieved[np.isnan(achieved)] = 0.0  # the years a run spent without members
-    return rounds_used, achieved, excluded
+    achieved = np.array(measure.levels(fold[..., -1]))
+    achieved[np.isnan(achieved)] = 0.0  # a run without members in its measured year
+    return np.array(rounds_used), achieved, excluded
 
 
 def detect_free_riders(savings: np.ndarray, delta_threshold: float) -> np.ndarray:

@@ -230,7 +230,7 @@ def experiment_rounds(config: ScenarioConfig, out_dir: str | Path) -> list[dict]
                 rngs=[_generator(seq) for _ in _POLICIES for seq in sequences],
                 spec=spec,
             )
-            measured = zip(batch, rounds_used[-1].tolist(), achieved[-1].tolist())
+            measured = zip(batch, rounds_used.tolist(), achieved.tolist())
             for (policy_kind, federation, deal, record), used, got in measured:
                 rows.append(
                     {

@@ -126,6 +126,15 @@ def information_limit(d: int, eps: float) -> float:
     return float(d) * float(eps)
 
 
+# The largest kRR theta whose product with any coalition's mass stays finite.
+# A batch adds d / (k - 1 + e^eps) < d < 2^63 to its coalition's mass. A
+# coalition of n < 2^50 batches (more than any memory holds) then has a mass
+# below 2^113 * (1 + n * 2^-53) < 2^114, the float fold's rounding included, far
+# below 2^128, so theta * mass < 2^896 * 2^128 = 2^1024 stays in the float range.
+# Only a target above about 621.06 (896 ln 2) gives a larger theta.
+_THETA_NO_OVERFLOW = 2.0**896
+
+
 class Measure:
     """One information measure: per-batch statistics, their level, one win test.
 
@@ -226,8 +235,10 @@ class Measure:
         coalition (D = 0) loses. A pooled level never exceeds the largest
         batch epsilon, at most ``MAX_EPSILON``, so where e^target overflows
         (a target above about 709.78) theta is infinite and every coalition
-        loses. A finite theta times a finite mass is never NaN, so the
-        compare needs no ``errstate``.
+        loses. A finite theta times a finite mass is never NaN. It overflows
+        to +inf only for a huge theta, where the compare runs under
+        ``errstate``: no finite count reaches +inf, so such a coalition
+        loses, as it does in exact arithmetic.
         """
         if self.width == 1:
             return totals[0] >= target
@@ -236,6 +247,9 @@ class Measure:
             theta = math.exp(target) + (self.k - 1)
         except OverflowError:  # theta = inf: no coalition wins
             return np.zeros(np.shape(count), dtype=bool)
+        if theta > _THETA_NO_OVERFLOW:
+            with np.errstate(over="ignore"):
+                return (count > 0) & (count >= theta * mass)
         return (count > 0) & (count >= theta * mass)
 
 

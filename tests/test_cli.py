@@ -247,24 +247,45 @@ def test_shapley_subcommand(tmp_path, capsys):
 
 
 def test_shapley_krr_target_nobody_reaches_splits_to_zero(tmp_path, capsys):
-    # e^800 overflows a float; no pooled level exceeds MAX_EPSILON, so every share is 0
-    game = {
-        "mode": "krr",
-        "target": 800.0,
-        "prize": 100.0,
-        "k": 4,
-        "players": [
-            {"id": "a", "batches": [{"d": 3, "eps": 700.0}]},
-            {"id": "b", "batches": [{"d": 2, "eps": 1.5}]},
-            {"id": "c", "batches": []},
-        ],
-    }
-    path = tmp_path / "game.json"
-    path.write_text(json.dumps(game))
-    for method in ("exact", "pruned", "sampled"):
-        assert main(["shapley", str(path), "--method", method, "--samples", "64"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["shares"] == {"a": 0.0, "b": 0.0, "c": 0.0}, method
+    # no pooled level exceeds MAX_EPSILON, so every share is 0, and nothing warns:
+    # e^800 overflows a float; e^709.5 does not, but theta times b's mass does
+    for target, (d, eps) in ((800.0, (2, 1.5)), (709.5, (100, 0.1))):
+        game = {
+            "mode": "krr",
+            "target": target,
+            "prize": 100.0,
+            "k": 4,
+            "players": [
+                {"id": "a", "batches": [{"d": 3, "eps": 700.0}]},
+                {"id": "b", "batches": [{"d": d, "eps": eps}]},
+                {"id": "c", "batches": []},
+            ],
+        }
+        path = tmp_path / "game.json"
+        path.write_text(json.dumps(game))
+        for method in ("exact", "pruned", "sampled"):
+            assert main(["shapley", str(path), "--method", method, "--samples", "64"]) == 0
+            out, err = capsys.readouterr()
+            assert err == "", (target, method)
+            assert json.loads(out)["shares"] == {"a": 0.0, "b": 0.0, "c": 0.0}, (target, method)
+
+
+@pytest.mark.parametrize(
+    "name, text, argv",
+    [
+        ("deep.json", "[" * 100_000 + "]" * 100_000, ["shapley", "{path}"]),
+        ("deep.yaml", "[" * 5_000 + "]" * 5_000 + "\n", ["simulate", "--config", "{path}", "--out", "{out}"]),
+    ],
+    ids=["game-file", "config"],
+)
+def test_input_nested_past_the_recursion_limit_exits_2_with_one_line(name, text, argv, tmp_path, capsys):
+    # both parsers recurse once per level, so this nesting raises RecursionError inside them
+    path = tmp_path / name
+    path.write_text(text)
+    assert main([arg.format(path=path, out=tmp_path / "out") for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(path) in err and "recursion" in err
 
 
 def _game_text(d=1, eps=1.0, k=2, target=1.0, prize=10.0):

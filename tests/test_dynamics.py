@@ -578,13 +578,15 @@ class TestBatchMatchesSingleRuns:
             targets.append(fraction * capacity)
         years = case["warmup_years"] + 1
         ref_rngs = [np.random.default_rng(seed) for seed in case["seeds"]]
-        rngs = [np.random.default_rng(seed) for seed in case["seeds"]]
         single_rngs = [np.random.default_rng(seed) for seed in case["seeds"]]
 
-        def batch():
-            return run_collection_batch(
+        def batch(years):
+            """The batch over ``years`` years from fresh generators: its results and generators."""
+            rngs = [np.random.default_rng(seed) for seed in case["seeds"]]
+            results = run_collection_batch(
                 federations, targets, policies, years, case["max_rounds"], mode, rngs, spec=spec
             )
+            return results, rngs
 
         def single(r):
             return run_collection_years(
@@ -602,17 +604,19 @@ class TestBatchMatchesSingleRuns:
             ]
         except DomainError:  # a fresh epsilon that underflows to 0
             with pytest.raises(FreshEpsilonUnderflow):
-                batch()
+                batch(years)
             with pytest.raises(FreshEpsilonUnderflow):
                 for r in range(len(federations)):
                     single(r)
             return
-        rounds_used, achieved, excluded = batch()
-        assert rounds_used.shape == achieved.shape == (years, len(runs))
-        assert excluded.tolist() == [0] * len(runs)  # no penalties asked for
+        # the batch reports its last year: one batch per year count measures every year
+        for y in range(1, years + 1):
+            (rounds_used, achieved, excluded), rngs = batch(y)
+            assert rounds_used.shape == achieved.shape == excluded.shape == (len(runs),)
+            assert excluded.tolist() == [0] * len(runs)  # no penalties asked for
+            assert rounds_used.tolist() == [used[y - 1] for _, used, _, _ in runs]
+            assert [x.hex() for x in achieved.tolist()] == [got[y - 1].hex() for _, _, got, _ in runs]
         for r, (_, used, got, _) in enumerate(runs):
-            assert rounds_used[:, r].tolist() == used
-            assert [x.hex() for x in achieved[:, r].tolist()] == [x.hex() for x in got]
             assert rngs[r].bit_generator.state == ref_rngs[r].bit_generator.state
             ledgers = single(r)
             assert [ledger.rounds_used for ledger in ledgers] == used
@@ -630,22 +634,23 @@ class TestBatchMatchesSingleRuns:
         _, achieved, _ = run_collection_batch(
             [_federation(members)], [math.inf], [policy], 1, 1, mode, [np.random.default_rng(0)], spec
         )
-        assert ledger.achieved.hex() == achieved[0, 0].hex()
+        assert ledger.achieved.hex() == achieved.tolist()[0].hex()
         assert 1.0 < ledger.achieved < 2.0
 
     @pytest.mark.parametrize("mode", list(AggregationMode), ids=lambda m: m.value)
     def test_empty_federations_run_every_round_and_achieve_nothing(self, mode):
         policy = CollectionPolicy(PolicyKind.CATALYZING)
-        rngs = [np.random.default_rng(0), np.random.default_rng(1)]
-        states = [rng.bit_generator.state for rng in rngs]
-        rounds_used, achieved, excluded = run_collection_batch(
-            [_federation([])] * 2, [1.0, 1.0], [policy] * 2, 3, 4, mode, rngs, penalties_from=1
-        )
         (ledger,) = run_collection_years(_federation([]), 1.0, policy, 1, 4, mode, np.random.default_rng(0))
-        assert rounds_used.tolist() == [[ledger.rounds_used] * 2] * 3 == [[4, 4]] * 3
-        assert achieved.tolist() == [[ledger.achieved] * 2] * 3 == [[0.0, 0.0]] * 3
-        assert excluded.tolist() == [0, 0]
-        assert [rng.bit_generator.state for rng in rngs] == states
+        for years in (1, 2, 3):  # the batch reports its last year
+            rngs = [np.random.default_rng(0), np.random.default_rng(1)]
+            states = [rng.bit_generator.state for rng in rngs]
+            rounds_used, achieved, excluded = run_collection_batch(
+                [_federation([])] * 2, [1.0, 1.0], [policy] * 2, years, 4, mode, rngs, penalties_from=1
+            )
+            assert rounds_used.tolist() == [ledger.rounds_used] * 2 == [4, 4]
+            assert achieved.tolist() == [ledger.achieved] * 2 == [0.0, 0.0]
+            assert excluded.tolist() == [0, 0]
+            assert [rng.bit_generator.state for rng in rngs] == states
 
     def test_nan_target_rejected(self):
         members = [Provider("a", 5, 2.0), Provider("b", 5, 3.0)]
@@ -755,10 +760,11 @@ def _reference_penalized_run(members, target, policy, years, max_rounds, mode, s
 
     Every year from ``penalties_from`` on drops the members whose savings
     over the window reach ``delta``; a run left without members runs its
-    remaining years empty. Returns (excluded count, rounds_used per year,
-    achieved per year, the year the run emptied before its last or None).
+    remaining years empty. Returns (members excluded by the end of each
+    year, rounds_used per year, achieved per year, the year the run
+    emptied before its last or None).
     """
-    ledgers, savings, excluded, emptied = [], {}, 0, None
+    ledgers, savings, excluded, emptied = [], {}, [], None
     rounds_used, achieved = [], []
     for year in range(1, years + 1):
         _, _, d_total, eps_level, used, got = _scalar_year(
@@ -769,12 +775,13 @@ def _reference_penalized_run(members, target, policy, years, max_rounds, mode, s
         achieved.append(got)
         ledgers.append((tuple(p.id for p in members), d_total, eps_level))
         savings = _reference_savings(ledgers[-window:], members)
+        kept = members
         if year >= penalties_from:
             kept = [p for p in members if savings[p.id] < delta]
-            excluded += len(members) - len(kept)
             if members and not kept and year < years:
                 emptied = year
-            members = kept
+        excluded.append((excluded[-1] if excluded else 0) + len(members) - len(kept))
+        members = kept
     return excluded, rounds_used, achieved, emptied
 
 
@@ -813,19 +820,21 @@ class TestPenalizedBatchMatchesProviderLoop:
                     )
                     + (ref_rng.bit_generator.state,)
                 )
-        rngs = [np.random.default_rng(r % len(self.RUNS) + 3) for r in range(len(federations))]
-        rounds_used, achieved, excluded = run_collection_batch(
-            federations, targets, policies, years, max_rounds, mode, rngs, spec,
-            penalties_from=penalties_from,
-        )
-        for r, (count, used, got, _, state) in enumerate(expected):
-            assert excluded[r] == count
-            assert rounds_used[:, r].tolist() == used
-            assert [x.hex() for x in achieved[:, r].tolist()] == [x.hex() for x in got]
+        # the batch reports its last year: one batch per year count measures every year
+        for y in range(1, years + 1):
+            rngs = [np.random.default_rng(r % len(self.RUNS) + 3) for r in range(len(federations))]
+            rounds_used, achieved, excluded = run_collection_batch(
+                federations, targets, policies, y, max_rounds, mode, rngs, spec,
+                penalties_from=penalties_from,
+            )
+            assert excluded.tolist() == [counts[y - 1] for counts, _, _, _, _ in expected]
+            assert rounds_used.tolist() == [used[y - 1] for _, used, _, _, _ in expected]
+            assert [x.hex() for x in achieved.tolist()] == [got[y - 1].hex() for _, _, got, _, _ in expected]
+        for r, (_, _, _, _, state) in enumerate(expected):
             assert rngs[r].bit_generator.state == state
         for first in range(0, len(expected), len(self.RUNS)):  # under each kind
             assert expected[first][3] is not None  # the first run emptied mid-run
-            assert 0 < expected[first + 1][0] < len(self.RUNS[1])  # the second lost some members
+            assert 0 < expected[first + 1][0][-1] < len(self.RUNS[1])  # the second lost some members
 
 
 def _reference_simulate_penalties(config, promised):

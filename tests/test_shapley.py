@@ -66,11 +66,18 @@ class TestCharacteristic:
         with pytest.raises(DomainError):
             characteristic({"ghost"}, EXAMPLE_GAME)
 
-    @pytest.mark.parametrize("target", (709.79, 800.0, 1e300))
-    def test_krr_target_past_exp_overflow_is_unreachable(self, target):
-        # e^target overflows a float; a pooled level is at most the largest
-        # epsilon (700 here), so nobody wins and every share is +0.0
-        game = _krr_game(((3, 700.0), (2, 1.5), (1, 0.2)), target, 50.0)
+    @pytest.mark.parametrize(
+        "target, players",
+        [(t, ((3, 700.0), (2, 1.5), (1, 0.2))) for t in (709.79, 800.0, 1e300)]
+        # e^709.5 is finite, but theta times p1's mass overflows to +inf, which
+        # no count reaches; the suite turns the overflow warning into an error
+        + [(709.5, ((3, 700.0), (100, 0.1)))],
+        ids=["709.79", "800.0", "1e+300", "709.5-product-overflows"],
+    )
+    def test_krr_target_past_exp_overflow_is_unreachable(self, target, players):
+        # e^target overflows a float, or nearly; a pooled level is at most the
+        # largest epsilon (700 here), so nobody wins and every share is +0.0
+        game = _krr_game(players, target, 50.0)
         ids = game.player_ids()
         for r in range(len(ids) + 1):
             for combo in itertools.combinations(ids, r):
