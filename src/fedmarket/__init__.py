@@ -7,11 +7,10 @@ from .privacy import (
     ReportBatch,
     aggregate,
     combined_epsilon,
-    information_limit,
     krr_distribution,
     krr_obfuscate,
 )
-from .valuation import ExponentialValuation, ValuationContract, validate
+from .valuation import ExponentialValuation
 from .market import (
     Bid,
     ConsumerOffer,
@@ -39,10 +38,8 @@ from .dynamics import (
     RoundReport,
     YearLedger,
     apply_penalty,
-    catalyzing_parameter,
     check_penalty_condition,
     detect_free_riders,
-    next_round_epsilon,
     privacy_saving,
     run_collection_year,
     run_collection_years,

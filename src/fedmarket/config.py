@@ -16,7 +16,7 @@ import yaml
 from .dynamics import CollectionPolicy, PolicyKind
 from .errors import ConfigError, DomainError
 from .market import ConsumerOffer
-from .privacy import AggregationMode, AlphabetSpec
+from .privacy import MAX_EPSILON, AggregationMode, AlphabetSpec
 from .valuation import ExponentialValuation
 
 
@@ -89,6 +89,8 @@ class ThresholdDist:
             "thresholds.",
             ("stddev", self.stddev > 0, "must be positive"),
             ("low", self.low > 0, "must be positive"),
+            # a sampled threshold is a provider's eps_T, at most MAX_EPSILON
+            ("high", self.high <= MAX_EPSILON, f"must be at most {MAX_EPSILON}"),
         )
 
 
@@ -177,7 +179,8 @@ class ScenarioConfig:
             ("master_seed", self.master_seed >= 0, "must be non-negative"),
             ("replications", self.replications >= 1, "must be at least 1"),
             ("max_rounds", self.max_rounds >= 1, "must be at least 1"),
-            ("data_points", self.data_points >= 1, "must be at least 1"),
+            # every provider's yearly budget is an int64
+            ("data_points", 1 <= self.data_points < 2**63, "must lie in [1, 2^63)"),
             *(
                 (key, min(getattr(self, key), default=0) >= 1, "must be a non-empty list of sizes >= 1")
                 for key in ("federation_sizes", "freerider_sizes", "timing_sizes")

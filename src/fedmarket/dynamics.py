@@ -194,37 +194,21 @@ def privacy_saving(ledgers: Sequence[YearLedger], provider: Provider) -> float:
     return float(savings_snapshot(ledgers, (provider.id,), (provider.eps_threshold,))[0])
 
 
-def catalyzing_parameter(
-    delta: float | np.ndarray, d_m: int | np.ndarray, eps_threshold: float | np.ndarray
-) -> float | np.ndarray:
-    """Escalation factor: savings relative to current-year capacity, floored at 1.
-
-    Elementwise over numpy arrays as well as scalars.
-    """
-    if np.minimum.reduce(d_m, axis=None) < 1:
-        raise DomainError("catalyzing parameter needs at least one reported point")
-    return _catalyzing_factor(delta, d_m, eps_threshold)
-
-
 def _catalyzing_factor(delta, d_m, eps_threshold):
-    """``catalyzing_parameter`` without its check."""
+    """The catalyzing factor n_p = max(1, delta / (d_m * eps_T)), elementwise.
+
+    ``delta`` is a member's saving over the tolerance window, ``d_m`` her
+    points reported so far this year and ``eps_threshold`` her eps_T.
+    The arguments are not checked; ``_round_rule`` says why.
+    """
     return np.fmax(1.0, delta / (d_m * eps_threshold))  # fmax: a NaN ratio gives 1, like max()
 
 
-def next_round_epsilon(
-    prev_eps: float | np.ndarray, n_p: float | np.ndarray, eps_threshold: float | np.ndarray
-) -> float | np.ndarray:
-    """Escalated privacy parameter for the next round, capped at the threshold.
-
-    Elementwise over numpy arrays as well as scalars.
-    """
-    if np.minimum.reduce(prev_eps, axis=None) <= 0:
-        raise DomainError("previous round epsilon must be positive")
-    return _escalated_epsilon(prev_eps, n_p, eps_threshold)
-
-
 def _escalated_epsilon(prev_eps, n_p, eps_threshold):
-    """``next_round_epsilon`` without its check."""
+    """The escalated epsilon min(n_p * prev_eps, eps_T), elementwise.
+
+    The arguments are not checked; ``_round_rule`` says why.
+    """
     return np.minimum(n_p * prev_eps, eps_threshold)
 
 
@@ -277,12 +261,13 @@ def _round_rule(
     Everyone answers round 1; a later round is joined with the
     participation probability. A fresh draw lies in (low, high] * eps_T.
     In a catalyzing run, a member who joins a later round escalates her
-    previous epsilon instead, by ``catalyzing_parameter`` of her saving
-    and with ``next_round_epsilon``'s cap at eps_T, through the unchecked
-    helpers they share. Their argument checks are left out: every member
-    reports in round 1, so each has a point from round 2 on, and an
-    epsilon that is not positive can only be a fresh draw of round 1 that
-    rounded to 0, which ``_close_year`` reports. Without savings the
+    previous epsilon instead: with n_p = max(1, delta / (d_m * eps_T)) for
+    her saving delta and points so far d_m (``_catalyzing_factor``), she
+    holds min(n_p * prev_eps, eps_T) (``_escalated_epsilon``). Neither
+    helper checks its arguments: every member reports in round 1, so each
+    has a point from round 2 on, and an epsilon that is not positive can
+    only be a fresh draw of round 1 that rounded to 0, which
+    ``_close_year`` reports as ``FreshEpsilonUnderflow``. Without savings the
     escalation is skipped: its factor is max(1, 0 / x) = 1, and the
     previous epsilon, at most ``initial_eps_high`` * eps_T <= eps_T, is
     below the cap, so every member holds it. Every float is one elementwise

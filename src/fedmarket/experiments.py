@@ -579,7 +579,8 @@ def audit_outputs(out_dir: str | Path) -> list[str]:
         try:
             with open(deal_json) as handle:
                 record = json.load(handle)
-        except ValueError as exc:  # not JSON, or not text
+        # RecursionError: JSON nested deeper than the interpreter's recursion limit
+        except (ValueError, RecursionError) as exc:  # not JSON, or not text
             problems.append(f"deal.json: unreadable: {exc}")
         else:
             problems += _settlement_problems("deal.json", record)

@@ -11,7 +11,7 @@ import numpy as np
 from .errors import DomainError
 from .privacy import aggregate  # noqa: F401  (unused here; the benchmark tracer wraps this binding)
 from .privacy import MAX_EPSILON, AggregationMode, AlphabetSpec, Measure, validate_epsilon
-from .valuation import ValuationContract
+from .valuation import ExponentialValuation
 
 SCALING_GRID = 1 << 30  # w* is a whole multiple of 1 / SCALING_GRID
 
@@ -134,7 +134,7 @@ class ConsumerOffer:
     """The consumer's broadcast: a budget and her valuation function."""
 
     budget: float
-    valuation: ValuationContract
+    valuation: ExponentialValuation
 
     def __post_init__(self) -> None:
         if not self.budget > 0:  # a NaN fails too
@@ -203,7 +203,7 @@ def scaled_cost(bids: Sequence[Bid], offer: ConsumerOffer, w: float) -> float:
 
 
 def _grid_bound(
-    valuation: ValuationContract, money: float, eps: float, rounding: Callable[[float], int], fallback: int
+    valuation: ExponentialValuation, money: float, eps: float, rounding: Callable[[float], int], fallback: int
 ) -> int:
     """``rounding`` of f(money) / eps on the scaling grid, or ``fallback``
     where f overflows, eps is 0 or the quotient is not finite."""

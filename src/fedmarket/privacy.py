@@ -119,13 +119,6 @@ def krr_obfuscate(x: int, spec: AlphabetSpec, eps: float, rng: np.random.Generat
     return other if other < x else other + 1
 
 
-def information_limit(d: int, eps: float) -> float:
-    """Information limit of a provider: data points times privacy parameter."""
-    if d < 0:
-        raise DomainError(f"data count must be non-negative, got {d}")
-    return float(d) * float(eps)
-
-
 # The largest kRR theta whose product with any coalition's mass stays finite.
 # A batch adds d / (k - 1 + e^eps) < d < 2^63 to its coalition's mass. A
 # coalition of n < 2^50 batches (more than any memory holds) then has a mass

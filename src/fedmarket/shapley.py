@@ -200,9 +200,6 @@ class ShapleyResult:
     method: str
     sample_count: int | None = None
 
-    def total(self) -> float:
-        return math.fsum(self.shares.values())
-
 
 def characteristic(subset: Iterable[str], game: ThresholdGame) -> float:
     """v(S): the prize if S's aggregate reaches the target, else 0."""

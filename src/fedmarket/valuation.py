@@ -1,37 +1,20 @@
-"""Privacy valuation functions: invertible maps between money and epsilon."""
+"""The privacy valuation: an invertible map between money and epsilon."""
 
 from __future__ import annotations
 
 import math
-from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
 
 from .errors import DomainError
 
 
-class ValuationContract(ABC):
-    """Strictly increasing, continuous map from money to privacy with an inverse.
-
-    Implementations must satisfy evaluate(0) == 0 (a zero payment buys no
-    information) and invert(evaluate(m)) == m.
-    """
-
-    @abstractmethod
-    def evaluate(self, money: float) -> float:
-        """Privacy parameter purchased by ``money``."""
-
-    @abstractmethod
-    def invert(self, eps: float) -> float:
-        """Price of privacy parameter ``eps``."""
-
-
 @dataclass(frozen=True)
-class ExponentialValuation(ValuationContract):
+class ExponentialValuation:
     """f(M) = K1 * (e^{K2 * M} - 1), the exponential valuation family.
 
     K1 scales the privacy units, K2 is the per-currency growth rate. The
-    inverse is ln(eps / K1 + 1) / K2.
+    inverse is ln(eps / K1 + 1) / K2. f is strictly increasing and
+    continuous with f(0) = 0: a zero payment buys no information.
     """
 
     k1: float
@@ -53,27 +36,3 @@ class ExponentialValuation(ValuationContract):
             raise DomainError(f"privacy parameter must be non-negative, got {eps}")
         return math.log1p(eps / self.k1) / self.k2
 
-
-@dataclass
-class ValidationReport:
-    ok: bool
-    failures: list[str] = field(default_factory=list)
-
-
-def validate(v: ValuationContract, grid: Sequence[float]) -> ValidationReport:
-    """Check a candidate valuation on a sorted money grid.
-
-    Fails if evaluate(0) != 0 or if the function is not strictly
-    increasing between consecutive grid points.
-    """
-    if len(grid) < 2 or any(b <= a for a, b in zip(grid, grid[1:])):
-        raise DomainError("grid must be sorted strictly increasing with at least 2 points")
-    failures: list[str] = []
-    zero = v.evaluate(0.0)
-    if zero != 0.0:
-        failures.append(f"evaluate(0) = {zero}, expected 0")
-    values = [v.evaluate(m) for m in grid]
-    for (m0, f0), (m1, f1) in zip(zip(grid, values), zip(grid[1:], values[1:])):
-        if f1 <= f0:
-            failures.append(f"not strictly increasing on [{m0}, {m1}]: {f0} -> {f1}")
-    return ValidationReport(ok=not failures, failures=failures)

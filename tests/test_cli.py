@@ -130,8 +130,10 @@ def test_audit_flags_tampered_deal_json(config_path, tmp_path, capsys):
         lambda deal: json.dumps({k: v for k, v in deal.items() if k != "price"}),
         lambda deal: json.dumps([deal]),
         lambda deal: "payout: 0\n",
+        # json.load recurses once per level, so this nesting raises RecursionError inside it
+        lambda deal: "[" * 100_000 + "]" * 100_000,
     ],
-    ids=["non-numeric-payout", "missing-key", "json-list", "not-json"],
+    ids=["non-numeric-payout", "missing-key", "json-list", "not-json", "nested-past-the-recursion-limit"],
 )
 def test_audit_reports_unreadable_deal_json(edit_deal, config_path, tmp_path, capsys):
     out = tmp_path / "run"
@@ -140,7 +142,7 @@ def test_audit_reports_unreadable_deal_json(edit_deal, config_path, tmp_path, ca
     capsys.readouterr()
     assert main(["audit", "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("AUDIT FAIL: deal.json") and err.count("\n") == 1
+    assert err.startswith("AUDIT FAIL: deal.json: unreadable") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("drop_price_column", [False, True], ids=["short-row", "missing-column"])

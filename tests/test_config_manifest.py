@@ -218,11 +218,14 @@ class TestConfigLoading:
             ("simulate", "replications: 0\n", "replications"),
             ("simulate", "max_rounds: 0\n", "max_rounds"),
             ("simulate", "data_points: 0\n", "data_points"),
+            ("simulate", "data_points: 9223372036854775808\n", "data_points"),
             ("exp-timing", "timing_target_fraction: 1.0\n", "timing_target_fraction"),
             ("simulate", "shapley_samples: 0\n", "shapley_samples"),
             ("simulate", "thresholds: {stddev: 0.0}\n", "thresholds.stddev"),
             ("simulate", "thresholds: {low: -1.0}\n", "thresholds.low"),
             ("simulate", "thresholds: {low: 9.0, high: 2.0}\n", "thresholds.high"),
+            ("simulate", "thresholds: {mean: 750.0, stddev: 10.0, high: 800.0}\n", "thresholds.high"),
+            ("exp-freeriders", "thresholds: {mean: 750.0, stddev: 10.0, high: 800.0}\n", "thresholds.high"),
             ("exp-rounds", "federation_sizes: [25, 25]\n", "federation_sizes"),
             ("exp-rounds", "targets: [125.0, 125]\n", "targets"),
             ("exp-freeriders", "freerider_sizes: [4, 4]\n", "freerider_sizes"),
@@ -267,11 +270,14 @@ class TestConfigLoading:
             "zero-replications",
             "zero-max-rounds",
             "zero-data-points",
+            "data-points-beyond-int64",
             "timing-fraction-one",
             "zero-shapley-samples",
             "zero-threshold-stddev",
             "negative-threshold-low",
             "threshold-low-above-high",
+            "threshold-high-above-saturation",
+            "freerider-threshold-high-above-saturation",
             "repeated-federation-size",
             "repeated-target",
             "repeated-freerider-size",

@@ -19,16 +19,16 @@ from fedmarket.dynamics import (
     RoundReport,
     admit_member,
     apply_penalty,
-    catalyzing_parameter,
     check_penalty_condition,
     detect_free_riders,
-    next_round_epsilon,
     privacy_saving,
     run_collection_batch,
     run_collection_year,
     run_collection_years,
     savings_snapshot,
     YearLedger,
+    _catalyzing_factor,
+    _escalated_epsilon,
 )
 from fedmarket.errors import DomainError
 from fedmarket.market import Federation, Provider
@@ -92,35 +92,27 @@ class TestPrivacySaving:
         assert privacy_saving([_ledger(1, {})], provider) == 0.0
 
 
-class TestCatalyzingParameter:
+class TestCatalyzingFactor:
     def test_floor_at_one(self):
-        assert catalyzing_parameter(0.0, 10, 5.0) == 1.0
-        assert catalyzing_parameter(-25.0, 10, 5.0) == 1.0
+        assert _catalyzing_factor(0.0, 10, 5.0) == 1.0
+        assert _catalyzing_factor(-25.0, 10, 5.0) == 1.0
 
     def test_boundary_ratio(self):
-        assert catalyzing_parameter(50.0, 10, 5.0) == 1.0
+        assert _catalyzing_factor(50.0, 10, 5.0) == 1.0
 
     def test_acceleration(self):
-        assert catalyzing_parameter(150.0, 10, 5.0) == pytest.approx(3.0)
-
-    def test_zero_points_rejected(self):
-        with pytest.raises(DomainError):
-            catalyzing_parameter(10.0, 0, 5.0)
+        assert _catalyzing_factor(150.0, 10, 5.0) == pytest.approx(3.0)
 
 
-class TestNextRoundEpsilon:
+class TestEscalatedEpsilon:
     def test_identity_factor(self):
-        assert next_round_epsilon(1.7, 1.0, 5.0) == 1.7
+        assert _escalated_epsilon(1.7, 1.0, 5.0) == 1.7
 
     def test_cap(self):
-        assert next_round_epsilon(2.0, 3.0, 5.0) == 5.0
+        assert _escalated_epsilon(2.0, 3.0, 5.0) == 5.0
 
     def test_product(self):
-        assert next_round_epsilon(1.0, 2.0, 5.0) == 2.0
-
-    def test_bad_previous(self):
-        with pytest.raises(DomainError):
-            next_round_epsilon(0.0, 2.0, 5.0)
+        assert _escalated_epsilon(1.0, 2.0, 5.0) == 2.0
 
 
 class TestRunCollectionYear:

@@ -14,7 +14,6 @@ from fedmarket.privacy import (
     ReportBatch,
     aggregate,
     combined_epsilon,
-    information_limit,
     krr_distribution,
     krr_obfuscate,
 )
@@ -136,19 +135,6 @@ class TestCombinedEpsilon:
     def test_finite_at_saturation(self):
         out = combined_epsilon([ReportBatch(2, 700.0), ReportBatch(1, 1.0)], AlphabetSpec(2))
         assert math.isfinite(out)
-
-
-class TestInformationLimit:
-    def test_zero_points(self):
-        assert information_limit(0, 5.0) == 0.0
-
-    def test_products(self):
-        assert information_limit(10, 5.0) == 50.0
-        assert information_limit(3, 1.4) == pytest.approx(4.2, abs=1e-12)
-
-    def test_negative_count_rejected(self):
-        with pytest.raises(DomainError):
-            information_limit(-1, 1.0)
 
 
 class TestAggregate:

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedmarket.errors import DomainError
-from fedmarket.valuation import ExponentialValuation, ValuationContract, validate
+from fedmarket.valuation import ExponentialValuation
 
 
 class TestEvaluate:
@@ -87,40 +87,3 @@ class TestProperties:
         with pytest.raises(DomainError):
             ExponentialValuation(1.0, -2.0)
 
-
-class _Constant(ValuationContract):
-    def evaluate(self, money):
-        return 1.0
-
-    def invert(self, eps):
-        return 0.0
-
-
-class _Offset(ValuationContract):
-    def evaluate(self, money):
-        return 0.1 + money
-
-    def invert(self, eps):
-        return eps - 0.1
-
-
-class TestValidate:
-    def test_exponential_family_passes(self):
-        report = validate(ExponentialValuation(1.3, 0.7), [0.0, 0.5, 1.0, 4.0])
-        assert report.ok and not report.failures
-
-    def test_constant_fails_monotonicity(self):
-        report = validate(_Constant(), [0.0, 1.0, 2.0])
-        assert not report.ok
-        assert any("increasing" in f for f in report.failures)
-
-    def test_nonzero_at_zero_fails(self):
-        report = validate(_Offset(), [0.0, 1.0])
-        assert not report.ok
-        assert any("evaluate(0)" in f for f in report.failures)
-
-    def test_bad_grid_rejected(self):
-        with pytest.raises(DomainError):
-            validate(ExponentialValuation(1, 1), [1.0])
-        with pytest.raises(DomainError):
-            validate(ExponentialValuation(1, 1), [1.0, 1.0])
