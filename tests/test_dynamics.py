@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import scalar_stats
-from fedmarket import experiments
+from fedmarket import dynamics, experiments
 from fedmarket.config import ScenarioConfig, derive_seed, sample_thresholds
 from fedmarket.dynamics import (
     CollectionPolicy,
@@ -113,6 +113,67 @@ class TestEscalatedEpsilon:
 
     def test_product(self):
         assert _escalated_epsilon(1.0, 2.0, 5.0) == 2.0
+
+
+class TestRoundRuleHelperArguments:
+    """``_round_rule`` calls ``_catalyzing_factor`` and ``_escalated_epsilon`` unchecked.
+
+    These pin what makes that safe: every member has reported a point before
+    her factor is taken, and an epsilon that reaches the escalation is a
+    positive one unless a fresh draw rounded to 0, which the year still
+    reports as ``FreshEpsilonUnderflow``.
+    """
+
+    @staticmethod
+    def _spy(monkeypatch):
+        calls = {"d_m": [], "prev_eps": []}
+        factor, escalated = _catalyzing_factor, _escalated_epsilon
+
+        def spy_factor(delta, d_m, eps_threshold):
+            calls["d_m"].append(np.array(d_m, copy=True))
+            return factor(delta, d_m, eps_threshold)
+
+        def spy_escalated(prev_eps, n_p, eps_threshold):
+            calls["prev_eps"].append(np.array(prev_eps, copy=True))
+            return escalated(prev_eps, n_p, eps_threshold)
+
+        monkeypatch.setattr(dynamics, "_catalyzing_factor", spy_factor)
+        monkeypatch.setattr(dynamics, "_escalated_epsilon", spy_escalated)
+        return calls
+
+    @staticmethod
+    def _year(policy, seed, savings=50.0):
+        # budgets of 1 point run out in round 1, so later rounds see members with nothing left
+        budgets = ((1, 0.5), (7, 2.0), (20, 5.0))
+        members = [Provider(f"p{i}", d_p, eps) for i, (d_p, eps) in enumerate(budgets)]
+        return run_collection_year(
+            _federation(members), math.inf, policy, 12, AggregationMode.ADDITIVE_INFORMATION,
+            np.random.default_rng(seed), savings=[savings] * len(members),
+        )
+
+    def test_factor_sees_a_point_reported_by_every_member(self, monkeypatch):
+        calls = self._spy(monkeypatch)
+        for seed in range(5):
+            self._year(CAT, seed)
+        assert len(calls["d_m"]) == 5 * 11  # rounds 2 to 12 of each year
+        assert all(d_m.min() >= 1 for d_m in calls["d_m"])
+
+    def test_escalation_sees_positive_previous_epsilons(self, monkeypatch):
+        calls = self._spy(monkeypatch)
+        for seed in range(5):
+            ledger = self._year(CAT, seed)
+            assert ledger.rounds_used == 12
+        assert len(calls["prev_eps"]) == 5 * 11
+        assert all(prev_eps.min() > 0.0 for prev_eps in calls["prev_eps"])
+
+    def test_underflowed_draw_that_escalates_names_initial_eps_high(self, monkeypatch):
+        # with hi the smallest subnormal, hi - u * hi rounds to 0 for every u > 0.5; escalation
+        # multiplies that 0 by n_p, so the year, not the helper, rejects it
+        calls = self._spy(monkeypatch)
+        policy = CollectionPolicy(PolicyKind.CATALYZING, initial_eps_high=5e-324, points_per_round=1)
+        with pytest.raises(FreshEpsilonUnderflow, match="^initial_eps_high: "):
+            self._year(policy, 0, savings=1e300)
+        assert any((prev_eps == 0.0).any() for prev_eps in calls["prev_eps"])
 
 
 class TestRunCollectionYear:

@@ -16,7 +16,7 @@ from fedmarket.market import (
     seal_deal,
     settle,
 )
-from fedmarket.privacy import AggregationMode, AlphabetSpec, ReportBatch, aggregate
+from fedmarket.privacy import AggregationMode, AlphabetSpec, Measure, ReportBatch, aggregate
 from fedmarket.valuation import ExponentialValuation
 
 
@@ -339,6 +339,20 @@ class TestTypes:
         assert fed.active
         empty = Federation("F", (), (), (), 1.0, 3)
         assert empty.representative is None and not empty.active
+
+    def test_representative_holds_the_largest_additive_statistic(self):
+        # the information limit d_p * eps_threshold the representative is chosen by is the
+        # additive measure's statistic of a member's whole budget at her threshold
+        rng = np.random.default_rng(12)
+        measure = Measure(AggregationMode.ADDITIVE_INFORMATION, 2)
+        for _ in range(200):
+            n = int(rng.integers(1, 9))
+            d_p = rng.integers(1, 6, n)
+            eps = rng.choice([0.5, 1.0, 2.0, 2.5], n)  # ties in d_p * eps are common
+            ids = tuple(f"p{i}" for i in range(n))
+            fed = Federation("F", ids, tuple(d_p.tolist()), tuple(eps.tolist()), 1.0, 3)
+            (limits,) = measure.columns(d_p, eps)
+            assert fed.representative == fed.member_ids[limits.tolist().index(max(limits.tolist()))]
 
     @pytest.mark.parametrize(
         "d_p, eps, message",

@@ -137,6 +137,23 @@ class TestCombinedEpsilon:
         assert math.isfinite(out)
 
 
+class TestAdditiveColumns:
+    """The additive measure's statistic is each batch's information limit d * eps."""
+
+    @staticmethod
+    def _limits(d, eps):
+        (column,) = Measure(AggregationMode.ADDITIVE_INFORMATION, 2).columns(np.array(d), np.array(eps))
+        return column.tolist()
+
+    def test_zero_points(self):
+        assert self._limits([0, 0], [5.0, 700.0]) == [0.0, 0.0]
+
+    def test_products(self):
+        limits = self._limits([10, 3], [5.0, 1.4])
+        assert limits[0] == 50.0
+        assert limits[1] == pytest.approx(4.2, abs=1e-12)
+
+
 class TestAggregate:
     def test_additive_weighted_sum(self):
         batches = [ReportBatch(2, 3.0), ReportBatch(1, 4.0)]
