@@ -68,10 +68,14 @@ def _game_value(mapping: dict, key: str, where: str, default=None):
     return default
 
 
-def _game_number(mapping: dict, key: str, kind: str, where: str = "", default=None):
+# a game file's field types: the config's number types, and a string for player ids
+_GAME_CHECKS = {**_TYPE_CHECKS, "str": ("a string", lambda value: isinstance(value, str))}
+
+
+def _game_field(mapping: dict, key: str, kind: str, where: str = "", default=None):
     """``mapping[key]`` (or ``default``), checked like a config value of type ``kind``."""
     value = _game_value(mapping, key, where, default)
-    noun, check = _TYPE_CHECKS[kind]
+    noun, check = _GAME_CHECKS[kind]
     if not check(value):
         raise TypeError(f"{where}{key} must be {noun}, got {value!r}")
     return float(value) if kind == "float" else value
@@ -99,10 +103,10 @@ def _cmd_shapley(args: argparse.Namespace) -> int:
         game = ThresholdGame(
             players=tuple(
                 (
-                    str(_game_value(player, "id", at)),
+                    _game_field(player, "id", "str", at),
                     tuple(
                         ReportBatch(
-                            _game_number(b, "d", "int", where), _game_number(b, "eps", "float", where)
+                            _game_field(b, "d", "int", where), _game_field(b, "eps", "float", where)
                         )
                         for where, b in _game_objects(player, "batches", at)
                     ),
@@ -110,9 +114,9 @@ def _cmd_shapley(args: argparse.Namespace) -> int:
                 for at, player in _game_objects(raw, "players")
             ),
             mode=AggregationMode(raw.get("mode", "additive")),
-            target=_game_number(raw, "target", "float"),
-            prize=_game_number(raw, "prize", "float"),
-            spec=AlphabetSpec(_game_number(raw, "k", "int", default=2)),
+            target=_game_field(raw, "target", "float"),
+            prize=_game_field(raw, "prize", "float"),
+            spec=AlphabetSpec(_game_field(raw, "k", "int", default=2)),
         )
     # RecursionError: JSON nested deeper than the interpreter's recursion limit
     except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:

@@ -302,30 +302,22 @@ def _round_rule(
 
 
 def _close_year(
-    d_grid: np.ndarray,
-    eps_grid: np.ndarray,
-    remaining: np.ndarray,
-    d_p: np.ndarray,
-    ids: Sequence,
-    year: int,
+    d_grid: np.ndarray, eps_grid: np.ndarray, budget: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Check a year's (round, ..., member) grids of points and epsilons.
 
-    ``remaining``, ``d_p`` and ``ids`` hold the members' points left,
-    yearly budgets and ids in the shape of one round. Every count must be
-    non-negative, every member's points must add up to her budget and
-    every reported epsilon must lie in (0, ``MAX_EPSILON``]. Returns each
-    member's points reported and epsilon sum, the mask of reports and the
-    reported epsilons in row-major order.
+    ``budget`` holds the members' yearly budgets in the shape of one
+    round. Every count must be non-negative, no member may report more
+    points than her budget and every reported epsilon must lie in
+    (0, ``MAX_EPSILON``]. The first two fail only on a faulty round rule,
+    never on an input. Returns each member's points reported and epsilon
+    sum, the mask of reports and the reported epsilons in row-major order.
     """
     if d_grid.min(initial=0) < 0:
         raise DomainError("round report cannot carry a negative point count")
     reported = d_grid.sum(axis=0)
-    lost = reported + remaining != d_p
-    if lost.any():
-        raise FedMarketError(
-            f"data conservation violated for provider {np.asarray(ids)[lost][0]} in year {year}"
-        )
+    if (reported > budget).any():
+        raise FedMarketError("data conservation violated: a member reported past her yearly budget")
     mask = d_grid > 0
     eps_t = eps_grid[mask]
     if not (eps_t.min(initial=math.inf) > 0.0 and eps_t.max(initial=0.0) <= MAX_EPSILON):
@@ -401,8 +393,6 @@ def _collect_year(
     savings: np.ndarray | None,
     max_rounds: int,
     rngs: Sequence[np.random.Generator],
-    ids: Sequence,
-    year: int,
 ) -> tuple[list[int], np.ndarray | None, np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
     """One collection year of k runs of one federation size, as (k, n) arrays.
 
@@ -417,7 +407,10 @@ def _collect_year(
     running sums of ``Measure.add`` after every (round, member) slot, as
     a (statistic, k, 1 + rounds * n) array whose last entries are each
     run's totals, or None when no target is finite, the (round, k, n)
-    grids of points and epsilons, and ``_close_year``'s results.
+    grids of points and epsilons, and ``_close_year``'s results. The year
+    ends with ``_close_year``'s checks of those grids against the budgets,
+    so a round rule that makes a member report more than her budget, or
+    fewer than 0 points, raises.
 
     Every round, each collecting run draws 2 n_r uniforms for its n_r
     members, participation ones and then epsilon ones, scattered into
@@ -491,7 +484,7 @@ def _collect_year(
             u[reached] = 1.0  # no participation probability exceeds it
     d_grid = np.array(d_rows)
     eps_grid = np.array(eps_rows)
-    closed = _close_year(d_grid, eps_grid, remaining, budget, ids, year)
+    closed = _close_year(d_grid, eps_grid, budget)
     if can_leave:
         fold = fold[..., : len(d_rows) * n + 1]
     return rounds_used, fold, d_grid, eps_grid, closed
@@ -546,8 +539,7 @@ def run_collection_year(
     step = _round_rule([policy], d_p, threshold)
     members = _members(np.ones((1, n), dtype=bool), d_p)
     (rounds_used,), fold, d_grid, eps_grid, (reported, eps_level, mask, eps_t) = _collect_year(
-        step, measure, [target], math.isfinite(target), threshold, members, savings, max_rounds,
-        [rng], [ids], year,
+        step, measure, [target], math.isfinite(target), threshold, members, savings, max_rounds, [rng]
     )
     if fold is None:  # an open target: the ledger reads every running sum
         fold = _year_fold(measure, d_grid, eps_grid, members)
@@ -634,7 +626,8 @@ def run_collection_batch(
     is built.
 
     Each year is one ``_collect_year`` over all runs, the step a single
-    run takes with k = 1. Each year leaves one savings term per member
+    run takes with k = 1, and ends with its checks of every run's grids
+    against the budgets. Each year leaves one savings term per member
     (``_saving_terms``), and a saving is the fold of the window's terms.
     Savings are kept when some run is catalyzing or penalties are on; the
     non-catalyzing runs' collection ignores them. When no target is
@@ -666,7 +659,6 @@ def run_collection_batch(
     if not all(x > 0 for x in target):  # a NaN target fails too
         raise DomainError("collection target must be positive")
     measure = Measure(mode, (spec or AlphabetSpec(2)).k)
-    ids = [f.member_ids for f in federations]
     d_p = np.array([f.d_p for f in federations], dtype=np.int64).reshape(k, n)
     threshold = np.array([f.eps_threshold for f in federations], dtype=float).reshape(k, n)
     delta = np.array([[f.delta_threshold] for f in federations])
@@ -679,7 +671,7 @@ def run_collection_batch(
     savings = None
     for m in range(1, years + 1):
         rounds_used, fold, d_grid, eps_grid, (reported, eps_level, _, _) = _collect_year(
-            step, measure, target, can_leave, threshold, members, savings, max_rounds, rngs, ids, m
+            step, measure, target, can_leave, threshold, members, savings, max_rounds, rngs
         )
         if fold is None and m == years:  # the measured year, under the members it collected from
             fold = _year_fold(measure, d_grid, eps_grid, members)

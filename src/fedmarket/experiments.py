@@ -531,13 +531,16 @@ def simulate(config: ScenarioConfig, out_dir: str | Path) -> dict:
 
 def _settlement_problems(where: str, record: Mapping) -> list[str]:
     """The settlement rule: payout within budget, the price if the promise
-    was met and zero otherwise. A record without these numbers is a problem too."""
+    was met and zero otherwise. A record without these numbers, or with one
+    that is not finite, is one problem too."""
+    keys = ("budget", "price", "promised_eps", "achieved_eps", "payout")
     try:
-        budget, price, promised, achieved, payout = (
-            float(record[key]) for key in ("budget", "price", "promised_eps", "achieved_eps", "payout")
-        )
+        budget, price, promised, achieved, payout = numbers = [float(record[key]) for key in keys]
     except (KeyError, TypeError, ValueError) as exc:
         return [f"{where}: unreadable deal record: {exc!r}"]
+    for key, number in zip(keys, numbers):
+        if not math.isfinite(number):
+            return [f"{where}: unreadable deal record: {key} is {number}, not a finite number"]
     problems = []
     if payout > budget + 1e-9:
         problems.append(f"{where}: payout {payout} exceeds budget {budget}")

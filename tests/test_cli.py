@@ -96,19 +96,33 @@ def test_experiment_rerun_reproduces_digests(config_path, tmp_path):
     assert manifest_a["outputs"]["rounds.csv"] == file_digest(out_b / "rounds.csv")
 
 
-def test_audit_flags_tampered_payout(config_path, tmp_path, capsys):
+@pytest.mark.parametrize(
+    "edit_row, problems",
+    [
+        # exceeds the budget, and is not the price
+        (lambda row: {**row, "payout": repr(float(row["budget"]) * 2)}, 2),
+        (lambda row: {**row, "budget": "nan"}, 1),
+        (lambda row: {**row, "budget": "inf"}, 1),
+    ],
+    ids=["payout-past-budget", "nan-budget", "infinite-budget"],
+)
+def test_audit_flags_tampered_deals_csv_row(edit_row, problems, config_path, tmp_path, capsys):
     out = tmp_path / "exp"
     main(["exp-rounds", "--config", str(config_path), "--out", str(out)])
     deals = out / "rounds_deals.csv"
     with open(deals, newline="") as handle:
         rows = list(csv.DictReader(handle))
-    rows[0]["payout"] = repr(float(rows[0]["budget"]) * 2)  # exceeds the budget
+    assert rows[0]["payout"] == rows[0]["price"] != "0.0"  # the edited record pays
+    rows[0] = edit_row(rows[0])
     with open(deals, "w", newline="") as handle:
         writer = csv.DictWriter(handle, fieldnames=rows[0].keys())
         writer.writeheader()
         writer.writerows(rows)
+    capsys.readouterr()
     assert main(["audit", "--out", str(out)]) == 1
-    assert "AUDIT FAIL" in capsys.readouterr().err
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == problems
+    assert all(line.startswith("AUDIT FAIL: rounds_deals.csv:") for line in err)
 
 
 def test_audit_flags_tampered_deal_json(config_path, tmp_path, capsys):
@@ -123,6 +137,11 @@ def test_audit_flags_tampered_deal_json(config_path, tmp_path, capsys):
     assert "AUDIT FAIL: deal.json" in capsys.readouterr().err
 
 
+def _void(deal):
+    """``deal`` as a void record: its promise missed, it pays nothing."""
+    return {**deal, "achieved_eps": 0.0, "payout": 0.0}
+
+
 @pytest.mark.parametrize(
     "edit_deal",
     [
@@ -132,12 +151,31 @@ def test_audit_flags_tampered_deal_json(config_path, tmp_path, capsys):
         lambda deal: "payout: 0\n",
         # json.load recurses once per level, so this nesting raises RecursionError inside it
         lambda deal: "[" * 100_000 + "]" * 100_000,
+        # json.dumps writes NaN and Infinity, which json.load reads back as floats
+        lambda deal: json.dumps({**deal, "budget": math.nan}),
+        lambda deal: json.dumps({**deal, "budget": math.inf}),
+        lambda deal: json.dumps({**_void(deal), "price": math.nan}),
+        lambda deal: json.dumps({**_void(deal), "promised_eps": math.nan}),
+        lambda deal: json.dumps({**_void(deal), "achieved_eps": math.nan}),
     ],
-    ids=["non-numeric-payout", "missing-key", "json-list", "not-json", "nested-past-the-recursion-limit"],
+    ids=[
+        "non-numeric-payout",
+        "missing-key",
+        "json-list",
+        "not-json",
+        "nested-past-the-recursion-limit",
+        "paying-nan-budget",
+        "paying-infinite-budget",
+        "void-nan-price",
+        "void-nan-promised",
+        "void-nan-achieved",
+    ],
 )
 def test_audit_reports_unreadable_deal_json(edit_deal, config_path, tmp_path, capsys):
     out = tmp_path / "run"
     assert main(["simulate", "--config", str(config_path), "--out", str(out)]) == 0
+    deal = json.loads((out / "deal.json").read_text())
+    assert deal["payout"] == deal["price"] > 0.0  # SMALL_CONFIG's deal pays
     (out / "deal.json").write_text(edit_deal(json.loads((out / "deal.json").read_text())))
     capsys.readouterr()
     assert main(["audit", "--out", str(out)]) == 1
@@ -390,6 +428,9 @@ def _edited_game(*path, value=None):
             _edited_game("players", 0, "batches", 0, "d", value=1.5),
             "players[0].batches[0].d must be an integer, got 1.5",
         ),
+        (_edited_game("players", 0, value={"id": None, "batches": []}), "players[0].id must be a string, got None"),
+        (_edited_game("players", 0, "id", value=[1, 2]), "players[0].id must be a string, got [1, 2]"),
+        (_edited_game("players", 0, "id", value=1), "players[0].id must be a string, got 1"),
     ],
     ids=[
         "no-target",
@@ -405,6 +446,9 @@ def _edited_game(*path, value=None):
         "string-player",
         "list-batch",
         "fractional-d-path",
+        "null-id",
+        "list-id",
+        "integer-id",
     ],
 )
 def test_shapley_names_the_bad_field(game, message, tmp_path, capsys):

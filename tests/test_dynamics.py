@@ -30,7 +30,7 @@ from fedmarket.dynamics import (
     _catalyzing_factor,
     _escalated_epsilon,
 )
-from fedmarket.errors import DomainError
+from fedmarket.errors import DomainError, FedMarketError
 from fedmarket.market import Federation, Provider
 from fedmarket.privacy import AggregationMode, AlphabetSpec, Measure, ReportBatch, aggregate
 from fedmarket.valuation import ExponentialValuation
@@ -174,6 +174,54 @@ class TestRoundRuleHelperArguments:
         with pytest.raises(FreshEpsilonUnderflow, match="^initial_eps_high: "):
             self._year(policy, 0, savings=1e300)
         assert any((prev_eps == 0.0).any() for prev_eps in calls["prev_eps"])
+
+
+class TestConservationCheck:
+    """A year whose round rule reports past a member's budget raises, through both callers.
+
+    The rule over-reports in the final round only: an earlier over-report
+    leaves a negative count of points, which the next round reports and the
+    negative-count check rejects first.
+    """
+
+    ROUNDS = 5
+
+    @pytest.fixture(autouse=True)
+    def _over_reporting_rule(self, monkeypatch):
+        rule = dynamics._round_rule
+
+        def over_reporting(policies, d_p, threshold):
+            step = rule(policies, d_p, threshold)
+
+            def over(t, u, remaining, prev_eps, savings):
+                d, eps = step(t, u, remaining, prev_eps, savings)
+                return (d + 3 if t == self.ROUNDS else d), eps
+
+            return over
+
+        monkeypatch.setattr(dynamics, "_round_rule", over_reporting)
+
+    @staticmethod
+    def _federation():
+        # 4-point budgets run out by round 2; the final round reports 3 more points each
+        return _federation([Provider(f"p{i}", 4, 5.0) for i in range(3)])
+
+    @pytest.mark.parametrize("target", [1e9, math.inf], ids=["finite", "open"])
+    def test_year_raises(self, target):
+        with pytest.raises(FedMarketError, match="data conservation violated"):
+            run_collection_year(
+                self._federation(), target, NONCAT, self.ROUNDS, AggregationMode.ADDITIVE_INFORMATION,
+                np.random.default_rng(0),
+            )
+
+    @pytest.mark.parametrize("target", [1e9, math.inf], ids=["finite", "open"])
+    def test_batch_raises(self, target):
+        federation = self._federation()
+        with pytest.raises(FedMarketError, match="data conservation violated"):
+            run_collection_batch(
+                [federation] * 2, [target] * 2, [CAT, NONCAT], 1, self.ROUNDS,
+                AggregationMode.ADDITIVE_INFORMATION, [np.random.default_rng(seed) for seed in (0, 1)],
+            )
 
 
 class TestRunCollectionYear:
